@@ -34,7 +34,7 @@ from .format import (CAPTURE_VERSION, CaptureError, CaptureFormatError,
                      program_digest)
 from .pagecache import (MappedPages, PageCacheError, build_sidecar,
                         capture_digest, load_sidecar, sidecar_path)
-from .reader import CaptureReader, PageCursor, PageLRU, StreamingCursor
+from .reader import CaptureReader, PageCursor, StreamingCursor
 from .record import CallEventRecorder, capture_run
 from .replay import (REPLAY_TOOLS, ReplayBundle, replay_gprof, replay_many,
                      replay_quad, replay_tquad)
@@ -52,7 +52,7 @@ __all__ = [
     "STREAM_QUAD", "STREAM_TQUAD_READ", "STREAM_TQUAD_WRITE",
     "ApproxTQuadReplay", "CaptureCollector", "CaptureReader",
     "CaptureWriter", "CallEventRecorder", "CountMinSketch", "MemBudget",
-    "PageCursor", "PageLRU", "SpillPool", "StreamingCursor",
+    "PageCursor", "SpillPool", "StreamingCursor",
     "approx_replay_tquad", "build_sidecar", "capture_digest",
     "capture_run", "check_label", "check_program", "cleanup_spill_dirs",
     "library_rows_of", "load_sidecar", "make_manifest",

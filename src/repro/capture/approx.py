@@ -24,16 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.options import StackPolicy, TQuadOptions
+from ..core.options import TQuadOptions
 from ..core.report import TQuadReport
 from ..obs import TELEMETRY
-from .format import STREAM_TQUAD_READ, STREAM_TQUAD_WRITE, require_tool
-from .reader import CaptureReader, StreamingCursor
+from .format import require_tool
+from .reader import CaptureReader
 from .replay import _resolve_tquad_options
-from .streaming import MemBudget, SortedTableAcc, SpillPool, sample_mask
+from .streaming import MemBudget
 
 #: The four estimated totals, in ledger counter order.
 TOTAL_KEYS = ("read_incl", "read_excl", "write_incl", "write_excl")
+
+#: Kernels kept in the count-min heavy-hitter ranking.
+HEAVY_HITTERS = 8
 
 
 class CountMinSketch:
@@ -143,147 +146,56 @@ def approx_replay_tquad(reader: CaptureReader,
                         options: TQuadOptions | None = None, *,
                         rate: float, seed: int = 0,
                         mem_limit: int | None = None,
-                        top_k: int = 8,
                         telemetry=TELEMETRY) -> ApproxTQuadReplay:
     """Sampled tQUAD replay at ``rate`` with reported error bounds.
 
-    One bounded streaming pass: pages sample down before any per-row
-    work, the sampled rows aggregate through the same spill-capable
-    sorted-table accumulator the exact tier uses, and the final counters
-    scale by ``1/rate``.  Deterministic for a fixed (capture, rate,
-    seed) triple.  ``options`` behaves exactly as in
+    The sweep engine's sampled pass for one cell, always bounded (an
+    unlimited budget without ``mem_limit``, so ``mem`` reports the
+    pass's resident peak either way): pages sample down before any
+    per-row work, the sampled rows aggregate through the spill-capable
+    sorted-table accumulators, and the counters scale by ``1/rate``.
+    The post-pass here turns the pass's per-counter sums and sums of
+    squares into the four totals and their bounds, and feeds the sketch
+    once with per-kernel sampled bytes (the sketch is linear, so this is
+    the table a row-by-row feed builds).  Deterministic for a fixed
+    (capture, rate, seed) triple.  ``options`` behaves exactly as in
     :func:`~repro.capture.replay.replay_tquad`.
     """
-    if not (0.0 < rate < 1.0):
-        raise ValueError(f"sampling rate must be in (0, 1), got {rate!r}")
-    from . import PAGE_BATCH_ROWS
-    from ..sweep.engine import ColumnarLedger
+    from ..sweep.engine import _one_cell
 
     manifest = reader.manifest
     require_tool(manifest, "tquad")
     options = _resolve_tquad_options(manifest, options)
-    captured = StackPolicy(manifest["options"]["stack"])
     names = manifest["kernels"]
-    interval = options.slice_interval
-    zero_excl = (captured is StackPolicy.BOTH
-                 and options.stack is StackPolicy.INCLUDE)
-    excl_only = (captured is StackPolicy.BOTH
-                 and options.stack is StackPolicy.EXCLUDE)
-    drop_lib = (options.exclude_libraries
-                and not manifest["options"]["exclude_libraries"])
-    total = int(manifest["total_instructions"])
-    n_slices = (max(total, 1) - 1) // interval + 1
-
     budget = MemBudget(mem_limit)
-    sketch = CountMinSketch(seed=seed)
-    rows_walked = sampled_rows = 0
-    ssum = np.zeros(4)
-    ssumsq = np.zeros(4)
-    accs: dict[bool, SortedTableAcc] = {}
-    with SpillPool(budget) as pool, \
-            telemetry.span("replay", cat="capture", tool="tquad_approx",
-                           interval=interval, rate=rate):
-        for si, (stream, write) in enumerate(
-                ((STREAM_TQUAD_READ, False), (STREAM_TQUAD_WRITE, True))):
-            if not reader.has_stream(stream):
-                continue
-            acc = accs[write] = SortedTableAcc(budget, PAGE_BATCH_ROWS)
-            cursor = StreamingCursor(reader, stream, budget=budget)
-            for pi, page in enumerate(cursor):
-                n = page.shape[0]
-                rows_walked += n
-                keep = sample_mask(seed, si, pi, n, rate)
-                if not keep.any():
-                    continue
-                page = page[keep]
-                sampled_rows += page.shape[0]
-                kid = page[:, 3]
-                lib = kid < -1
-                mask = kid != -1
-                if drop_lib:
-                    mask &= ~lib
-                if excl_only:
-                    mask = mask & (page[:, 2] > 0)
-                if not mask.all():
-                    page = page[mask]
-                    if page.shape[0] == 0:
-                        continue
-                    kid = page[:, 3]
-                    lib = kid < -1
-                if lib.any():
-                    kid = np.where(lib, -2 - kid, kid)
-                incl = (np.zeros_like(kid) if excl_only
-                        else page[:, 1])
-                excl = (np.zeros_like(kid) if zero_excl
-                        else page[:, 2])
-                col = 2 if write else 0
-                inf = incl.astype(float)
-                exf = excl.astype(float)
-                ssum[col] += inf.sum()
-                ssumsq[col] += (inf * inf).sum()
-                ssum[col + 1] += exf.sum()
-                ssumsq[col + 1] += (exf * exf).sum()
-                sl = (page[:, 0] - 1) // interval
-                acc.add(kid * n_slices + sl, incl, excl)
-                sketch.update(kid, incl + excl)
-                if budget.over:
-                    for a in accs.values():
-                        a.compact()
-                    if budget.over:
-                        for a in accs.values():
-                            a.spill(pool)
-        tables = {}
-        for write in (False, True):
-            acc = accs.get(write)
-            if acc is None:
-                empty = np.empty(0, np.int64)
-                tables[write] = (empty, empty.copy(), empty.copy())
-            else:
-                tables[write] = acc.finalize()
-
-        keys = np.concatenate([tables[False][0], tables[True][0]])
-        if keys.size:
-            keys.sort(kind="stable")
-            keep = np.empty(keys.size, bool)
-            keep[0] = True
-            keep[1:] = keys[1:] != keys[:-1]
-            keys = keys[keep]
-        mat = np.zeros((keys.size, 4), np.int64)
-        for write in (False, True):
-            k, incl_a, excl_a = tables[write]
-            if k.size == 0:
-                continue
-            idx = np.searchsorted(keys, k)
-            col = 2 if write else 0
-            mat[idx, col] = incl_a
-            mat[idx, col + 1] = excl_a
-        mat = np.rint(mat / rate).astype(np.int64)
-    budget.publish(telemetry)
+    with telemetry.span("replay", cat="capture", tool="tquad_approx",
+                        interval=options.slice_interval, rate=rate):
+        report, stats, sample = _one_cell(reader, options, telemetry,
+                                          budget, (rate, seed))
     telemetry.count("capture/approx_replays")
 
-    totals = {key: int(np.rint(ssum[j] / rate))
+    totals = {key: int(np.rint(sample.sums[j] / rate))
               for j, key in enumerate(TOTAL_KEYS)}
     rel_err = {}
     for j, key in enumerate(TOTAL_KEYS):
-        s = ssum[j]
-        rel_err[key] = (1.96 * math.sqrt(ssumsq[j] * (1.0 - rate)) / s
+        s = sample.sums[j]
+        rel_err[key] = (1.96 * math.sqrt(sample.sumsqs[j] * (1.0 - rate)) / s
                         if s > 0 else 0.0)
 
+    sketch = CountMinSketch(seed=seed)
     kids = np.arange(len(names), dtype=np.int64)
+    sketch.update(kids, sample.kernel_bytes)
     est = np.rint(sketch.query(kids) / rate).astype(np.int64) \
         if kids.size else np.empty(0, np.int64)
     ranked = sorted(((names[int(k)], int(est[int(k)])) for k in kids
                      if est[int(k)] > 0),
                     key=lambda kv: (-kv[1], kv[0]))
-    report = TQuadReport(
-        ledger=ColumnarLedger(interval, names, n_slices, keys, mat),
-        options=options, total_instructions=total,
-        images=dict(manifest["images"]), complete=True)
     return ApproxTQuadReplay(
         report=report, rate=float(rate), seed=int(seed),
-        rows_walked=rows_walked, sampled_rows=sampled_rows,
+        rows_walked=stats["rows_walked"],
+        sampled_rows=stats["sampled_rows"],
         totals=totals, rel_err_95=rel_err,
-        heavy_hitters=ranked[:top_k],
+        heavy_hitters=ranked[:HEAVY_HITTERS],
         sketch={"width": sketch.width, "depth": sketch.depth,
                 "epsilon": sketch.epsilon, "delta": sketch.delta,
                 "bound_bytes": int(np.rint(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from collections import OrderedDict
 from typing import Any, BinaryIO, Iterator
 
 import numpy as np
@@ -204,46 +203,6 @@ class PageCursor:
         return self.reader.require_stream(self.stream)["pages"]
 
 
-class PageLRU:
-    """Byte-bounded decoded-page window for streaming replays.
-
-    Holds recently decoded pages up to its share of a
-    :class:`~repro.capture.streaming.MemBudget`; inserting past the
-    ceiling evicts least-recently-used pages (always keeping the newest,
-    so progress never stalls on a single oversized page).  Evictions are
-    counted into the owning reader's ``stats["evicted_pages"]``.
-    """
-
-    def __init__(self, budget, stats: dict[str, int] | None = None):
-        self.budget = budget
-        self.stats = stats if stats is not None else {}
-        self._pages: OrderedDict[tuple[str, int], np.ndarray] = \
-            OrderedDict()
-
-    def get(self, key: tuple[str, int]) -> np.ndarray | None:
-        arr = self._pages.get(key)
-        if arr is not None:
-            self._pages.move_to_end(key)
-        return arr
-
-    def put(self, key: tuple[str, int], arr: np.ndarray) -> None:
-        self._pages[key] = arr
-        self.budget.charge(arr.nbytes)
-        while self.budget.over and len(self._pages) > 1:
-            _, old = self._pages.popitem(last=False)
-            self.budget.release(old.nbytes)
-            self.stats["evicted_pages"] = \
-                self.stats.get("evicted_pages", 0) + 1
-
-    def clear(self) -> None:
-        while self._pages:
-            _, old = self._pages.popitem(last=False)
-            self.budget.release(old.nbytes)
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-
 class StreamingCursor:
     """Bounded-memory iteration over one stream's decoded pages.
 
@@ -251,17 +210,16 @@ class StreamingCursor:
     pins every decoded page for decode-once reuse, a streaming cursor
     never materialises the stream.  Sidecar-backed captures yield
     zero-copy mmap views (the OS pages them in and out beneath the
-    ceiling); otherwise each page decodes fresh, is charged against the
-    ``budget``, and at most the ``lru`` window survives the step —
+    ceiling); otherwise each page decodes fresh and is touched against
+    the ``budget`` as a transient that lives for one step only —
     deliberately bypassing the reader's unbounded in-memory page cache.
     """
 
     def __init__(self, reader: CaptureReader, stream: str, *,
-                 budget=None, lru: PageLRU | None = None):
+                 budget=None):
         self.reader = reader
         self.stream = stream
         self.budget = budget
-        self.lru = lru
 
     def __iter__(self) -> Iterator[np.ndarray]:
         reader = self.reader
@@ -277,13 +235,6 @@ class StreamingCursor:
                     reader.stats["disk_cache_hits"] += 1
                     yield arr
                     continue
-            key = (self.stream, index)
-            if self.lru is not None:
-                arr = self.lru.get(key)
-                if arr is not None:
-                    reader.stats["page_cache_hits"] += 1
-                    yield arr
-                    continue
             try:
                 blob = reader._zf.read(page_name(self.stream, index))
             except (KeyError, zipfile.BadZipFile) as exc:
@@ -293,9 +244,7 @@ class StreamingCursor:
             arr = decode_page(blob, stride)
             reader.stats["decoded_pages"] += 1
             arr.flags.writeable = False
-            if self.lru is not None:
-                self.lru.put(key, arr)
-            elif self.budget is not None:
+            if self.budget is not None:
                 self.budget.touch(arr.nbytes)
             yield arr
 

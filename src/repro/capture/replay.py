@@ -5,8 +5,8 @@ streams, byte-identical to what the tool would have produced on a direct
 run (the property tests in ``tests/property/test_prop_capture.py`` and
 the golden-table tests assert this at the serialized-artifact level):
 
-* :func:`replay_tquad` — re-slicing is a grouped ``bincount`` over the
-  icount column, one page at a time; a capture recorded at grain ``g``
+* :func:`replay_tquad` — a one-cell pass of the sweep engine
+  (:mod:`repro.sweep.engine`); a capture recorded at grain ``g``
   replays exactly at any interval that is a multiple of ``g``.
 * :func:`replay_gprof` — the call/return event stream is a balanced-
   parenthesis sequence, so the :class:`~repro.gprofsim.tool.GprofTool`
@@ -28,16 +28,14 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.callstack import CallStack
-from ..core.ledger import BandwidthLedger
 from ..core.npsort import stable_argsort
 from ..core.options import StackPolicy, TQuadOptions
 from ..core.report import TQuadReport
 from ..gprofsim.report import FlatProfile, FlatRow
 from ..obs import TELEMETRY
 from .format import (CaptureMismatchError, STREAM_CALLS, STREAM_QUAD,
-                     STREAM_TQUAD_READ, STREAM_TQUAD_WRITE, library_rows_of,
-                     require_tool)
-from .reader import CaptureReader, PageLRU, StreamingCursor
+                     library_rows_of, require_tool)
+from .reader import CaptureReader, StreamingCursor
 from .streaming import MemBudget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
@@ -87,82 +85,23 @@ def replay_tquad(reader: CaptureReader,
     captures recorded under ``StackPolicy.BOTH``, derive either
     single-sided view; defaults to the capture's own recording options.
 
-    ``mem_limit`` routes page iteration through a
-    :class:`~repro.capture.reader.StreamingCursor` with an LRU decode
-    window charged against that byte ceiling — the report is
-    byte-identical to the unbounded path (this replay was already
-    page-at-a-time; the ceiling bounds the decode window and surfaces
-    ``stream/*`` gauges).
+    The replay is a one-cell :func:`~repro.sweep.sweep_tquad` pass — the
+    sweep engine is the only code that buckets tQUAD pages — and
+    ``mem_limit`` is that pass's streaming byte ceiling (byte-identical
+    report, ``stream/*`` gauges published).
     """
+    from ..sweep.engine import _one_cell
+
     manifest = reader.manifest
     require_tool(manifest, "tquad")
     options = _resolve_tquad_options(manifest, options)
-    captured = StackPolicy(manifest["options"]["stack"])
-    names = manifest["kernels"]
-    ledger = BandwidthLedger(options.slice_interval)
-    interval = options.slice_interval
-    zero_excl = (captured is StackPolicy.BOTH
-                 and options.stack is StackPolicy.INCLUDE)
-    excl_only = (captured is StackPolicy.BOTH
-                 and options.stack is StackPolicy.EXCLUDE)
-    # Serving --exclude-libs from a library-marked capture: drop the
-    # marked rows, exactly what a direct exclude-libs run records as -1.
-    drop_lib = (options.exclude_libraries
-                and not manifest["options"]["exclude_libraries"])
-    budget = MemBudget(mem_limit) if mem_limit else None
-    lru = PageLRU(budget, reader.stats) if budget else None
     with telemetry.span("replay", cat="capture", tool="tquad",
-                        interval=interval):
-        for stream, write in ((STREAM_TQUAD_READ, False),
-                              (STREAM_TQUAD_WRITE, True)):
-            if not reader.has_stream(stream):
-                continue
-            pages = (StreamingCursor(reader, stream, budget=budget,
-                                     lru=lru)
-                     if budget else reader.pages(stream))
-            for page in pages:
-                kid = page[:, 3]
-                lib = kid < -1
-                mask = kid != -1
-                if drop_lib:
-                    mask &= ~lib
-                if excl_only:
-                    mask = mask & (page[:, 2] > 0)
-                if not mask.all():
-                    page = page[mask]
-                    if page.shape[0] == 0:
-                        continue
-                    kid = page[:, 3]
-                    lib = kid < -1
-                if lib.any():
-                    kid = np.where(lib, -2 - kid, kid)
-                ic = page[:, 0]
-                incl = np.zeros_like(kid) if excl_only else page[:, 1]
-                excl = np.zeros_like(kid) if zero_excl else page[:, 2]
-                sl = (ic - 1) // interval
-                base = int(sl.max()) + 1
-                uniq, inv = np.unique(kid * base + sl, return_inverse=True)
-                incl_t = np.bincount(inv, weights=incl,
-                                     minlength=uniq.size).astype(np.int64)
-                excl_t = np.bincount(inv, weights=excl,
-                                     minlength=uniq.size).astype(np.int64)
-                accumulate = ledger.accumulate
-                for j in range(uniq.size):
-                    k_id, s = divmod(int(uniq[j]), base)
-                    if write:
-                        accumulate(names[k_id], s, 0, 0, int(incl_t[j]),
-                                   int(excl_t[j]))
-                    else:
-                        accumulate(names[k_id], s, int(incl_t[j]),
-                                   int(excl_t[j]), 0, 0)
-    ledger.flushed = True
-    if budget:
-        lru.clear()
-        budget.publish(telemetry)
+                        interval=options.slice_interval):
+        report, _, _ = _one_cell(
+            reader, options, telemetry,
+            MemBudget(mem_limit) if mem_limit else None, None)
     telemetry.count("capture/replays")
-    return TQuadReport(ledger=ledger, options=options,
-                       total_instructions=manifest["total_instructions"],
-                       images=dict(manifest["images"]), complete=True)
+    return report
 
 
 # -------------------------------------------------------------- gprof-sim
@@ -489,6 +428,8 @@ def replay_many(reader: CaptureReader, *,
                                        opts.exclude_libraries)
             bundle.sweep = restrict_sweep(wide, grid, manifest, reader)
         else:
+            # no grid, or a kernel filter the grid does not share: the
+            # report takes its own one-cell pass
             if grid is not None:
                 bundle.sweep = sweep_tquad(reader, grid,
                                            telemetry=telemetry,

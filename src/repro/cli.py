@@ -102,18 +102,14 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
         if getattr(args, "report", None):
             return _bad_usage("--report cannot be combined with "
                               "--capture-out")
-    err = _parse_mem_limit_arg(args)
+    err = _parse_replay_args(args)
     if err is not None:
         return err
     if args.mem_limit_bytes is not None and not (from_capture
                                                  or capture_out):
         return _bad_usage("--mem-limit bounds capture replay; combine it "
                           "with --from-capture or --capture-out")
-    approx = getattr(args, "approx", None)
-    if approx is not None:
-        if not (0.0 < approx < 1.0):
-            return _bad_usage("--approx takes a sampling rate strictly "
-                              "between 0 and 1 (e.g. 0.05)")
+    if args.approx is not None:
         if getattr(args, "tool", "tquad") != "tquad":
             return _bad_usage("--approx is a sampled tQUAD replay; it "
                               "requires --tool tquad")
@@ -123,19 +119,23 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _parse_mem_limit_arg(args: argparse.Namespace) -> int | None:
-    """Resolve ``--mem-limit`` into ``args.mem_limit_bytes`` (exit-2 on a
-    malformed value); a no-op for commands without the flag."""
+def _parse_replay_args(args: argparse.Namespace) -> int | None:
+    """Resolve the :func:`replay_flags` a command has: ``--mem-limit``
+    into ``args.mem_limit_bytes`` and a checked ``--approx`` rate
+    (exit-2 on a malformed value); absent flags read as ``None``."""
     text = getattr(args, "mem_limit", None)
-    if text is None:
-        args.mem_limit_bytes = None
-        return None
-    from .capture.streaming import parse_mem_limit
+    args.mem_limit_bytes = None
+    args.approx = getattr(args, "approx", None)
+    if text is not None:
+        from .capture.streaming import parse_mem_limit
 
-    try:
-        args.mem_limit_bytes = parse_mem_limit(text)
-    except ValueError as exc:
-        return _bad_usage(f"--mem-limit: {exc}")
+        try:
+            args.mem_limit_bytes = parse_mem_limit(text)
+        except ValueError as exc:
+            return _bad_usage(f"--mem-limit: {exc}")
+    if args.approx is not None and not (0.0 < args.approx < 1.0):
+        return _bad_usage("--approx takes a sampling rate strictly "
+                          "between 0 and 1 (e.g. 0.05)")
     return None
 
 
@@ -218,16 +218,14 @@ def _captured_report(args: argparse.Namespace, program, options, *,
         else:
             reader = _open_capture(source, program, label,
                                    page_cache=page_cache)
-        mem_limit = getattr(args, "mem_limit_bytes", None)
-        approx = getattr(args, "approx", None)
+        mem_limit = args.mem_limit_bytes
         with reader:
-            if tool == "tquad" and approx is not None:
+            if tool == "tquad" and args.approx is not None:
                 from .capture import approx_replay_tquad
 
                 result = approx_replay_tquad(
-                    reader, options, rate=approx,
-                    seed=getattr(args, "approx_seed", 0),
-                    mem_limit=mem_limit)
+                    reader, options, rate=args.approx,
+                    seed=args.approx_seed, mem_limit=mem_limit)
             elif tool == "tquad":
                 result = replay_tquad(reader, options,
                                       mem_limit=mem_limit)
@@ -524,13 +522,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         return _bad_usage("--jobs must be >= 1")
     if args.deadline <= 0:
         return _bad_usage("--deadline must be a positive number of seconds")
-    err = _parse_mem_limit_arg(args)
+    err = _parse_replay_args(args)
     if err is not None:
         return err
-    approx = getattr(args, "approx", None)
-    if approx is not None and not (0.0 < approx < 1.0):
-        return _bad_usage("--approx takes a sampling rate strictly "
-                          "between 0 and 1 (e.g. 0.05)")
     try:
         store = CaptureStore(args.store,
                              page_cache=not args.no_page_cache)
@@ -541,8 +535,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         trace = _start_trace(args)
         try:
             if args.corpus_command == "run":
-                sample = ((approx, args.approx_seed)
-                          if approx is not None else None)
+                sample = ((args.approx, args.approx_seed)
+                          if args.approx is not None else None)
                 report = run_fleet(out_dir=args.out_dir, approx=sample,
                                    **kwargs)
             elif args.corpus_command == "verify":
@@ -655,12 +649,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          library_modes=tuple(m == "exclude" for m in libs))
     except ValueError as err:
         return _bad_usage(str(err))
-    err = _parse_mem_limit_arg(args)
+    err = _parse_replay_args(args)
     if err is not None:
         return err
-    if args.approx is not None and not (0.0 < args.approx < 1.0):
-        return _bad_usage("--approx takes a sampling rate strictly "
-                          "between 0 and 1 (e.g. 0.05)")
     program = _load_program(args.file)
     trace = _start_trace(args)
     try:
@@ -677,7 +668,7 @@ def _sweep_body(args: argparse.Namespace, program, grid) -> int:
     from .capture import CaptureError, CaptureReader, capture_run
     from .sweep import sweep_tquad
 
-    page_cache = not getattr(args, "no_page_cache", False)
+    page_cache = not args.no_page_cache
     try:
         if args.from_capture:
             reader = _open_capture(args.from_capture, program,
@@ -697,7 +688,7 @@ def _sweep_body(args: argparse.Namespace, program, grid) -> int:
             else:
                 target.seek(0)
                 reader = CaptureReader(target)
-        sample = ((args.approx, getattr(args, "approx_seed", 0))
+        sample = ((args.approx, args.approx_seed)
                   if args.approx is not None else None)
         with reader:
             result = sweep_tquad(reader, grid,
@@ -863,6 +854,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "progress before it is declared hung and its "
                             "shard is retried elsewhere (default: 30)")
 
+    def replay_flags(p: argparse.ArgumentParser, *, bounded: bool = False,
+                     sampled: bool = False) -> None:
+        p.add_argument("--no-page-cache", action="store_true",
+                       help="skip the capture's decoded-page sidecar "
+                            "(replays re-inflate every page)")
+        if bounded:
+            p.add_argument("--mem-limit", metavar="BYTES", default=None,
+                           help="hard ceiling on replay working memory "
+                                "(accepts K/M/G suffixes); carry state "
+                                "spills to disk and merges back exactly")
+        if sampled:
+            p.add_argument("--approx", type=float, default=None,
+                           metavar="RATE",
+                           help="sampled tQUAD replay keeping RATE of the "
+                                "records (0 < RATE < 1): counters are "
+                                "1/RATE-scaled estimates with reported "
+                                "95%% error bounds")
+            p.add_argument("--approx-seed", type=int, default=0,
+                           metavar="N",
+                           help="deterministic sampling seed for --approx "
+                                "(default: 0)")
+
     p = sub.add_parser("profile", help="profile a MiniC (.mc) or asm (.s) "
                                        "program")
     p.add_argument("file")
@@ -903,19 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-capture", metavar="PATH",
                    help="replay the report from a capture file instead "
                         "of executing the program")
-    p.add_argument("--no-page-cache", action="store_true",
-                   help="skip the capture's decoded-page sidecar")
-    p.add_argument("--mem-limit", metavar="BYTES", default=None,
-                   help="hard ceiling on replay working memory (accepts "
-                        "K/M/G suffixes); carry state spills to disk — "
-                        "requires --from-capture or --capture-out")
-    p.add_argument("--approx", type=float, default=None, metavar="RATE",
-                   help="sampled approximate tQUAD replay keeping RATE of "
-                        "records (0 < RATE < 1), with reported 95%% error "
-                        "bounds and a count-min heavy-hitter table")
-    p.add_argument("--approx-seed", type=int, default=0, metavar="N",
-                   help="deterministic sampling seed for --approx "
-                        "(default: 0)")
+    replay_flags(p, bounded=True, sampled=True)
     common(p)
     observability(p)
     p.set_defaults(fn=_cmd_profile)
@@ -945,8 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record a replayable capture of the case study")
     p.add_argument("--from-capture", metavar="PATH",
                    help="replay the case study from a capture file")
-    p.add_argument("--no-page-cache", action="store_true",
-                   help="skip the capture's decoded-page sidecar")
+    replay_flags(p)
     observability(p)
     p.set_defaults(fn=_cmd_wfs)
 
@@ -974,8 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-capture", metavar="PATH",
                    help="replay the guest from a capture file (the "
                         "manifest label must match this app and preset)")
-    p.add_argument("--no-page-cache", action="store_true",
-                   help="skip the capture's decoded-page sidecar")
+    replay_flags(p)
     observability(p)
     p.set_defaults(fn=_cmd_guest)
 
@@ -1005,19 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="print capture-reader decode/cache counters to "
                         "stderr")
-    p.add_argument("--no-page-cache", action="store_true",
-                   help="skip the capture's decoded-page sidecar")
-    p.add_argument("--mem-limit", metavar="BYTES", default=None,
-                   help="hard ceiling on sweep working memory (accepts "
-                        "K/M/G suffixes); carry tables spill to disk and "
-                        "merge back exactly")
-    p.add_argument("--approx", type=float, default=None, metavar="RATE",
-                   help="Bernoulli-sample the record streams at RATE "
-                        "(0 < RATE < 1); every cell's counters are "
-                        "1/RATE-scaled estimates with a reported bound")
-    p.add_argument("--approx-seed", type=int, default=0, metavar="N",
-                   help="deterministic sampling seed for --approx "
-                        "(default: 0)")
+    replay_flags(p, bounded=True, sampled=True)
     common(p)
     observability(p)
     p.set_defaults(fn=_cmd_sweep)
@@ -1054,8 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="decode every page and print the reader's "
                          "decode/cache counters (builds or reuses the "
                          "page-cache sidecar)")
-    cp.add_argument("--no-page-cache", action="store_true",
-                    help="with --stats: skip the decoded-page sidecar")
+    replay_flags(cp)
     cp.set_defaults(fn=_cmd_capture_info)
 
     p = sub.add_parser("corpus",
@@ -1064,7 +1050,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "diff against golden fixtures")
     csub = p.add_subparsers(dest="corpus_command", required=True)
 
-    def corpus_common(cp: argparse.ArgumentParser) -> None:
+    def corpus_common(cp: argparse.ArgumentParser, *,
+                      sampled: bool = False) -> None:
         cp.add_argument("--store", default=".tquad-corpus", metavar="DIR",
                         help="content-addressed capture store (safe to "
                              "delete; default: .tquad-corpus)")
@@ -1081,25 +1068,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "processes (crash/hang recovery included); "
                              "artifacts and the canonical report are "
                              "byte-identical to --jobs 1")
-        cp.add_argument("--no-page-cache", action="store_true",
-                        help="skip the decoded-page sidecars (replays "
-                             "re-inflate every page)")
-        cp.add_argument("--mem-limit", metavar="BYTES", default=None,
-                        help="replay every entry under a hard working-"
-                             "memory ceiling (K/M/G suffixes); artifacts "
-                             "stay byte-identical")
+        replay_flags(cp, bounded=True, sampled=sampled)
         observability(cp)
 
     cp = csub.add_parser("run", help="capture + replay the fleet, no "
                                      "golden comparison")
     cp.add_argument("--out-dir", metavar="DIR", default=None,
                     help="also write each entry's artifact tree here")
-    cp.add_argument("--approx", type=float, default=None, metavar="RATE",
-                    help="also render sampled tquad_approx.* artifacts "
-                         "at RATE (run mode only; never golden-diffed)")
-    cp.add_argument("--approx-seed", type=int, default=0, metavar="N",
-                    help="deterministic sampling seed for --approx")
-    corpus_common(cp)
+    corpus_common(cp, sampled=True)
     cp.set_defaults(fn=_cmd_corpus)
     cp = csub.add_parser("verify", help="byte-diff fleet artifacts "
                                         "against the golden tree "

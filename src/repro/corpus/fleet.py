@@ -75,12 +75,8 @@ def entry_grid(entry: CorpusEntry) -> SweepGrid:
 _VOLATILE_STATS = ("decoded_pages", "page_cache_hits", "disk_cache_hits")
 
 #: Streaming-tier counters: a function of ``--mem-limit``, not of the
-#: guest, so the golden sweep artifact must not carry them.  (They are
-#: also kept out of ``pages_served``, which only sums the route
-#: counters above — decode + mem hit + disk hit per page request is
-#: route-invariant even when the LRU evicts and re-decodes.)
-_STREAMING_STATS = ("peak_resident_bytes", "spilled_bytes", "spill_runs",
-                    "evicted_pages")
+#: guest, so the golden sweep artifact must not carry them.
+_STREAMING_STATS = ("peak_resident_bytes", "spilled_bytes", "spill_runs")
 
 
 def render_artifacts(entry: CorpusEntry, store: CaptureStore, *,

@@ -18,9 +18,15 @@ whole interval × stack-policy × library-mode grid from that single pass:
   of the fine table (``slice // m``); no re-read, no re-decode.
 * **report** — every cell materialises as a normal
   :class:`~repro.core.report.TQuadReport`, byte-identical (at the
-  ``tquad_to_json`` level) to the standalone replay with the same
-  options — the property suite in ``tests/property/test_prop_sweep.py``
-  asserts this cell by cell.
+  ``tquad_to_json`` level) to a live run with the same options — the
+  property suite in ``tests/property/test_prop_sweep.py`` asserts this
+  cell by cell.
+
+This is the only code that buckets tQUAD pages: a single
+:func:`~repro.capture.replay.replay_tquad` is a one-cell pass, and the
+approximate tier (:func:`~repro.capture.approx.approx_replay_tquad`) is
+the sampled pass for one cell plus a post-pass over the per-cell sums
+the pass hands back through a module-private path.
 
 Each phase runs under an :mod:`repro.obs` span (``cat="sweep"``) so
 traces show where sweep time goes.
@@ -31,19 +37,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..capture.format import (STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
-                              require_tool)
+from ..capture.format import (CaptureFormatError, STREAM_TQUAD_READ,
+                              STREAM_TQUAD_WRITE, require_tool)
 from ..capture.reader import CaptureReader, PageCursor, StreamingCursor
 from ..capture.replay import _resolve_tquad_options
 from ..capture.streaming import (MemBudget, SortedTableAcc, SpillPool,
                                  sample_mask)
 from ..core.ledger import BandwidthLedger
 from ..core.npsort import stable_argsort
-from ..core.options import StackPolicy
+from ..core.options import StackPolicy, TQuadOptions
 from ..core.report import TQuadReport
 from ..obs import TELEMETRY
 from .grid import SweepCell, SweepGrid
@@ -219,7 +225,10 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
     Raises :class:`~repro.capture.format.CaptureMismatchError` if any
     grid cell is not derivable from the capture (non-multiple interval,
     underivable stack policy or library mode) — validation runs for the
-    whole grid before any page is read.
+    whole grid before any page is read — and
+    :class:`~repro.capture.format.CaptureFormatError` if a page holds a
+    row the manifest cannot place (a kernel id outside its kernel table,
+    an instruction count outside its slices).
 
     ``mem_limit`` switches the bucket pass to bounded accumulation:
     pages stream (mmap views when the sidecar is warm, bounded decode
@@ -234,6 +243,63 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
     a 95%-confidence relative error bound on the total inclusive bytes.
     Both add their stats keys only when active, keeping default sweeps
     serialisation-identical.
+    """
+    budget = MemBudget(mem_limit) if mem_limit else None
+    return _sweep(reader, grid, telemetry, budget, sample)[0]
+
+
+class _CellSample(NamedTuple):
+    """What a sampled pass keeps of one cell for the approximate tier's
+    post-pass (:func:`repro.capture.approx.approx_replay_tquad`), all
+    before the ``1/rate`` rescale: per ledger counter the sum and sum of
+    squares of the sampled, filtered rows, and each kernel's bytes."""
+
+    sums: np.ndarray             #: float64[4], ledger counter order
+    sumsqs: np.ndarray           #: float64[4]
+    kernel_bytes: np.ndarray     #: int64[len(kernels)]
+
+
+def _check_page(page: np.ndarray, stream: str, index: int,
+                n_kernels: int, fine: int, n_fine: int) -> int:
+    """Reject rows the manifest cannot place before they become keys;
+    returns the page's smallest raw kernel id (negative when it holds
+    library-marked or dropped rows).
+
+    Keys are ``kernel * n_fine + slice``: a slice index of ``n_fine`` or
+    more would spill into the next kernel's keys, and a kernel id past
+    the table would index out of it.  Library-marked ids (``<= -2``)
+    decode to ``-2 - id``; ``-1`` rows are dropped, never keyed.
+    """
+    if page.shape[0] == 0:
+        return 0
+    kid = page[:, 3]
+    min_kid = int(kid.min())
+    worst = max(int(kid.max()), -2 - min_kid)
+    if worst >= n_kernels:
+        raise CaptureFormatError(
+            f"corrupt capture page {stream}[{index}]: kernel id {worst} "
+            f"is outside the manifest's {n_kernels}-entry kernel table")
+    ic = page[:, 0]
+    lo, hi = int(ic.min()), int(ic.max())
+    if lo < 1 or (hi - 1) // fine >= n_fine:
+        bad = lo if lo < 1 else hi
+        raise CaptureFormatError(
+            f"corrupt capture page {stream}[{index}]: instruction count "
+            f"{bad} is outside the manifest's {n_fine} slices of {fine} "
+            f"instructions")
+    return min_kid
+
+
+def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
+           budget: MemBudget | None,
+           sample: tuple[float, int] | None
+           ) -> tuple[SweepResult, dict[SweepCell, _CellSample] | None]:
+    """The one pass behind :func:`sweep_tquad`,
+    :func:`~repro.capture.replay.replay_tquad` and the approximate tier.
+
+    ``budget`` (unlimited or not) selects the streaming accumulators;
+    with ``sample`` set the second value maps every cell to its
+    :class:`_CellSample`, otherwise it is ``None``.
     """
     if sample is not None:
         rate, sample_seed = float(sample[0]), int(sample[1])
@@ -259,8 +325,9 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
     combos = {_cell_combo(c, captured, captured_excl_libs) for c in cells}
 
     reports: dict[SweepCell, TQuadReport] = {}
+    samples: dict[SweepCell, _CellSample] | None = (
+        {} if rate is not None else None)
     pages_walked = 0
-    budget = MemBudget(mem_limit) if mem_limit else None
     samp = ({"rows_walked": 0, "sampled_rows": 0, "sum": 0.0,
              "sumsq": 0.0} if rate is not None else None)
     with telemetry.span("sweep", cat="sweep", tool="tquad",
@@ -269,7 +336,7 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
             SpillPool(budget) as pool:
         # ------------------------------------------------ decode (one pass)
         # per (stream, combo): lists of per-page (keys, incl, excl)
-        # partials — or, under a memory ceiling, bounded accumulators
+        # partials — or, under a memory budget, bounded accumulators
         # that compact and spill instead of buffering every page
         locs = [(stream, combo) for stream, _ in _STREAMS
                 for combo in combos]
@@ -280,12 +347,19 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
             from ..capture import PAGE_BATCH_ROWS
             accs = {loc: SortedTableAcc(budget, PAGE_BATCH_ROWS)
                     for loc in locs}
+        # sampled runs: per (stream, combo) float sums of the filtered
+        # rows' (incl, incl², excl, excl²) — the approximate tier's
+        # variance estimate needs row-level squares, not table sums
+        moments = ({loc: np.zeros(4) for loc in locs}
+                   if rate is not None else None)
 
-        def emit(loc, chunk):
+        def emit(loc, chunk, mom):
             if accs is not None:
                 accs[loc].add(*chunk)
             else:
                 parts[loc].append(chunk)
+            if mom is not None:
+                moments[loc] += mom
 
         with telemetry.span("sweep.decode", cat="sweep"):
             for si, (stream, _) in enumerate(_STREAMS):
@@ -294,6 +368,8 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                        else PageCursor(reader, stream))
                 for pi, page in enumerate(src):
                     pages_walked += 1
+                    min_kid = _check_page(page, stream, pi, len(names),
+                                          fine, n_fine)
                     if rate is not None:
                         n = page.shape[0]
                         samp["rows_walked"] += n
@@ -308,9 +384,11 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                         samp["sum"] += float(vals.sum())
                         samp["sumsq"] += float((vals * vals).sum())
                     kid_raw = page[:, 3]
-                    if kid_raw.size and int(kid_raw.min()) >= 0:
+                    if kid_raw.size and min_kid >= 0:
                         # fast path: no library rows, no dropped rows —
-                        # the common page needs no masks at all
+                        # the common page needs no masks at all (a
+                        # sampled page keeps a subset of the rows, so
+                        # the whole page's minimum decides for it too)
                         lib = valid = None
                         has_lib = False
                         kid = kid_raw
@@ -337,10 +415,10 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                             excl_all = bool(excl_pos.all())
                         eff = (drop_lib and has_lib,
                                excl_only and not excl_all)
-                        chunk = done.get(eff)
-                        if chunk is not None:
-                            if chunk:
-                                emit((stream, combo), chunk)
+                        hit = done.get(eff)
+                        if hit is not None:
+                            if hit:
+                                emit((stream, combo), *hit)
                             continue
                         mask = valid
                         if eff[0]:
@@ -355,8 +433,14 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                         else:
                             done[eff] = ()
                             continue
-                        done[eff] = chunk
-                        emit((stream, combo), chunk)
+                        mom = None
+                        if moments is not None:
+                            inf = chunk[1].astype(float)
+                            exf = chunk[2].astype(float)
+                            mom = np.array([inf.sum(), (inf * inf).sum(),
+                                            exf.sum(), (exf * exf).sum()])
+                        done[eff] = (chunk, mom)
+                        emit((stream, combo), chunk, mom)
                     if budget is not None and budget.over:
                         # fold pending chunks first — usually enough;
                         # carry that still busts the ceiling goes to disk
@@ -482,6 +566,9 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                     if not zero_excl:
                         mat[idx, col + 1] = excl_a
                 if rate is not None:
+                    samples[cell] = _cell_sample(
+                        moments, combo, zero_excl, keys // n_fine, mat,
+                        len(names))
                     # Horvitz-Thompson: one 1/rate rescale at the very
                     # end keeps every cell consistent with the same
                     # sampled row set
@@ -508,5 +595,40 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                      rows_walked=samp["rows_walked"],
                      sampled_rows=samp["sampled_rows"],
                      rel_err_95=round(rel, 6))
-    return SweepResult(grid=grid, reports=reports,
-                       total_instructions=total, grain=fine, stats=stats)
+    result = SweepResult(grid=grid, reports=reports,
+                         total_instructions=total, grain=fine, stats=stats)
+    return result, samples
+
+
+def _cell_sample(moments, combo, zero_excl: bool, kid: np.ndarray,
+                 mat: np.ndarray, n_kernels: int) -> _CellSample:
+    """One cell's :class:`_CellSample`, zeroing the counters the cell's
+    stack view drops exactly as its (unscaled) ``mat`` does."""
+    sums, sumsqs = np.zeros(4), np.zeros(4)
+    for (stream, write) in _STREAMS:
+        m = moments[stream, combo]
+        col = 2 if write else 0
+        if not combo[1]:
+            sums[col], sumsqs[col] = m[0], m[1]
+        if not zero_excl:
+            sums[col + 1], sumsqs[col + 1] = m[2], m[3]
+    kernel_bytes = np.zeros(n_kernels, np.int64)
+    np.add.at(kernel_bytes, kid, mat.sum(axis=1))
+    return _CellSample(sums, sumsqs, kernel_bytes)
+
+
+def _one_cell(reader: CaptureReader, options: TQuadOptions, telemetry,
+              budget: MemBudget | None,
+              sample: tuple[float, int] | None
+              ) -> tuple[TQuadReport, dict[str, int], _CellSample | None]:
+    """A single replay as a one-cell pass: the report (carrying the
+    caller's resolved ``options``), the pass's stats and, when sampled,
+    the cell's :class:`_CellSample`."""
+    grid = SweepGrid(intervals=(options.slice_interval,),
+                     stacks=(options.stack,),
+                     library_modes=(options.exclude_libraries,),
+                     kernels=options.kernels)
+    result, samples = _sweep(reader, grid, telemetry, budget, sample)
+    (cell, report), = result.reports.items()
+    report.options = options
+    return report, result.stats, (samples[cell] if samples else None)

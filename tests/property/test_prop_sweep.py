@@ -1,12 +1,13 @@
 """Property-based byte-identity of the batched sweep engine.
 
-Every cell of a sweep grid must serialise to *exactly* the bytes the
-standalone :func:`repro.capture.replay.replay_tquad` produces for the
-same options — which the capture property suite in turn pins to the
-direct re-executing run.  Holds across random MiniC guests, random
-interval ladders, every stack policy, both library modes (including the
-exclude-libs view *derived* from a library-marked capture), and captures
-merged from parallel shards.
+Every cell of a sweep grid must serialise to *exactly* the bytes a live
+run produces for the same options.  The sweep engine is also what
+:func:`repro.capture.replay.replay_tquad` runs, so the oracle is
+independent of it: one :class:`~repro.pin.PinEngine` execution with one
+:class:`~repro.core.TQuadTool` per cell, no capture involved.  Holds
+across random MiniC guests, random interval ladders, every stack policy,
+both library modes (including the exclude-libs view *derived* from a
+library-marked capture), and captures merged from parallel shards.
 """
 
 import io
@@ -14,14 +15,30 @@ import io
 from hypothesis import given, settings, strategies as st
 
 from repro.capture import (CaptureReader, CaptureWriter, capture_run,
-                           make_manifest, program_digest, replay_tquad)
-from repro.core import TQuadOptions, run_tquad
+                           make_manifest, program_digest)
+from repro.core import TQuadOptions, TQuadTool, run_tquad
 from repro.core.options import StackPolicy
 from repro.minic import build_program
+from repro.pin import PinEngine
 from repro.serialize import tquad_to_json
 from repro.sweep import SweepGrid, sweep_tquad
 
 from test_prop_capture import guest_programs
+
+
+def live_reports(program, options):
+    """One live run of ``program`` with a ``TQuadTool`` per options."""
+    engine = PinEngine(program)
+    tools = [TQuadTool(opts).attach(engine) for opts in options]
+    engine.run()
+    return [tool.report() for tool in tools]
+
+
+def assert_cells_match_live(program, result):
+    live = live_reports(program, [cell.options() for cell, _ in result])
+    for (cell, report), direct in zip(result, live):
+        assert tquad_to_json(report) == tquad_to_json(direct), \
+            f"cell {cell.key} diverges from the live run"
 
 
 @st.composite
@@ -52,12 +69,7 @@ class TestSweepMatchesReplay:
         with CaptureReader(buf) as reader:
             result = sweep_tquad(reader, grid)
         assert len(result) == len(grid)
-        for cell, report in result:
-            buf.seek(0)
-            with CaptureReader(buf) as reader:
-                standalone = replay_tquad(reader, cell.options())
-            assert tquad_to_json(report) == tquad_to_json(standalone), \
-                f"cell {cell.key} diverges from standalone replay"
+        assert_cells_match_live(program, result)
 
     @given(source=guest_programs(), factor=st.integers(1, 4))
     @settings(max_examples=8, deadline=None)
@@ -107,9 +119,4 @@ class TestSweepMatchesReplay:
         buf.seek(0)
         with CaptureReader(buf) as reader:
             result = sweep_tquad(reader, grid)
-        for cell, report in result:
-            buf.seek(0)
-            with CaptureReader(buf) as reader:
-                standalone = replay_tquad(reader, cell.options())
-            assert tquad_to_json(report) == tquad_to_json(standalone), \
-                f"merged-capture cell {cell.key} diverges"
+        assert_cells_match_live(program, result)

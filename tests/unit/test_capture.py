@@ -267,6 +267,84 @@ class TestReplayValidation:
         assert program_digest(p1) != program_digest(p2)
 
 
+def _edit_manifest(raw: bytes, edit) -> bytes:
+    """The capture ``raw`` with its manifest passed through ``edit``;
+    pages are copied untouched."""
+    src = zipfile.ZipFile(io.BytesIO(raw))
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == "manifest.json":
+                manifest = json.loads(data)
+                edit(manifest)
+                data = json.dumps(manifest).encode()
+            dst.writestr(info, data)
+    return out.getvalue()
+
+
+#: Manifest edits that leave captured rows the manifest cannot place:
+#: instructions beyond the (lowered) run length, which would key into
+#: the next kernel's slices, and kernel ids past a shortened table.
+HOSTILE = {
+    "total-60": lambda m: m.update(
+        total_instructions=m["total_instructions"] - 60),
+    "total/2": lambda m: m.update(
+        total_instructions=m["total_instructions"] // 2),
+    "kernel-dropped": lambda m: m["kernels"].pop(0),
+}
+
+
+class TestHostileManifest:
+    """A manifest that disagrees with its pages fails with
+    :class:`CaptureFormatError` (CLI exit 2) from every tQUAD route,
+    never a raw ``IndexError`` or bytes moved between kernels."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        buf = io.BytesIO()
+        capture_run(build_program(APP), buf, tools=("tquad",),
+                    options=TQuadOptions(slice_interval=50))
+        raw = buf.getvalue()
+        with CaptureReader(io.BytesIO(raw)) as reader:
+            kids = np.concatenate(
+                [reader.column(STREAM_TQUAD_READ)[:, 3],
+                 reader.column(STREAM_TQUAD_WRITE)[:, 3]])
+            # the mutations bite: the last table entry owns rows
+            assert int(kids.max()) == len(reader.manifest["kernels"]) - 1
+        return raw
+
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE))
+    def test_every_route_raises_format_error(self, raw, mutation):
+        from repro.capture import approx_replay_tquad
+        from repro.sweep import SweepGrid, sweep_tquad
+
+        bad = _edit_manifest(raw, HOSTILE[mutation])
+        routes = {
+            "replay_tquad": lambda r: replay_tquad(r),
+            "sweep_tquad": lambda r: sweep_tquad(
+                r, SweepGrid(intervals=(50, 100))),
+            "approx_replay_tquad": lambda r: approx_replay_tquad(
+                r, rate=0.5),
+        }
+        for name, route in routes.items():
+            with CaptureReader(io.BytesIO(bad)) as reader:
+                with pytest.raises(CaptureFormatError, match="corrupt"):
+                    route(reader)
+
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE))
+    def test_cli_exits_2(self, raw, mutation, tmp_path, capsys):
+        from repro.cli import main
+
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(_edit_manifest(raw, HOSTILE[mutation]))
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--interval", "50"]) == 2
+        assert "corrupt capture page" in capsys.readouterr().err
+
+
 class TestToolGuards:
     def test_tquad_capture_requires_buffered(self):
         with pytest.raises(ValueError, match="buffered"):

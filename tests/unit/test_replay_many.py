@@ -2,7 +2,11 @@
 
 The contract: one call streams the capture's pages once through every
 requested tool reducer, and each report is byte-identical to what the
-standalone ``replay_*`` / ``sweep_tquad`` entry points produce.
+standalone ``replay_gprof`` / ``replay_quad`` / ``sweep_tquad`` entry
+points produce.  tQUAD reports are checked against a live run instead
+(one :class:`~repro.pin.PinEngine` with a ``TQuadTool`` per options):
+``replay_tquad`` is itself a sweep-engine pass, so it is no independent
+reference.
 """
 
 import io
@@ -10,10 +14,11 @@ import io
 import pytest
 
 from repro.capture import (CaptureReader, capture_run, replay_gprof,
-                           replay_many, replay_quad, replay_tquad)
-from repro.core import TQuadOptions
+                           replay_many, replay_quad)
+from repro.core import TQuadOptions, TQuadTool
 from repro.core.options import StackPolicy
 from repro.minic import build_program
+from repro.pin import PinEngine
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 from repro.sweep import SweepGrid, sweep_tquad
 
@@ -45,16 +50,26 @@ GRID = SweepGrid(intervals=(50, 100), stacks=(StackPolicy.BOTH,
                                               StackPolicy.EXCLUDE))
 
 
+def live_reports(*options):
+    """One live run of ``APP`` with a ``TQuadTool`` per options."""
+    engine = PinEngine(build_program(APP))
+    tools = [TQuadTool(opts).attach(engine) for opts in options]
+    engine.run()
+    return [tool.report() for tool in tools]
+
+
+def live_json(*options):
+    return [tquad_to_json(report) for report in live_reports(*options)]
+
+
 class TestFusedEquality:
     def test_all_tools_byte_identical_to_standalone(self, capture):
         opts = TQuadOptions(slice_interval=100)
         with capture() as reader:
             bundle = replay_many(reader, options=opts, grid=GRID)
-        with capture() as reader:
-            assert tquad_to_json(bundle.tquad) == tquad_to_json(
-                replay_tquad(reader, opts))
-            assert bundle.tquad.format_table() == replay_tquad(
-                reader, opts).format_table()
+        (live,) = live_reports(opts)
+        assert tquad_to_json(bundle.tquad) == tquad_to_json(live)
+        assert bundle.tquad.format_table() == live.format_table()
         with capture() as reader:
             flat = replay_gprof(reader)
             assert flat_to_json(bundle.gprof) == flat_to_json(flat)
@@ -79,6 +94,8 @@ class TestFusedEquality:
         for (cell, report), (cell2, report2) in zip(fused, standalone):
             assert cell == cell2
             assert tquad_to_json(report) == tquad_to_json(report2)
+        assert [tquad_to_json(r) for _, r in fused] == live_json(
+            *(cell.options() for cell, _ in fused))
 
     def test_tquad_interval_outside_grid_still_fuses(self, capture):
         """The fused pass widens the grid with the tquad cell and then
@@ -90,9 +107,7 @@ class TestFusedEquality:
         assert bundle.sweep.grid == GRID
         assert bundle.sweep.stats["cells"] == len(GRID.cells())
         assert 200 not in bundle.sweep.grid.intervals
-        with capture() as reader:
-            assert tquad_to_json(bundle.tquad) == tquad_to_json(
-                replay_tquad(reader, opts))
+        assert [tquad_to_json(bundle.tquad)] == live_json(opts)
 
     def test_kernel_filter_mismatch_falls_back(self, capture):
         """A tquad kernel filter different from the grid's cannot share
@@ -101,9 +116,7 @@ class TestFusedEquality:
         with capture() as reader:
             bundle = replay_many(reader, options=opts, grid=GRID,
                                  tools=("tquad",))
-        with capture() as reader:
-            assert tquad_to_json(bundle.tquad) == tquad_to_json(
-                replay_tquad(reader, opts))
+        assert [tquad_to_json(bundle.tquad)] == live_json(opts)
         with capture() as reader:
             standalone = sweep_tquad(reader, GRID)
         for (cell, report), (_, report2) in zip(bundle.sweep, standalone):

@@ -1,5 +1,5 @@
-"""The bounded-memory replay tier: budgets, spill machinery, the LRU
-page cache, the sampled approximate tier, and their CLI surface.
+"""The bounded-memory replay tier: budgets, spill machinery, the
+streaming cursor, the sampled approximate tier, and their CLI surface.
 
 The load-bearing contracts:
 
@@ -13,12 +13,13 @@ The load-bearing contracts:
 """
 
 import io
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.capture import (CaptureReader, MemBudget, PageLRU, SpillPool,
+from repro.capture import (CaptureReader, MemBudget, SpillPool,
                            STREAM_TQUAD_READ, StreamingCursor,
                            approx_replay_tquad, capture_run,
                            cleanup_spill_dirs, merge_sorted_runs,
@@ -29,6 +30,7 @@ from repro.capture.streaming import (MIN_MEM_LIMIT, SPILL_PREFIX,
                                      SortedTableAcc)
 from repro.cli import main
 from repro.core import TQuadOptions
+from repro.core.options import StackPolicy
 from repro.minic import build_program
 from repro.obs import Telemetry
 from repro.serialize import (approx_from_json, approx_to_json,
@@ -121,36 +123,6 @@ class TestMemBudget:
         assert tele.gauges["stream/peak_resident_bytes"] == 70
         assert tele.gauges["stream/spill_bytes"] == 30
         assert b.spill_runs == 1
-
-
-# ---------------------------------------------------------------- PageLRU
-class TestPageLRU:
-    def test_evicts_oldest_when_over_budget(self):
-        budget = MemBudget(2048)
-        stats = {}
-        lru = PageLRU(budget, stats)
-        pages = {i: np.arange(128, dtype=np.int64) for i in range(4)}
-        for i, arr in pages.items():           # 1024 B each: 2 fit
-            lru.put(("s", i), arr)
-        assert stats["evicted_pages"] == 2
-        assert lru.get(("s", 0)) is None and lru.get(("s", 1)) is None
-        assert lru.get(("s", 3)) is not None
-        assert budget.resident <= 2048
-
-    def test_always_keeps_newest_even_if_oversized(self):
-        budget = MemBudget(MIN_MEM_LIMIT)
-        lru = PageLRU(budget, {})
-        big = np.zeros(2 * MIN_MEM_LIMIT // 8, dtype=np.int64)
-        lru.put(("s", 0), big)
-        assert lru.get(("s", 0)) is not None
-
-    def test_clear_releases_budget(self):
-        budget = MemBudget(1 << 20)
-        lru = PageLRU(budget, {})
-        lru.put(("s", 0), np.arange(64, dtype=np.int64))
-        assert budget.resident > 0
-        lru.clear()
-        assert budget.resident == 0
 
 
 # -------------------------------------------------------------- spill pool
@@ -387,6 +359,44 @@ class TestApproxReplay:
         back = approx_from_json(text)
         assert approx_to_json(back) == text
         assert tquad_to_json(back.report) == tquad_to_json(est.report)
+
+
+class TestSampledSweep:
+    def test_cells_match_approx_replay(self):
+        # memcpy's accesses are library-marked rows, so the two library
+        # modes select different rows
+        source = APP.replace("int main() { wr(); mix();",
+                             "char buf[384];\n"
+                             "int main() { wr(); memcpy(buf, a, 384); mix();")
+        buf = io.BytesIO()
+        capture_run(build_program(source), buf, tools=("tquad",),
+                    options=TQuadOptions(slice_interval=100))
+        grid = SweepGrid(intervals=(100, 200),
+                         stacks=(StackPolicy.BOTH, StackPolicy.EXCLUDE),
+                         library_modes=(False, True))
+        with _reader(buf) as reader:
+            result = sweep_tquad(reader, grid, sample=(0.4, 3))
+        assert len(result) == 8
+        for cell, report in result:
+            with _reader(buf) as reader:
+                est = approx_replay_tquad(reader, cell.options(), rate=0.4,
+                                          seed=3)
+            assert tquad_to_json(report) == tquad_to_json(est.report), \
+                f"sampled cell {cell.key} diverges from the approx replay"
+        assert result.stats["sampled_rows"] == est.sampled_rows
+        assert result.stats["rows_walked"] == est.rows_walked
+
+    def test_cli_writes_sample_stats(self, app, capture_file, tmp_path,
+                                     capsys):
+        dest = tmp_path / "grid.json"
+        assert main(["sweep", str(app), "--intervals", "100,200",
+                     "--from-capture", str(capture_file), "--approx", "0.5",
+                     "--json", str(dest)]) == 0
+        assert "  sampled: rate=0.5 seed=0 kept" in capsys.readouterr().out
+        stats = json.loads(dest.read_text())["stats"]
+        assert stats["sample_rate"] == 0.5 and stats["sample_seed"] == 0
+        assert 0 < stats["sampled_rows"] < stats["rows_walked"]
+        assert stats["rel_err_95"] >= 0.0
 
 
 class TestSampleMask:

@@ -10,9 +10,10 @@ import pytest
 from repro.capture import (CaptureMismatchError, CaptureReader,
                            STREAM_TQUAD_READ, capture_run, replay_tquad)
 from repro.cli import main
-from repro.core import TQuadOptions, profile_passes
+from repro.core import TQuadOptions, TQuadTool, profile_passes
 from repro.core.options import StackPolicy
 from repro.minic import build_program
+from repro.pin import PinEngine
 from repro.serialize import (sweep_from_json, sweep_to_json, tquad_to_json)
 from repro.sweep import SweepGrid, sweep_tquad, validate_intervals
 
@@ -124,6 +125,22 @@ class TestReaderPageCache:
 
 
 class TestSweepEngine:
+    def test_library_marked_cells_match_live_runs(self):
+        # memcpy's accesses are library-marked rows in the capture: both
+        # library views, under every stack policy, match a live run
+        program, buf = _capture()
+        grid = SweepGrid(intervals=(50, 100), stacks=tuple(StackPolicy),
+                         library_modes=(False, True))
+        with CaptureReader(buf) as reader:
+            result = sweep_tquad(reader, grid)
+        engine = PinEngine(program)
+        tools = [TQuadTool(cell.options()).attach(engine)
+                 for cell, _ in result]
+        engine.run()
+        for (cell, report), tool in zip(result, tools):
+            assert tquad_to_json(report) == tquad_to_json(tool.report()), \
+                f"cell {cell.key} diverges from the live run"
+
     def test_non_multiple_interval_rejected_before_reading(self):
         _, buf = _capture(grain=50)
         with CaptureReader(buf) as reader:
