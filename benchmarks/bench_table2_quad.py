@@ -10,10 +10,12 @@ Paper shape to reproduce (§V-B):
   wav_store;
 * bitrev's buffer footprint is tiny (~0.1 KB).
 
-This is also the QUAD throughput gate: the paged/interned shadow
-(``shadow="paged"``, the default) must produce a byte-identical report to
-the legacy per-byte dict/set walk at ≥5x the accesses/sec, and the
-measurements land in ``BENCH_quad_throughput.json`` (tracked across PRs).
+This is also the QUAD throughput gate: the paged/interned shadow of
+:class:`~repro.quad.QuadTool` must produce a byte-identical report to the
+legacy per-byte dict/set walk (the reference oracle
+:class:`~repro.testing.oracles.PerByteQuadTool`) at ≥5x the
+accesses/sec, and the measurements land in ``BENCH_quad_throughput.json``
+(tracked across PRs).
 """
 
 import gc
@@ -26,6 +28,7 @@ from repro.apps.wfs import SMALL, make_workspace
 from repro.pin import PinEngine
 from repro.quad import QuadTool
 from repro.serialize import quad_to_json
+from repro.testing.oracles import PerByteQuadTool
 
 #: Acceptance floor for the paged shadow's speedup over legacy.
 MIN_SPEEDUP = 5.0
@@ -35,9 +38,9 @@ MIN_SPEEDUP = 5.0
 ROUNDS = 2
 
 
-def _run_quad(program, shadow):
+def _run_quad(program, tool_cls):
     engine = PinEngine(program, fs=make_workspace(SMALL))
-    tool = QuadTool(shadow=shadow).attach(engine)
+    tool = tool_cls().attach(engine)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()          # collector pauses are noise, not tool cost
@@ -59,7 +62,7 @@ def test_table2_quad(benchmark, small_program, results_cache, outdir):
     paged_runs = []
 
     def paged_once():
-        r = _run_quad(small_program, "paged")
+        r = _run_quad(small_program, QuadTool)
         paged_runs.append(r)
         return r
 
@@ -67,7 +70,7 @@ def test_table2_quad(benchmark, small_program, results_cache, outdir):
     quad = paged_runs[0][0]
     paged_s = min(e for _, e in paged_runs)
     paged_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    legacy_runs = [_run_quad(small_program, "legacy")
+    legacy_runs = [_run_quad(small_program, PerByteQuadTool)
                    for _ in range(ROUNDS)]
     legacy = legacy_runs[0][0]
     legacy_s = min(e for _, e in legacy_runs)

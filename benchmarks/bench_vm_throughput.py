@@ -2,11 +2,13 @@
 
 Measures guest instructions/second for the bare VM and for instrumented
 engines, on both execution tiers (fused superblocks vs per-instruction
-closures) and both tQUAD analysis paths (buffered recording vs legacy
-per-event).  The per-instruction + legacy configurations reproduce the
-original seed numbers; the fused + buffered configurations are the
-optimized defaults and must hold a ≥3× (bare) / ≥2× (engine+tQUAD)
-speedup over them.  Results land in ``vm_throughput.txt`` (human) and
+closures) and both tQUAD analyses: the buffered recording of
+:class:`~repro.core.TQuadTool` and the legacy per-event attribution,
+which now lives on as the reference oracle
+:class:`~repro.testing.oracles.PerEventTQuadTool`.  The per-instruction
++ legacy configurations reproduce the original seed numbers; the fused +
+buffered configurations are the optimized defaults and must hold a ≥3×
+(bare) / ≥2× (engine+tQUAD) speedup over them.  Results land in ``vm_throughput.txt`` (human) and
 ``BENCH_vm_throughput.json`` (machine-readable, tracked across PRs).
 """
 
@@ -17,6 +19,7 @@ from conftest import save_artifact
 from repro.apps.kernels import build_fir
 from repro.core import TQuadOptions, TQuadTool
 from repro.pin import PinEngine
+from repro.testing.oracles import PerEventTQuadTool
 from repro.vm import Machine
 
 
@@ -26,11 +29,11 @@ def _ips_bare(program, jit):
     return m.icount
 
 
-def _ips_engine(program, *, jit, tool, buffered=True):
+def _ips_engine(program, *, jit, tool, oracle=False):
     engine = PinEngine(program, jit=jit)
     if tool:
-        TQuadTool(TQuadOptions(slice_interval=10_000),
-                  buffered=buffered).attach(engine)
+        cls = PerEventTQuadTool if oracle else TQuadTool
+        cls(TQuadOptions(slice_interval=10_000)).attach(engine)
     engine.run()
     return engine.machine.icount
 
@@ -46,9 +49,9 @@ def test_vm_throughput(benchmark, outdir):
                                                 tool=False),
         "engine + tQUAD": lambda: _ips_engine(program, jit=True, tool=True),
         "engine + tQUAD, legacy": lambda: _ips_engine(
-            program, jit=True, tool=True, buffered=False),
+            program, jit=True, tool=True, oracle=True),
         "engine + tQUAD, legacy unfused": lambda: _ips_engine(
-            program, jit=False, tool=True, buffered=False),
+            program, jit=False, tool=True, oracle=True),
     }
 
     stats = {}

@@ -18,6 +18,11 @@ the golden-table tests assert this at the serialized-artifact level):
 * :func:`replay_quad` — the packed record pages are drained through a
   fresh :class:`~repro.quad.shadow.PagedQuadSink`, rebuilding the shadow
   state with the same vectorized scatters as the live run.
+
+The manifest is outside input: before a ``calls`` or ``quad.raw`` row
+indexes a manifest table, its id is checked against that table, and
+every QUAD access against the manifest's ``mem_size``
+(:class:`~repro.capture.format.CaptureFormatError` otherwise).
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from ..core.options import StackPolicy, TQuadOptions
 from ..core.report import TQuadReport
 from ..gprofsim.report import FlatProfile, FlatRow
 from ..obs import TELEMETRY
-from .format import (CaptureMismatchError, STREAM_CALLS, STREAM_QUAD,
-                     library_rows_of, require_tool)
+from .format import (CaptureFormatError, CaptureMismatchError,
+                     STREAM_CALLS, STREAM_QUAD, library_rows_of,
+                     require_tool)
 from .reader import CaptureReader, StreamingCursor
 from .streaming import MemBudget
 
@@ -105,6 +111,21 @@ def replay_tquad(reader: CaptureReader,
 
 
 # -------------------------------------------------------------- gprof-sim
+def _checked_call_pages(pages, n_routines: int):
+    """Yield ``calls`` pages whose routine ids index the manifest's
+    ``n_routines``-entry table (-1 marks a return)."""
+    for index, page in enumerate(pages):
+        if page.shape[0]:
+            rid = page[:, 1]
+            lo, hi = int(rid.min()), int(rid.max())
+            if lo < -1 or hi >= n_routines:
+                raise CaptureFormatError(
+                    f"corrupt capture page {STREAM_CALLS}[{index}]: "
+                    f"routine id {lo if lo < -1 else hi} is outside the "
+                    f"manifest's {n_routines}-entry routine table")
+        yield page
+
+
 def _gprof_charges(raw, rid, nrid, icv, total):
     """Vectorized equivalent of gprof-sim's sequential stack walk.
 
@@ -232,16 +253,15 @@ def replay_gprof(reader: CaptureReader, *, main_image_only: bool = True,
     edges: dict[tuple[str, str], int] = {}
     budget = MemBudget(mem_limit) if mem_limit else None
     with telemetry.span("replay", cat="capture", tool="gprof"):
-        if not reader.has_stream(STREAM_CALLS):
-            col = np.empty((0, 2), np.int64)
-        elif budget:
-            parts = list(StreamingCursor(reader, STREAM_CALLS,
-                                         budget=budget))
-            col = (np.concatenate(parts, axis=0) if parts
-                   else np.empty((0, 2), np.int64))
+        parts = []
+        if reader.has_stream(STREAM_CALLS):
+            pages = (StreamingCursor(reader, STREAM_CALLS, budget=budget)
+                     if budget else reader.pages(STREAM_CALLS))
+            parts = list(_checked_call_pages(pages, len(routines)))
+        col = (np.concatenate(parts, axis=0) if parts
+               else np.empty((0, 2), np.int64))
+        if budget:
             budget.touch(col.nbytes)
-        else:
-            col = reader.column(STREAM_CALLS)
         raw, rid = col[:, 0], col[:, 1]
         # the live tool ignores a return with no open frame: exactly
         # the events driving the running depth to a new strict low
@@ -282,6 +302,35 @@ def replay_gprof(reader: CaptureReader, *, main_image_only: bool = True,
 
 
 # ------------------------------------------------------------------- QUAD
+def _checked_quad_pages(pages, n_kernels: int, mem_size: int):
+    """Yield ``quad.raw`` pages flattened, once the manifest can place
+    every record: the kernel-id field (0 marks a dropped access) within
+    the ``n_kernels``-entry table, and ``ea + size`` within ``mem_size``
+    — the VM faults past it, and a faulting run writes no manifest."""
+    from ..quad.shadow import ADDR_MASK, KID_SHIFT, TAIL_SHIFT
+
+    for index, page in enumerate(pages):
+        vals = page.ravel()
+        if not vals.size:
+            continue
+        # SP markers are negative: the maximum is the largest record,
+        # whose top bits hold the largest kernel-id field
+        kid1 = int(vals.max()) >> KID_SHIFT
+        if kid1 > n_kernels:
+            raise CaptureFormatError(
+                f"corrupt capture page {STREAM_QUAD}[{index}]: kernel id "
+                f"{kid1 - 1} is outside the manifest's {n_kernels}-entry "
+                f"QUAD kernel table")
+        end = (vals & ADDR_MASK) + ((vals >> (TAIL_SHIFT + 1)) & 31)
+        last = int(np.max(end, where=vals >= 0, initial=0))
+        if last > mem_size:
+            raise CaptureFormatError(
+                f"corrupt capture page {STREAM_QUAD}[{index}]: an access "
+                f"ends at {last:#x}, past the manifest's mem_size "
+                f"{mem_size:#x}")
+        yield vals
+
+
 def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
                 telemetry=TELEMETRY, mem_limit: int | None = None):
     """Rebuild a :class:`~repro.quad.report.QuadReport` by draining the
@@ -292,20 +341,23 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
     the ceiling; the shadow state itself is the report being built, not
     working memory, and its footprint shows in ``shadow_stats``.
     """
-    from ..quad.shadow import (PagedQuadSink, _IN_EXCL, _IN_INCL,
-                               _OUT_EXCL, _OUT_INCL, _READS, _READS_NS,
-                               _V_IN_INCL, _WRITES, _WRITES_NS)
-    from ..quad.report import QuadReport
-    from ..quad.tracker import KernelIO
+    from ..quad.shadow import ADDR_MASK, PagedQuadSink
     from . import PAGE_BATCH_ROWS
 
     manifest = reader.manifest
     require_tool(manifest, "quad")
-    names = manifest["quad_kernels"]
+    mem_size = manifest["mem_size"]
+    # the shadow's page tables are sized from mem_size, and a record's
+    # address field is ADDR_MASK wide
+    if (not isinstance(mem_size, int)
+            or not 0 < mem_size <= ADDR_MASK + 1):
+        raise CaptureFormatError(
+            f"corrupt capture manifest: mem_size {mem_size!r} is outside "
+            f"(0, {ADDR_MASK + 1}]")
     callstack = CallStack()
-    for name in names:
+    for name in manifest["quad_kernels"]:
         callstack.intern(name)
-    sink = PagedQuadSink(callstack, mem_size=manifest["mem_size"],
+    sink = PagedQuadSink(callstack, mem_size=mem_size,
                          track_bindings=track_bindings)
     budget = MemBudget(mem_limit) if mem_limit else None
     with telemetry.span("replay", cat="capture", tool="quad"):
@@ -322,36 +374,17 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
                 batch = min(batch, max(mem_limit // 64, 4096))
             else:
                 pages = reader.pages(STREAM_QUAD)
-            sink.drain_stream((page.ravel() for page in pages),
-                              batch_rows=batch)
-        sink._ensure_kernels()
-        counts = sink._counts
-        kernels: dict[str, KernelIO] = {}
-        for kid, name in enumerate(names):
-            c = counts[:, kid]
-            if c[_READS] == 0 and c[_WRITES] == 0:
-                continue
-            kernels[name] = KernelIO(
-                in_bytes_incl=int(c[_IN_INCL]),
-                in_bytes_excl=int(c[_IN_EXCL]),
-                out_bytes_incl=int(c[_OUT_INCL]),
-                out_bytes_excl=int(c[_OUT_EXCL]),
-                in_unma_incl=sink.unma_count(kid, _V_IN_INCL),
-                in_unma_excl=sink.unma_count(kid, _V_IN_INCL + 1),
-                out_unma_incl=sink.unma_count(kid, _V_IN_INCL + 2),
-                out_unma_excl=sink.unma_count(kid, _V_IN_INCL + 3),
-                reads=int(c[_READS]), writes=int(c[_WRITES]),
-                reads_nonstack=int(c[_READS_NS]),
-                writes_nonstack=int(c[_WRITES_NS]))
-        bindings = {(names[p], names[c]): list(v)
-                    for (p, c), v in sink.kid_bindings.items()}
+            sink.drain_stream(
+                _checked_quad_pages(pages, len(callstack.interned_names),
+                                    mem_size),
+                batch_rows=batch)
+        report = sink.report(
+            images=manifest["images"],
+            total_instructions=manifest["total_instructions"])
     if budget:
         budget.publish(telemetry)
     telemetry.count("capture/replays")
-    return QuadReport(kernels=kernels, bindings=bindings,
-                      images=dict(manifest["images"]),
-                      total_instructions=manifest["total_instructions"],
-                      shadow_stats=sink.stats())
+    return report
 
 
 # ------------------------------------------------------- fused multi-tool

@@ -66,8 +66,6 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
         return _bad_usage("--jobs must be >= 1")
     if getattr(args, "deadline", 1.0) <= 0:
         return _bad_usage("--deadline must be a positive number of seconds")
-    if getattr(args, "shadow", "paged") not in ("paged", "legacy"):
-        return _bad_usage("--shadow must be 'paged' or 'legacy'")
     if (getattr(args, "stats", False)
             and getattr(args, "tool", "") != "quad"
             and not getattr(args, "from_capture", None)):
@@ -84,9 +82,6 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
         if getattr(args, "cache", False) or getattr(args, "imix", False):
             return _bad_usage("--cache/--imix re-execute the guest and "
                               "cannot be combined with --from-capture")
-        if getattr(args, "shadow", "paged") == "legacy":
-            return _bad_usage("--from-capture replays the paged shadow; "
-                              "--shadow legacy is not available")
         if getattr(args, "report", None):
             return _bad_usage("--report re-executes the guest and cannot "
                               "be combined with --from-capture")
@@ -96,9 +91,6 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
             return _bad_usage("--capture-out with --jobs requires "
                               "--tool tquad (only tQUAD shards emit "
                               "capture segments)")
-        if getattr(args, "shadow", "paged") == "legacy":
-            return _bad_usage("--capture-out requires the paged shadow; "
-                              "drop --shadow legacy")
         if getattr(args, "report", None):
             return _bad_usage("--report cannot be combined with "
                               "--capture-out")
@@ -295,7 +287,7 @@ def _profile_body(args: argparse.Namespace, program) -> int:
                                parallel_profile)
 
         spec = {"tquad": lambda: TQuadSpec(options=options),
-                "quad": lambda: QuadSpec(shadow=args.shadow),
+                "quad": QuadSpec,
                 "gprof": GprofSpec}[args.tool]()
         run = parallel_profile(program, spec, jobs=args.jobs,
                                deadline=args.deadline)
@@ -354,8 +346,7 @@ def _profile_body(args: argparse.Namespace, program) -> int:
     elif args.tool == "quad":
         report = (captured if captured is not None else
                   run.reports["quad"] if args.jobs > 1 else
-                  run_quad(program, max_instructions=args.budget,
-                           shadow=args.shadow))
+                  run_quad(program, max_instructions=args.budget))
         if args.json:
             from .serialize import quad_to_json
 
@@ -897,9 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --tool gprof: print the call-graph section")
     p.add_argument("--json", metavar="PATH",
                    help="also write the report as JSON")
-    p.add_argument("--shadow", default="paged", metavar="{paged,legacy}",
-                   help="with --tool quad: shadow memory implementation "
-                        "(default: paged)")
     p.add_argument("--stats", action="store_true",
                    help="with --tool quad: print shadow footprint stats")
     p.add_argument("--jobs", type=int, default=1,

@@ -26,16 +26,13 @@ class BandwidthLedger:
     (instruction counts are 1-based at the time an analysis call runs).
     """
 
-    __slots__ = ("interval", "cur_slice", "cur", "history", "flushed")
+    __slots__ = ("interval", "history")
 
     def __init__(self, interval: int):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.cur_slice = 0
-        self.cur: dict[str, list[int]] = {}
         self.history: dict[str, dict[int, tuple[int, int, int, int]]] = {}
-        self.flushed = False
 
     def reset(self) -> None:
         """Start a fresh accounting run on the same ledger object.
@@ -43,49 +40,16 @@ class BandwidthLedger:
         ``history`` is *replaced*, not cleared — a previously extracted
         reference (e.g. a shard payload) stays valid and frozen.
         """
-        self.cur_slice = 0
-        self.cur.clear()
         self.history = {}
-        self.flushed = False
-
-    # -- hot path helpers ----------------------------------------------------
-    def bucket(self, name: str, slice_index: int) -> list[int]:
-        """Counter list for ``name`` in the current slice, advancing slices
-        as needed.  The caller adds bytes in place."""
-        if slice_index != self.cur_slice:
-            self.advance(slice_index)
-        c = self.cur.get(name)
-        if c is None:
-            c = self.cur[name] = [0, 0, 0, 0]
-        return c
-
-    def advance(self, new_slice: int) -> None:
-        """Snapshot the finished slice (paper: "memory bandwidth snapshot
-        management") and start a new one."""
-        history = self.history
-        s = self.cur_slice
-        for name, c in self.cur.items():
-            hk = history.get(name)
-            if hk is None:
-                hk = history[name] = {}
-            hk[s] = (c[0], c[1], c[2], c[3])
-        self.cur.clear()
-        self.cur_slice = new_slice
-
-    def flush(self) -> None:
-        """Finalise the in-flight slice (call once, at program exit)."""
-        if not self.flushed:
-            self.advance(self.cur_slice + 1)
-            self.flushed = True
 
     def accumulate(self, name: str, slice_index: int, r_incl: int,
                    r_excl: int, w_incl: int, w_excl: int) -> None:
-        """Merge pre-aggregated counts straight into ``history``.
+        """Add counts to ``name``'s counters in slice ``slice_index``.
 
-        Used by the buffered recording path (:mod:`repro.core.recording`),
-        which aggregates whole buffers of accesses with NumPy and lands the
-        per-(kernel, slice) sums here — bypassing ``cur``, so it composes
-        with out-of-order flushes and with the final :meth:`flush`.
+        The recording path (:mod:`repro.core.recording`) aggregates whole
+        buffers of accesses with NumPy and lands the per-(kernel, slice)
+        sums here; addition commutes, so out-of-order flushes and shard
+        merges compose.
         """
         hk = self.history.get(name)
         if hk is None:

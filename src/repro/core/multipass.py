@@ -15,8 +15,7 @@ longer re-execute the VM per interval: one instrumented run captures the
 access quads at the gcd of the requested intervals, and the whole ladder
 comes out of one :func:`repro.sweep.sweep_tquad` pass that decodes each
 captured page once (byte-identical to a direct run at each interval —
-the property tests assert this).  ``reexecute=True`` keeps the legacy
-one-VM-run-per-interval path for differential reference.
+the property tests assert this).
 """
 
 from __future__ import annotations
@@ -138,35 +137,31 @@ class MultiPassResult:
 
 def profile_passes(build: Callable[[], tuple], intervals: list[int], *,
                    options: TQuadOptions | None = None,
-                   max_instructions: int | None = None,
-                   reexecute: bool = False) -> MultiPassResult:
+                   max_instructions: int | None = None) -> MultiPassResult:
     """Produce tQUAD reports for each of ``intervals``.
 
     ``build()`` must return a fresh ``(program, fs)`` pair per call (the
     machine is single-shot).  ``options`` provides the non-interval
-    settings.  By default the guest executes *once*, capturing at the gcd
-    of the intervals, and the whole ladder is one sweep-engine pass over
-    the capture; ``reexecute=True`` forces the legacy
-    one-run-per-interval path (also taken for a single interval, where a
-    capture buys nothing).  An empty ``intervals`` list, or any
-    non-positive interval, raises :class:`ValueError` before any run.
+    settings.  The guest executes *once*: a single distinct interval is
+    profiled directly (a capture buys nothing there); otherwise the run
+    captures at the gcd of the intervals and the whole ladder is one
+    sweep-engine pass over the capture.  An empty ``intervals`` list, or
+    any non-positive interval, raises :class:`ValueError` before any run.
     """
     from ..sweep.grid import validate_intervals
 
     validate_intervals(intervals)
     base = options or TQuadOptions()
-    reports: dict[int, TQuadReport] = {}
-    if reexecute or len(set(intervals)) < 2:
-        for interval in intervals:
-            program, fs = build()
-            opts = TQuadOptions(slice_interval=interval, stack=base.stack,
-                                exclude_libraries=base.exclude_libraries,
-                                kernels=base.kernels)
-            engine = PinEngine(program, fs=fs)
-            tool = TQuadTool(opts).attach(engine)
-            engine.run(max_instructions=max_instructions)
-            reports[interval] = tool.report()
-        return MultiPassResult(reports=reports)
+    if len(set(intervals)) < 2:
+        program, fs = build()
+        interval = intervals[0]
+        opts = TQuadOptions(slice_interval=interval, stack=base.stack,
+                            exclude_libraries=base.exclude_libraries,
+                            kernels=base.kernels)
+        engine = PinEngine(program, fs=fs)
+        tool = TQuadTool(opts).attach(engine)
+        engine.run(max_instructions=max_instructions)
+        return MultiPassResult(reports={interval: tool.report()})
 
     from ..capture import CaptureReader, capture_run, replay_many
     from ..sweep import SweepGrid

@@ -1,9 +1,9 @@
 """Buffered access recording: the profiler hot path of the superblock tier.
 
-The legacy tQUAD analysis routines do attribution work (call-stack lookup,
-slice arithmetic, dict updates) on *every* memory access.  The recording
-path splits that into two halves, the same shape low-overhead instrumenters
-such as Examem use:
+The paper's tQUAD analysis routines do attribution work (call-stack
+lookup, slice arithmetic, dict updates) on *every* memory access.  The
+recording path splits that into two halves, the same shape low-overhead
+instrumenters such as Examem use:
 
 * **record** (hot): append one ``(icount, incl_bytes, excl_bytes,
   kernel_id)`` quad to a flat ``array('q')``.  The stack policy is applied
@@ -21,9 +21,10 @@ such as Examem use:
   ``(kernel, slice)`` and lands the byte sums in
   :meth:`BandwidthLedger.accumulate`.
 
-The produced ledger history is identical to the legacy per-event path —
-the differential tests in ``tests/unit/test_superblock.py`` assert report
-equality for every stack policy.
+The produced ledger history is identical to the per-event reference,
+:class:`repro.testing.oracles.PerEventTQuadTool` — the differential
+tests in ``tests/unit/test_superblock.py`` assert report equality for
+every stack policy.
 """
 
 from __future__ import annotations

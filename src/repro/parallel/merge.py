@@ -7,12 +7,14 @@ or serialised) to what the serial tool builds:
 * **tQUAD** — ``BandwidthLedger.accumulate`` is commutative addition per
   ``(kernel, slice)``; slice indices are computed from absolute icounts, so
   a slice split across a shard boundary merges back exactly.
-* **QUAD** — consumer-side counters and UnMA sets sum/union directly.
+* **QUAD** — consumer-side counters and UnMA bitmaps sum/union directly.
   Producer attribution of cross-shard reads was deferred by the workers;
-  here each shard's deferred reads are resolved against the *composed
-  shadow* of all earlier shards (which is exactly the serial tool's shadow
-  at the shard's start for every address the shard did not overwrite),
-  then the shard's own shadow is layered on top.
+  each shard's deferred reads are resolved against the *composed shadow*
+  of all earlier shards (which is exactly the serial tool's shadow at the
+  shard's start for every address the shard did not overwrite), then the
+  shard's own shadow is layered on top — the fold is
+  :func:`repro.quad.shadow.merge_shards`, next to the sink whose state
+  it folds.
 * **gprof** — self/cumulative/call/edge counts sum; shard-boundary self
   time was settled by ``flush_shard`` such that the two halves of each
   lazily-attributed span add up to the serial charge.  Dicts are merged in
@@ -22,15 +24,13 @@ or serialised) to what the serial tool builds:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.ledger import BandwidthLedger
 from ..core.report import TQuadReport
 from ..gprofsim.report import FlatProfile, FlatRow
 from ..quad.report import QuadReport
-from ..quad.tracker import KernelIO
-from .worker import (GprofPayload, GprofSpec, QuadPagedPayload, QuadPayload,
-                     QuadSpec, ShardResult, TQuadPayload, TQuadSpec)
+from ..quad.shadow import merge_shards
+from .worker import (GprofPayload, GprofSpec, QuadSpec, ShardResult,
+                     TQuadPayload, TQuadSpec)
 
 
 def merge_tquad(results: list[ShardResult], spec: TQuadSpec,
@@ -45,183 +45,18 @@ def merge_tquad(results: list[ShardResult], spec: TQuadSpec,
         for name, slices in payload.history.items():
             for s, c in slices.items():
                 ledger.accumulate(name, s, c[0], c[1], c[2], c[3])
-    ledger.flushed = True
     report = TQuadReport(ledger=ledger, options=spec.options,
                          total_instructions=total_instructions,
                          images=dict(images), complete=True)
     return report, prefetches
 
 
-def _merge_quad_paged(results: list[ShardResult], spec: QuadSpec,
-                      images: dict[str, str],
-                      total_instructions: int) -> QuadReport:
-    """Fold paged shard payloads without leaving the interned/paged form.
-
-    Same shard-order semantics as the legacy fold below: each shard's
-    deferred reads resolve against the composed shadow of all *earlier*
-    shards, then the shard's own shadow is layered on top (remapped from
-    shard-local to merge-global writer ids).
-    """
-    from ..quad.shadow import (_IN_EXCL, _IN_INCL, _OUT_EXCL, _OUT_INCL,
-                               _READS, _READS_NS, _V_IN_INCL, _WRITES,
-                               _WRITES_NS, PageBitmap, ShadowPages)
-
-    gid: dict[str, int] = {}           # name -> composed-shadow writer id
-    gnames: list[str] = []
-    gcounts: dict[str, np.ndarray] = {}
-    gunma: dict[tuple[str, int], PageBitmap] = {}
-    bindings: dict[tuple[str, str], list[int]] = {}
-    composed = ShadowPages()
-    for res in results:
-        payload: QuadPagedPayload = res.payloads[spec.key]
-        names = payload.names
-        # 1. resolve cross-shard reads against the pre-shard shadow; a
-        # miss means the address was never written (dropped, as serially)
-        for cid, (addrs, incls, excls) in payload.deferred.items():
-            ad = np.frombuffer(addrs, np.int64)
-            w1 = composed.gather_bytes(ad).astype(np.int64)
-            known = w1 > 0
-            if not known.any():
-                continue
-            p = w1[known] - 1
-            vi = np.frombuffer(incls, np.int64)[known]
-            ve = np.frombuffer(excls, np.int64)[known]
-            bi = np.bincount(p, weights=vi).astype(np.int64)
-            be = np.bincount(p, weights=ve).astype(np.int64)
-            consumer = names[cid]
-            # every deferred byte has incl >= 1: bi's support covers be's
-            for g in np.nonzero(bi)[0].tolist():
-                pname = gnames[g]
-                c = gcounts[pname]
-                c[_OUT_INCL] += int(bi[g])
-                c[_OUT_EXCL] += int(be[g])
-                if spec.track_bindings:
-                    key = (pname, consumer)
-                    b = bindings.get(key)
-                    if b is None:
-                        bindings[key] = [int(bi[g]), int(be[g])]
-                    else:
-                        b[0] += int(bi[g])
-                        b[1] += int(be[g])
-        # 2. sum counters (kernel exists iff it had accesses, as serially)
-        for kid, name in enumerate(names):
-            c = payload.counts[:, kid]
-            if c[_READS] == 0 and c[_WRITES] == 0:
-                continue
-            g = gcounts.get(name)
-            if g is None:
-                g = gcounts[name] = np.zeros(8, np.int64)
-            g += c
-        # 3. union UnMA bitmaps
-        for (kid, view), (pids, pages) in payload.unma.items():
-            key = (names[kid], view)
-            bm = gunma.get(key)
-            if bm is None:
-                bm = gunma[key] = PageBitmap()
-            for pid, page in zip(pids.tolist(), pages):
-                bm.or_page(int(pid), page)
-        # 4. sum within-shard bindings
-        for (pk, ck), v in payload.bindings.items():
-            key = (names[pk], names[ck])
-            b = bindings.get(key)
-            if b is None:
-                bindings[key] = list(v)
-            else:
-                b[0] += v[0]
-                b[1] += v[1]
-        # 5. layer the shard shadow on top, remapped to global writer ids
-        remap = np.zeros(len(names) + 1, np.int32)
-        for i, name in enumerate(names):
-            g = gid.get(name)
-            if g is None:
-                g = gid[name] = len(gnames)
-                gnames.append(name)
-            remap[i + 1] = g + 1
-        for pid, page in zip(payload.shadow_pids.tolist(),
-                             payload.shadow_pages):
-            composed.overlay_page(int(pid), remap[page])
-
-    kernels: dict[str, KernelIO] = {}
-    for name, c in gcounts.items():
-        def card(view: int) -> int:
-            bm = gunma.get((name, view))
-            return bm.count() if bm is not None else 0
-
-        kernels[name] = KernelIO(
-            in_bytes_incl=int(c[_IN_INCL]), in_bytes_excl=int(c[_IN_EXCL]),
-            out_bytes_incl=int(c[_OUT_INCL]),
-            out_bytes_excl=int(c[_OUT_EXCL]),
-            in_unma_incl=card(_V_IN_INCL),
-            in_unma_excl=card(_V_IN_INCL + 1),
-            out_unma_incl=card(_V_IN_INCL + 2),
-            out_unma_excl=card(_V_IN_INCL + 3),
-            reads=int(c[_READS]), writes=int(c[_WRITES]),
-            reads_nonstack=int(c[_READS_NS]),
-            writes_nonstack=int(c[_WRITES_NS]))
-    return QuadReport(kernels=kernels, bindings=bindings,
-                      images=dict(images),
-                      total_instructions=total_instructions)
-
-
 def merge_quad(results: list[ShardResult], spec: QuadSpec,
                images: dict[str, str],
                total_instructions: int) -> QuadReport:
-    if spec.shadow == "paged":
-        return _merge_quad_paged(results, spec, images, total_instructions)
-    kernels: dict[str, KernelIO] = {}
-    bindings: dict[tuple[str, str], list[int]] = {}
-    shadow: dict[int, str] = {}
-    for res in results:
-        payload: QuadPayload = res.payloads[spec.key]
-        # Resolve this shard's cross-shard reads against the pre-shard
-        # shadow.  A producer found here wrote in an earlier shard, so its
-        # KernelIO is already present; a miss means the address was never
-        # written — the serial tool drops those reads too.
-        for consumer, (addrs, incls, excls) in payload.deferred.items():
-            for addr, n_incl, n_excl in zip(addrs, incls, excls):
-                producer = shadow.get(addr)
-                if producer is None:
-                    continue
-                pio = kernels[producer]
-                pio.out_bytes_incl += n_incl
-                pio.out_bytes_excl += n_excl
-                if spec.track_bindings:
-                    key = (producer, consumer)
-                    b = bindings.get(key)
-                    if b is None:
-                        b = bindings[key] = [0, 0]
-                    b[0] += n_incl
-                    b[1] += n_excl
-        for name, ctr in payload.counters.items():
-            tgt = kernels.get(name)
-            if tgt is None:
-                tgt = kernels[name] = KernelIO()
-            tgt.in_bytes_incl += ctr[0]
-            tgt.in_bytes_excl += ctr[1]
-            tgt.out_bytes_incl += ctr[2]
-            tgt.out_bytes_excl += ctr[3]
-            tgt.reads += ctr[4]
-            tgt.writes += ctr[5]
-            tgt.reads_nonstack += ctr[6]
-            tgt.writes_nonstack += ctr[7]
-            in_incl, in_excl, out_incl, out_excl = payload.unma[name]
-            tgt.in_unma_incl.update(in_incl)
-            tgt.in_unma_excl.update(in_excl)
-            tgt.out_unma_incl.update(out_incl)
-            tgt.out_unma_excl.update(out_excl)
-        for key, counts in payload.bindings.items():
-            b = bindings.get(key)
-            if b is None:
-                bindings[key] = list(counts)
-            else:
-                b[0] += counts[0]
-                b[1] += counts[1]
-        shadow.update(zip(payload.shadow_addrs,
-                          map(payload.shadow_names.__getitem__,
-                              payload.shadow_writers)))
-    return QuadReport(kernels=kernels, bindings=bindings,
-                      images=dict(images),
-                      total_instructions=total_instructions)
+    return merge_shards([res.payloads[spec.key] for res in results],
+                        track_bindings=spec.track_bindings, images=images,
+                        total_instructions=total_instructions)
 
 
 def merge_gprof(results: list[ShardResult], spec: GprofSpec,

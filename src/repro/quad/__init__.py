@@ -2,8 +2,8 @@
 
 from .overhead import (InstrumentationCostModel, RankShift,
                        instrumented_profile, rank_shifts)
-from .report import QuadReport, Table2Row
-from .tracker import KernelIO, QuadTool, run_quad
+from .report import KernelIO, QuadReport, Table2Row
+from .tracker import QuadTool, run_quad
 
 __all__ = [
     "QuadTool", "run_quad", "QuadReport", "Table2Row", "KernelIO",

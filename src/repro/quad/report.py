@@ -7,7 +7,24 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from ..vm.program import MAIN_IMAGE
-from .tracker import KernelIO, unma_card
+
+
+@dataclass
+class KernelIO:
+    """One kernel's QUAD counters; the UnMA fields are cardinalities."""
+
+    in_bytes_incl: int = 0
+    in_bytes_excl: int = 0
+    out_bytes_incl: int = 0          #: consumed bytes of this kernel's output
+    out_bytes_excl: int = 0
+    in_unma_incl: int = 0
+    in_unma_excl: int = 0
+    out_unma_incl: int = 0
+    out_unma_excl: int = 0
+    reads: int = 0                   #: dynamic read accesses (not bytes)
+    writes: int = 0
+    reads_nonstack: int = 0
+    writes_nonstack: int = 0
 
 
 @dataclass
@@ -41,9 +58,10 @@ class QuadReport:
     bindings: dict[tuple[str, str], list[int]]
     images: dict[str, str] = field(default_factory=dict)
     total_instructions: int = 0
-    #: Shadow-memory footprint (paged runs only): pages allocated, resident
-    #: shadow bytes, interned-kernel count.  Observability only — never
-    #: part of the serialized report or the rendered tables.
+    #: Shadow-memory footprint of the run's sink (absent on merged and
+    #: deserialized reports): pages allocated, resident shadow bytes,
+    #: interned-kernel count.  Observability only — never part of the
+    #: serialized report or the rendered tables.
     shadow_stats: dict[str, int] | None = None
 
     def kernel_names(self, *, main_image_only: bool = True) -> list[str]:
@@ -58,13 +76,13 @@ class QuadReport:
         return Table2Row(
             kernel=name,
             in_excl=io.in_bytes_excl,
-            in_unma_excl=unma_card(io.in_unma_excl),
+            in_unma_excl=io.in_unma_excl,
             out_excl=io.out_bytes_excl,
-            out_unma_excl=unma_card(io.out_unma_excl),
+            out_unma_excl=io.out_unma_excl,
             in_incl=io.in_bytes_incl,
-            in_unma_incl=unma_card(io.in_unma_incl),
+            in_unma_incl=io.in_unma_incl,
             out_incl=io.out_bytes_incl,
-            out_unma_incl=unma_card(io.out_unma_incl),
+            out_unma_incl=io.out_unma_incl,
         )
 
     def rows(self, *, main_image_only: bool = True) -> list[Table2Row]:
@@ -156,10 +174,10 @@ class QuadReport:
         return "\n".join(lines)
 
     def format_stats(self) -> str:
-        """Shadow footprint rendering for ``--stats`` (paged runs only)."""
+        """Shadow footprint rendering for ``--stats``."""
         s = self.shadow_stats
         if s is None:
-            return "shadow stats unavailable (legacy shadow or merged run)"
+            return "shadow stats unavailable (merged or deserialized report)"
         lines = ["QUAD shadow memory:"]
         lines.append(f"  page size            {s['page_size']:>12}")
         lines.append(f"  shadow pages         {s['shadow_pages']:>12}")

@@ -1,9 +1,11 @@
 """Paged, kernel-ID-interned shadow memory — QUAD's vectorized hot path.
 
-The legacy :class:`~repro.quad.tracker.QuadTool` resolves every access one
-byte at a time against a ``dict[int, str]`` last-writer map and four Python
-sets per kernel.  This module replaces that with the structure production
-memory instrumenters (Examem, the Valgrind working-set tool) use:
+The original QUAD resolves every access one byte at a time against a
+``dict[int, str]`` last-writer map and four Python sets per kernel (kept
+as the differential tests' reference,
+:class:`repro.testing.oracles.PerByteQuadTool`).  This module uses the
+structure production memory instrumenters (Examem, the Valgrind
+working-set tool) use:
 
 * :class:`ShadowPages` — a page table mapping ``addr >> PAGE_SHIFT`` to
   ``int32`` arrays of interned writer ids (0 = never written).  Writes are
@@ -21,6 +23,12 @@ memory instrumenters (Examem, the Valgrind working-set tool) use:
   accumulation, OUT-byte attribution and UnMA marking all happen
   per-buffer, not per-access.
 
+This module is the only owner of the sink's counter layout: the sink
+renders its own :class:`~repro.quad.report.QuadReport`
+(:meth:`PagedQuadSink.report`), exports its state for sharded runs
+(:meth:`PagedQuadSink.export`) and folds those exports back into one
+report (:func:`merge_shards`).
+
 Record format (the emission hot path writes exactly one ``append``)::
 
     (rec_id + 1) << 43 | size << 38 | is_write << 37 | ea
@@ -36,7 +44,7 @@ SP changes orders of magnitude less often than memory is accessed.
 Exactness
 ---------
 
-The drain is byte-identical to the legacy per-byte walk.  Aligned 8-byte
+The drain is byte-identical to the per-byte walk.  Aligned 8-byte
 accesses (the overwhelming majority) flow through a word-granular
 vectorized pipeline: events are sorted by word with a *stable* (radix)
 ``argsort`` — ties keep program order within each word — and a
@@ -46,13 +54,13 @@ are routed, together with every colliding word access, through an exact
 in-order per-byte walk; the two partitions touch disjoint words, so their
 relative order cannot matter.  Stack classification is per *byte* for the
 byte-denominated columns (``a < sp`` each byte) and per access (``ea <
-sp``) for the access counters, fixing the historical whole-access
-classification of straddling accesses in both shadow implementations.
+sp``) for the access counters.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +68,7 @@ from ..core.callstack import CallStack
 from ..core.npsort import stable_argsort
 from ..obs import TELEMETRY as _TELEMETRY
 from ..vm.layout import DEFAULT_MEM_SIZE
+from .report import KernelIO, QuadReport
 
 #: log2 of the shadow page size in bytes.
 PAGE_SHIFT = 16
@@ -102,14 +111,6 @@ class ShadowPages:
     def __init__(self, mem_size: int = DEFAULT_MEM_SIZE):
         npids = max(1, -(-mem_size // PAGE))
         self.lut = np.full(npids, -1, np.int64)
-        self._data = np.zeros((1, PAGE), np.int32)
-        self.n_pages = 0
-
-    # ------------------------------------------------------------ plumbing
-    def reset(self) -> None:
-        """Drop every mapping, in place (the object identity is captured by
-        the sink's drain path)."""
-        self.lut.fill(-1)
         self._data = np.zeros((1, PAGE), np.int32)
         self.n_pages = 0
 
@@ -167,42 +168,7 @@ class ShadowPages:
         s = self._slots_rw(addrs >> PAGE_SHIFT)
         self._data[s, addrs & (PAGE - 1)] = writer1
 
-    # -------------------------------------------------- scalar (slow path)
-    def set_range(self, addr: int, size: int, writer1: int) -> None:
-        end = addr + size
-        while addr < end:
-            pid = addr >> PAGE_SHIFT
-            self._need(pid)
-            slot = self.lut[pid]
-            if slot < 0:
-                slot = self._alloc(pid)
-            off = addr & (PAGE - 1)
-            n = min(end - addr, PAGE - off)
-            self._data[slot, off:off + n] = writer1
-            addr += n
-
-    def get_range(self, addr: int, size: int) -> np.ndarray:
-        out = np.empty(size, np.int32)
-        done = 0
-        while done < size:
-            pid = (addr + done) >> PAGE_SHIFT
-            self._need(pid)
-            slot = max(int(self.lut[pid]), 0)
-            off = (addr + done) & (PAGE - 1)
-            n = min(size - done, PAGE - off)
-            out[done:done + n] = self._data[slot, off:off + n]
-            done += n
-        return out
-
-    # ------------------------------------------------- snapshot / compose
-    def snapshot(self) -> "ShadowPages":
-        """An independent deep copy of the current mapping."""
-        c = ShadowPages.__new__(ShadowPages)
-        c.lut = self.lut.copy()
-        c._data = self._data[:self.n_pages + 1].copy()
-        c.n_pages = self.n_pages
-        return c
-
+    # ------------------------------------------------------- shard merge
     def overlay_page(self, pid: int, page: np.ndarray) -> None:
         """Layer one page on top of this mapping: bytes written in ``page``
         (non-zero) win, unwritten bytes keep their current producer."""
@@ -213,24 +179,6 @@ class ShadowPages:
         dst = self._data[slot]
         np.copyto(dst, page, where=page != 0)
 
-    def compose(self, other: "ShadowPages",
-                remap: np.ndarray | None = None) -> None:
-        """Layer ``other`` on top of this mapping (``other`` wins where it
-        wrote).  ``remap``, when given, translates ``other``'s +1-encoded
-        writer ids into this mapping's id space (``remap[0]`` must be 0)."""
-        for pid in np.nonzero(other.lut >= 0)[0]:
-            page = other._data[other.lut[pid]]
-            if remap is not None:
-                page = remap[page]
-            self.overlay_page(int(pid), page)
-
-    def items(self):
-        """Yield ``(addr, writer1)`` for every written byte (tests only)."""
-        for pid in np.nonzero(self.lut >= 0)[0]:
-            page = self._data[self.lut[pid]]
-            for off in np.nonzero(page)[0]:
-                yield int(pid) * PAGE + int(off), int(page[off])
-
     @property
     def resident_bytes(self) -> int:
         return self._data.nbytes + self.lut.nbytes
@@ -239,10 +187,9 @@ class ShadowPages:
 class PageBitmap:
     """A paged set of byte addresses: one ``uint8`` flag per byte.
 
-    Flags are unpacked (one byte each) so marking stays a pure fancy
-    assignment — idempotent, hence duplicate-safe — and a full aligned
-    word marks via a single ``int64`` store of ``0x0101…01``.  The
-    cardinality is one ``sum()`` at report time.
+    The shard merge unions exported :class:`PlaneBitmap` pages into one
+    of these per (kernel, view); the cardinality is one ``sum()`` at
+    report time.
     """
 
     __slots__ = ("lut", "_data", "n_pages")
@@ -270,33 +217,6 @@ class PageBitmap:
         self.n_pages += 1
         return slot
 
-    def _slots(self, pids: np.ndarray) -> np.ndarray:
-        self._need(int(pids.max()))
-        s = self.lut[pids]
-        if (s < 0).any():
-            for pid in np.unique(pids[s < 0]):
-                self._alloc(int(pid))
-            s = self.lut[pids]
-        return s
-
-    def mark_words(self, words: np.ndarray) -> None:
-        """Mark all 8 bytes of each aligned word."""
-        s = self._slots(words >> (PAGE_SHIFT - 3))
-        v64 = self._data.view(np.int64)
-        v64[s, words & (WORDS - 1)] = _FULL_WORD
-
-    def mark_bytes(self, addrs: np.ndarray) -> None:
-        s = self._slots(addrs >> PAGE_SHIFT)
-        self._data[s, addrs & (PAGE - 1)] = 1
-
-    def mark_byte(self, addr: int) -> None:
-        pid = addr >> PAGE_SHIFT
-        self._need(pid)
-        slot = self.lut[pid]
-        if slot < 0:
-            slot = self._alloc(pid)
-        self._data[slot, addr & (PAGE - 1)] = 1
-
     def or_page(self, pid: int, page: np.ndarray) -> None:
         """Union one exported page in (shard merging)."""
         self._need(pid)
@@ -308,15 +228,6 @@ class PageBitmap:
     def count(self) -> int:
         """The set's cardinality (popcount over all pages)."""
         return int(self._data[:self.n_pages].sum(dtype=np.int64))
-
-    def export(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pids, pages) in pid order — the shard wire form."""
-        pids = np.nonzero(self.lut >= 0)[0]
-        return pids, self._data[self.lut[pids]]
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._data.nbytes + self.lut.nbytes
 
 
 class PlaneBitmap:
@@ -407,6 +318,51 @@ _READS, _WRITES, _READS_NS, _WRITES_NS = 4, 5, 6, 7
 _V_IN_INCL, _V_IN_EXCL, _V_OUT_INCL, _V_OUT_EXCL = 0, 1, 2, 3
 
 
+def _has_accesses(c: np.ndarray) -> bool:
+    """Whether a kernel's counter column records any access — a kernel
+    enters the report on its first access."""
+    return bool(c[_READS] or c[_WRITES])
+
+
+def _kernel_io(c: np.ndarray, unma: list[int]) -> KernelIO:
+    """One kernel's report row from its counter column ``c`` and its four
+    UnMA cardinalities (indexed by view)."""
+    return KernelIO(
+        in_bytes_incl=int(c[_IN_INCL]), in_bytes_excl=int(c[_IN_EXCL]),
+        out_bytes_incl=int(c[_OUT_INCL]), out_bytes_excl=int(c[_OUT_EXCL]),
+        in_unma_incl=unma[_V_IN_INCL], in_unma_excl=unma[_V_IN_EXCL],
+        out_unma_incl=unma[_V_OUT_INCL], out_unma_excl=unma[_V_OUT_EXCL],
+        reads=int(c[_READS]), writes=int(c[_WRITES]),
+        reads_nonstack=int(c[_READS_NS]),
+        writes_nonstack=int(c[_WRITES_NS]))
+
+
+@dataclass
+class QuadShard:
+    """One shard's :class:`PagedQuadSink` state in wire form.
+
+    Everything stays in the sink's interned/paged representation: counter
+    matrix, UnMA bitmap pages, last-writer shadow pages and the deferred
+    columns all pickle as flat buffers; :func:`merge_shards` composes
+    them without ever expanding to per-address Python objects.
+    """
+
+    #: interned kernel names — shard-local kid -> name
+    names: list[str]
+    #: (8, nk) counter matrix
+    counts: np.ndarray
+    #: (kid, view) -> (pids, pages) UnMA bitmap export
+    unma: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    #: (producer_kid, consumer_kid) -> [bytes incl, bytes excl]
+    bindings: dict[tuple[int, int], list[int]]
+    #: shard-local last-writer shadow: page ids + int32 writer1 pages
+    shadow_pids: np.ndarray
+    shadow_pages: np.ndarray
+    #: consumer kid -> (addrs, incl counts, excl counts) of reads whose
+    #: producer wrote before this shard started
+    deferred: dict[int, tuple[array, array, array]]
+
+
 class PagedQuadSink:
     """Packed-record buffer + bulk drain over the paged shadow state.
 
@@ -438,8 +394,9 @@ class PagedQuadSink:
         self.read_buf = self.write_buf = self.buf
         self.last_sp = -1
         self._sp0 = 0
-        #: resolve unknown producers never (serial: the legacy tool drops
-        #: them too) or into the deferred tables (shard replay).
+        #: resolve unknown producers never (serial: reads of never-written
+        #: bytes have no producer) or into the deferred tables (shard
+        #: replay).
         self.defer_unknown = False
         self.flush_read = self.flush_write = self.flush
         self._fresh_state()
@@ -458,7 +415,7 @@ class PagedQuadSink:
         #: one IN count per event; byte ``b``'s excl count is the number of
         #: events with ``n_below > b``.
         self._def_words: dict[tuple[int, int], list[int]] = {}
-        #: (addr, consumer_kid) -> [incl, excl] (legacy-shaped)
+        #: (addr, consumer_kid) -> [incl, excl]
         self._def_bytes: dict[tuple[int, int], list[int]] = {}
 
     def reset(self) -> None:
@@ -827,8 +784,47 @@ class PagedQuadSink:
                                   .astype(np.int32))
 
     # ---------------------------------------------------- materialization
-    def unma_count(self, kid: int, view: int) -> int:
-        return self._unma.count(kid * 4 + view)
+    def report(self, *, images: dict[str, str],
+               total_instructions: int) -> QuadReport:
+        """The QUAD report of every record drained so far, kernels named
+        by the call stack's intern table."""
+        self.flush()
+        self._ensure_kernels()
+        names = self.tag.interned_names
+        kernels: dict[str, KernelIO] = {}
+        for kid, name in enumerate(names):
+            c = self._counts[:, kid]
+            if _has_accesses(c):
+                kernels[name] = _kernel_io(
+                    c, [self._unma.count(kid * 4 + v) for v in range(4)])
+        bindings = {(names[p], names[c]): list(v)
+                    for (p, c), v in self.kid_bindings.items()}
+        return QuadReport(kernels=kernels, bindings=bindings,
+                          images=dict(images),
+                          total_instructions=total_instructions,
+                          shadow_stats=self.stats())
+
+    def export(self) -> QuadShard:
+        """This sink's state as one shard of a sharded run."""
+        self.flush()
+        self._ensure_kernels()
+        nk = self._nk
+        unma: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for kid in range(nk):
+            for view in range(4):
+                pids, pages = self._unma.export(kid * 4 + view)
+                if pids.size:
+                    unma[(kid, view)] = (pids, pages)
+        shadow = self.shadow
+        shadow_pids = np.nonzero(shadow.lut >= 0)[0]
+        return QuadShard(
+            names=list(self.tag.interned_names),
+            counts=self._counts[:, :nk].copy(),
+            unma=unma,
+            bindings=dict(self.kid_bindings),
+            shadow_pids=shadow_pids,
+            shadow_pages=shadow._data[shadow.lut[shadow_pids]],
+            deferred=self.deferred_columns())
 
     def deferred_columns(self) -> dict[int, tuple[array, array, array]]:
         """Per consumer kid: flat (addrs, incl, excl) columns of the
@@ -917,3 +913,99 @@ def make_raw_recorder(sink: PagedQuadSink, *, write: bool):
     record.record_sink = sink
     record.record_kind = "write" if write else "read"
     return record
+
+
+def merge_shards(shards: list[QuadShard], *, track_bindings: bool,
+                 images: dict[str, str],
+                 total_instructions: int) -> QuadReport:
+    """Fold shard exports, in shard order, into the whole-run report.
+
+    Each shard's deferred reads resolve against the composed shadow of
+    all *earlier* shards (exactly the serial shadow at the shard's start
+    for every address the shard did not overwrite), then the shard's own
+    shadow is layered on top, remapped from shard-local to merge-global
+    writer ids.  Counters sum, UnMA bitmaps union.
+    """
+    gid: dict[str, int] = {}           # name -> composed-shadow writer id
+    gnames: list[str] = []
+    gcounts: dict[str, np.ndarray] = {}
+    gunma: dict[tuple[str, int], PageBitmap] = {}
+    bindings: dict[tuple[str, str], list[int]] = {}
+    composed = ShadowPages()
+    for shard in shards:
+        names = shard.names
+        # 1. resolve cross-shard reads against the pre-shard shadow; a
+        # miss means the address was never written (dropped, as serially)
+        for cid, (addrs, incls, excls) in shard.deferred.items():
+            ad = np.frombuffer(addrs, np.int64)
+            w1 = composed.gather_bytes(ad).astype(np.int64)
+            known = w1 > 0
+            if not known.any():
+                continue
+            p = w1[known] - 1
+            vi = np.frombuffer(incls, np.int64)[known]
+            ve = np.frombuffer(excls, np.int64)[known]
+            bi = np.bincount(p, weights=vi).astype(np.int64)
+            be = np.bincount(p, weights=ve).astype(np.int64)
+            consumer = names[cid]
+            # every deferred byte has incl >= 1: bi's support covers be's
+            for g in np.nonzero(bi)[0].tolist():
+                pname = gnames[g]
+                c = gcounts[pname]
+                c[_OUT_INCL] += int(bi[g])
+                c[_OUT_EXCL] += int(be[g])
+                if track_bindings:
+                    key = (pname, consumer)
+                    b = bindings.get(key)
+                    if b is None:
+                        bindings[key] = [int(bi[g]), int(be[g])]
+                    else:
+                        b[0] += int(bi[g])
+                        b[1] += int(be[g])
+        # 2. sum counters
+        for kid, name in enumerate(names):
+            c = shard.counts[:, kid]
+            if not _has_accesses(c):
+                continue
+            g = gcounts.get(name)
+            if g is None:
+                g = gcounts[name] = np.zeros(8, np.int64)
+            g += c
+        # 3. union UnMA bitmaps
+        for (kid, view), (pids, pages) in shard.unma.items():
+            key = (names[kid], view)
+            bm = gunma.get(key)
+            if bm is None:
+                bm = gunma[key] = PageBitmap()
+            for pid, page in zip(pids.tolist(), pages):
+                bm.or_page(int(pid), page)
+        # 4. sum within-shard bindings
+        for (pk, ck), v in shard.bindings.items():
+            key = (names[pk], names[ck])
+            b = bindings.get(key)
+            if b is None:
+                bindings[key] = list(v)
+            else:
+                b[0] += v[0]
+                b[1] += v[1]
+        # 5. layer the shard shadow on top, remapped to global writer ids
+        remap = np.zeros(len(names) + 1, np.int32)
+        for i, name in enumerate(names):
+            g = gid.get(name)
+            if g is None:
+                g = gid[name] = len(gnames)
+                gnames.append(name)
+            remap[i + 1] = g + 1
+        for pid, page in zip(shard.shadow_pids.tolist(),
+                             shard.shadow_pages):
+            composed.overlay_page(int(pid), remap[page])
+
+    def card(name: str, view: int) -> int:
+        bm = gunma.get((name, view))
+        return bm.count() if bm is not None else 0
+
+    kernels = {name: _kernel_io(c, [card(name, v) for v in range(4)])
+               for name, c in gcounts.items()}
+    return QuadReport(kernels=kernels, bindings=bindings,
+                      images=dict(images),
+                      total_instructions=total_instructions)

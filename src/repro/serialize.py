@@ -7,10 +7,8 @@ their data to files the DWB framework consumes.
 
 Round-trippable: :class:`~repro.core.report.TQuadReport`,
 :class:`~repro.gprofsim.report.FlatProfile`, and
-:class:`~repro.quad.report.QuadReport` — with the caveat that QUAD's UnMA
-*sets* are reduced to their cardinalities on export (Table II needs only
-the sizes; the raw sets can be gigabytes), so a deserialised ``QuadReport``
-carries ``int`` UnMA fields, as the paged shadow path produces natively.
+:class:`~repro.quad.report.QuadReport` (whose UnMA fields are
+cardinalities — Table II needs only the sizes).
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from .core.machine_model import MachineModel
 from .core.options import StackPolicy, TQuadOptions
 from .core.report import TQuadReport
 from .gprofsim.report import FlatProfile, FlatRow
-from .quad.report import QuadReport
-from .quad.tracker import unma_card
+from .quad.report import KernelIO, QuadReport
 
 FORMAT_VERSION = 1
 
@@ -70,7 +67,6 @@ def tquad_from_dict(data: dict[str, Any]) -> TQuadReport:
         name: {int(s): tuple(c) for s, c in slices.items()}
         for name, slices in data["history"].items()
     }
-    ledger.flushed = True
     return TQuadReport(ledger=ledger, options=options,
                        total_instructions=data["total_instructions"],
                        images=dict(data.get("images", {})),
@@ -247,8 +243,6 @@ def flat_from_json(text: str) -> FlatProfile:
 
 # ----------------------------------------------------------------- QUAD
 def quad_to_dict(report: QuadReport) -> dict[str, Any]:
-    """Export-only: UnMA *sets* collapse to their sizes (Table II needs only
-    the cardinalities; the raw sets can be gigabytes)."""
     return {
         "format": FORMAT_VERSION,
         "kind": "quad",
@@ -258,10 +252,10 @@ def quad_to_dict(report: QuadReport) -> dict[str, Any]:
             name: {
                 "in_incl": io.in_bytes_incl, "in_excl": io.in_bytes_excl,
                 "out_incl": io.out_bytes_incl, "out_excl": io.out_bytes_excl,
-                "in_unma_incl": unma_card(io.in_unma_incl),
-                "in_unma_excl": unma_card(io.in_unma_excl),
-                "out_unma_incl": unma_card(io.out_unma_incl),
-                "out_unma_excl": unma_card(io.out_unma_excl),
+                "in_unma_incl": io.in_unma_incl,
+                "in_unma_excl": io.in_unma_excl,
+                "out_unma_incl": io.out_unma_incl,
+                "out_unma_excl": io.out_unma_excl,
                 "reads": io.reads, "writes": io.writes,
                 "reads_nonstack": io.reads_nonstack,
                 "writes_nonstack": io.writes_nonstack,
@@ -277,13 +271,9 @@ def quad_to_dict(report: QuadReport) -> dict[str, Any]:
 
 
 def quad_from_dict(data: dict[str, Any]) -> QuadReport:
-    """Rebuild a :class:`QuadReport` (UnMA fields come back as ``int``
-    cardinalities — exactly the paged shadow's native form, so all report
-    rendering and the QDU graph work unchanged)."""
+    """Rebuild a :class:`QuadReport`; it carries no ``shadow_stats``."""
     if data.get("kind") != "quad":
         raise ValueError("not a serialised QUAD report")
-    from .quad.tracker import KernelIO
-
     kernels = {
         name: KernelIO(
             in_bytes_incl=k["in_incl"], in_bytes_excl=k["in_excl"],

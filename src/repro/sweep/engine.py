@@ -80,7 +80,6 @@ class ColumnarLedger(BandwidthLedger):
         self._n_fine = n_fine
         self._keys = keys
         self._mat = mat
-        self.flushed = True
 
     @property
     def history(self) -> dict[str, dict[int, tuple[int, int, int, int]]]:

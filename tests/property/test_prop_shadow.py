@@ -1,24 +1,21 @@
 """Differential properties of the paged QUAD shadow memory.
 
 The paged/interned sink (:mod:`repro.quad.shadow`) must be *byte-identical*
-to the legacy per-byte dict/set walk for any access stream.  Hypothesis
-drives both `QuadTool` variants over random streams of reads/writes of
-random sizes and alignments, interleaved with kernel enter/return events,
-SP movement (including accesses straddling the stack pointer) and
-mid-stream drains, then compares every Table II counter, UnMA cardinality
-and binding.
-
-A second block checks `ShadowPages.snapshot` / `compose` — the primitives
-the parallel merge builds its composed pre-shard shadow from — against a
-plain dict model, including writer-id remapping.
+to the per-byte dict/set walk of the reference oracle
+(:class:`repro.testing.oracles.PerByteQuadTool`) for any access stream.
+Hypothesis drives both over random streams of reads/writes of random
+sizes and alignments, interleaved with kernel enter/return events, SP
+movement (including accesses straddling the stack pointer) and
+mid-stream drains, then compares every Table II counter, UnMA
+cardinality and binding.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.quad.shadow import (PAGE, PagedQuadSink, ShadowPages,
-                               make_raw_recorder)
-from repro.quad.tracker import QuadTool, unma_card
+from repro.core.callstack import CallStack
+from repro.quad.shadow import PAGE, PagedQuadSink, make_raw_recorder
+from repro.serialize import quad_to_dict
+from repro.testing.oracles import PerByteQuadTool
 from repro.vm.program import MAIN_IMAGE
 
 _NAMES = ["alpha", "beta", "gamma"]
@@ -52,138 +49,51 @@ def access_streams(draw):
     return events
 
 
-def _replay(events, shadow: str):
-    """Drive one QuadTool variant over the stream, engine-free."""
-    tool = QuadTool(shadow=shadow)
-    if shadow == "paged":
-        # mirror attach(), with a small cap to force frequent drains
-        tool.sink = PagedQuadSink(tool.callstack, cap=24)
-        on_read = make_raw_recorder(tool.sink, write=False)
-        on_write = make_raw_recorder(tool.sink, write=True)
-    else:
-        on_read, on_write = tool._on_read, tool._on_write
+def _play(events, callstack, on_read, on_write, flush) -> None:
     for ev in events:
         kind = ev[0]
         if kind == "enter":
-            tool.callstack.enter(ev[1], MAIN_IMAGE)
+            callstack.enter(ev[1], MAIN_IMAGE)
         elif kind == "ret":
-            tool.callstack.on_ret()
+            callstack.on_ret()
         elif kind == "flush":
-            tool.flush()
+            flush()
         elif kind == "read":
             on_read(ev[1], ev[2], ev[3])
         else:
             on_write(ev[1], ev[2], ev[3])
-    tool.flush()
-    if tool.sink is not None:
-        tool._materialize()
-    kernels = {
-        name: (io.in_bytes_incl, io.in_bytes_excl,
-               io.out_bytes_incl, io.out_bytes_excl,
-               unma_card(io.in_unma_incl), unma_card(io.in_unma_excl),
-               unma_card(io.out_unma_incl), unma_card(io.out_unma_excl),
-               io.reads, io.writes, io.reads_nonstack, io.writes_nonstack)
-        for name, io in tool.kernels.items()
-    }
-    bindings = {k: tuple(v) for k, v in tool.bindings.items()}
-    return kernels, bindings
+
+
+def _paged(events, sink: PagedQuadSink | None = None) -> dict:
+    """The paged sink's report over the stream, engine-free (a small cap
+    forces frequent drains)."""
+    if sink is None:
+        sink = PagedQuadSink(CallStack(), cap=24)
+    _play(events, sink.tag, make_raw_recorder(sink, write=False),
+          make_raw_recorder(sink, write=True), sink.flush)
+    return quad_to_dict(sink.report(images={}, total_instructions=0))
+
+
+def _oracle(events) -> dict:
+    tool = PerByteQuadTool()
+    _play(events, tool.callstack, tool.on_read, tool.on_write,
+          lambda: None)
+    return quad_to_dict(tool.report())
 
 
 class TestPagedLegacyDifferential:
     @given(access_streams())
     @settings(max_examples=120, deadline=None)
     def test_byte_identical_to_legacy(self, events):
-        paged = _replay(events, "paged")
-        legacy = _replay(events, "legacy")
-        assert paged == legacy
+        assert _paged(events) == _oracle(events)
 
     @given(access_streams(), access_streams())
     @settings(max_examples=40, deadline=None)
     def test_reset_gives_independent_run(self, first, second):
-        """After reset() the paged tool reproduces a fresh tool's results
-        (no state bleed through shadow, counters, bitmaps or buffer)."""
-        tool = QuadTool(shadow="paged")
-        tool.sink = PagedQuadSink(tool.callstack, cap=24)
-
-        def play(events):
-            on_read = make_raw_recorder(tool.sink, write=False)
-            on_write = make_raw_recorder(tool.sink, write=True)
-            for ev in events:
-                kind = ev[0]
-                if kind == "enter":
-                    tool.callstack.enter(ev[1], MAIN_IMAGE)
-                elif kind == "ret":
-                    tool.callstack.on_ret()
-                elif kind == "flush":
-                    tool.flush()
-                elif kind == "read":
-                    on_read(ev[1], ev[2], ev[3])
-                else:
-                    on_write(ev[1], ev[2], ev[3])
-            tool.flush()
-            tool._materialize()
-            return ({n: (io.in_bytes_incl, io.in_bytes_excl,
-                         io.out_bytes_incl, io.out_bytes_excl)
-                     for n, io in tool.kernels.items()},
-                    {k: tuple(v) for k, v in tool.bindings.items()})
-
-        play(first)
-        frozen = tool.kernels
-        tool.reset()
-        got = play(second)
-        fresh = _replay(second, "paged")
-        assert got[0] == {n: v[:4] for n, v in fresh[0].items()}
-        assert got[1] == fresh[1]
-        # previously extracted references stayed frozen
-        assert frozen is not tool.kernels
-
-
-class TestSnapshotCompose:
-    @st.composite
-    def write_ops(draw, *, max_ops=30):
-        base = draw(st.sampled_from([0, PAGE - 64]))
-        n = draw(st.integers(min_value=0, max_value=max_ops))
-        return [(base + draw(st.integers(0, 200)),
-                 draw(st.integers(1, 16)),
-                 draw(st.integers(1, 3)))
-                for _ in range(n)]
-
-    @staticmethod
-    def _apply(shadow, model, ops):
-        for addr, size, writer1 in ops:
-            shadow.set_range(addr, size, writer1)
-            for a in range(addr, addr + size):
-                model[a] = writer1
-
-    @staticmethod
-    def _as_dict(shadow):
-        return dict(shadow.items())
-
-    @given(write_ops(), write_ops())
-    @settings(max_examples=60, deadline=None)
-    def test_snapshot_is_immutable_copy(self, ops1, ops2):
-        s = ShadowPages(4 * PAGE)
-        model = {}
-        self._apply(s, model, ops1)
-        snap = s.snapshot()
-        at_snapshot = dict(model)
-        self._apply(s, model, ops2)
-        assert self._as_dict(snap) == at_snapshot
-        assert self._as_dict(s) == model
-
-    @given(write_ops(), write_ops(), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_compose_layers_other_on_top(self, ops1, ops2, use_remap):
-        lower, lower_model = ShadowPages(4 * PAGE), {}
-        upper, upper_model = ShadowPages(4 * PAGE), {}
-        self._apply(lower, lower_model, ops1)
-        self._apply(upper, upper_model, ops2)
-        if use_remap:
-            remap = np.array([0, 11, 12, 13], np.int32)
-            upper_model = {a: int(remap[w]) for a, w in upper_model.items()}
-        else:
-            remap = None
-        lower.compose(upper, remap)
-        expected = dict(lower_model)
-        expected.update(upper_model)
-        assert self._as_dict(lower) == expected
+        """After reset() the sink reproduces a fresh sink's results (no
+        state bleed through shadow, counters, bitmaps or buffer)."""
+        sink = PagedQuadSink(CallStack(), cap=24)
+        _paged(first, sink)
+        sink.tag.reset()
+        sink.reset()
+        assert _paged(second, sink) == _paged(second)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.callstack import CallStack
-from repro.core.ledger import BandwidthLedger, R_EXCL, R_INCL, W_EXCL, W_INCL
+from repro.core.ledger import BandwidthLedger
 
 
 class TestCallStack:
@@ -75,27 +75,10 @@ class TestBandwidthLedger:
     def test_slice_bucketing(self):
         led = BandwidthLedger(100)
         # instruction counts 1..100 -> slice 0; 101..200 -> slice 1
-        led.bucket("k", 0)[R_INCL] += 8
-        led.bucket("k", 0)[R_EXCL] += 8
-        led.bucket("k", 1)[W_INCL] += 4
-        led.flush()
+        led.accumulate("k", 0, 8, 0, 0, 0)
+        led.accumulate("k", 0, 0, 8, 0, 0)
+        led.accumulate("k", 1, 0, 0, 4, 0)
         assert led.slices_of("k") == {0: (8, 8, 0, 0), 1: (0, 0, 4, 0)}
-
-    def test_advance_snapshots_and_clears(self):
-        led = BandwidthLedger(10)
-        c = led.bucket("a", 0)
-        c[R_INCL] += 3
-        led.advance(5)
-        assert led.cur == {}
-        assert led.cur_slice == 5
-        assert led.slices_of("a")[0] == (3, 0, 0, 0)
-
-    def test_flush_idempotent(self):
-        led = BandwidthLedger(10)
-        led.bucket("a", 0)[W_INCL] += 1
-        led.flush()
-        led.flush()
-        assert led.slices_of("a") == {0: (0, 0, 1, 0)}
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
@@ -103,10 +86,9 @@ class TestBandwidthLedger:
 
     def test_series_dense_and_sparse(self):
         led = BandwidthLedger(50)
-        led.bucket("k", 0)[R_INCL] += 10
-        led.bucket("k", 3)[R_INCL] += 30
-        led.bucket("k", 3)[W_INCL] += 5
-        led.flush()
+        led.accumulate("k", 0, 10, 0, 0, 0)
+        led.accumulate("k", 3, 30, 0, 0, 0)
+        led.accumulate("k", 3, 0, 0, 5, 0)
         s = led.series("k")
         assert list(s.slices) == [0, 3]
         assert list(s.read_incl) == [10, 30]
@@ -126,12 +108,7 @@ class TestKernelSeries:
         led = BandwidthLedger(10)
         for sl, (ri, re, wi, we) in enumerate(
                 [(20, 10, 10, 0), (0, 0, 0, 0), (40, 0, 0, 0)]):
-            c = led.bucket("k", sl)
-            c[R_INCL] += ri
-            c[R_EXCL] += re
-            c[W_INCL] += wi
-            c[W_EXCL] += we
-        led.flush()
+            led.accumulate("k", sl, ri, re, wi, we)
         return led.series("k")
 
     def test_totals(self):
@@ -170,11 +147,9 @@ class TestKernelSeries:
 class TestPeakTiming:
     def _series(self):
         led = BandwidthLedger(10)
-        led.bucket("k", 0)[R_INCL] += 5
-        led.bucket("k", 4)[R_INCL] += 40
-        led.bucket("k", 4)[W_INCL] += 10
-        led.bucket("k", 9)[R_INCL] += 20
-        led.flush()
+        led.accumulate("k", 0, 5, 0, 0, 0)
+        led.accumulate("k", 4, 40, 0, 10, 0)
+        led.accumulate("k", 9, 20, 0, 0, 0)
         return led.series("k")
 
     def test_peak_slice_and_value(self):
@@ -189,5 +164,4 @@ class TestPeakTiming:
 
     def test_peak_empty(self):
         led = BandwidthLedger(10)
-        led.flush()
         assert led.series("none").peak() == (-1, 0.0)

@@ -19,13 +19,16 @@ from repro.capture import (CaptureCollector, CaptureFormatError,
                            STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
                            capture_run, check_program, make_manifest,
                            merge_capture_segments, program_digest,
-                           replay_gprof, replay_quad, replay_tquad)
+                           replay_gprof, replay_many, replay_quad,
+                           replay_tquad)
 from repro.capture.format import decode_page, encode_page
-from repro.core import TQuadOptions, TQuadTool, profile_passes, run_tquad
+from repro.core import (MultiPassResult, TQuadOptions, profile_passes,
+                        run_tquad)
 from repro.core.options import StackPolicy
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
-from repro.quad import QuadTool, run_quad
+from repro.quad import run_quad
+from repro.quad.shadow import ADDR_MASK, KID_SHIFT
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 
 APP = """
@@ -283,51 +286,79 @@ def _edit_manifest(raw: bytes, edit) -> bytes:
     return out.getvalue()
 
 
-#: Manifest edits that leave captured rows the manifest cannot place:
-#: instructions beyond the (lowered) run length, which would key into
-#: the next kernel's slices, and kernel ids past a shortened table.
+#: Manifest edits that leave captured rows the manifest cannot place,
+#: with the tool whose streams they break: tQUAD instructions beyond the
+#: (lowered) run length, which would key into the next kernel's slices;
+#: kernel or routine ids past a shortened table; QUAD accesses past a
+#: lowered ``mem_size``, which would alias the UnMA bitmaps' planes.
 HOSTILE = {
-    "total-60": lambda m: m.update(
-        total_instructions=m["total_instructions"] - 60),
-    "total/2": lambda m: m.update(
-        total_instructions=m["total_instructions"] // 2),
-    "kernel-dropped": lambda m: m["kernels"].pop(0),
+    "total-60": ("tquad", lambda m: m.update(
+        total_instructions=m["total_instructions"] - 60)),
+    "total/2": ("tquad", lambda m: m.update(
+        total_instructions=m["total_instructions"] // 2)),
+    "kernel-dropped": ("tquad", lambda m: m["kernels"].pop(0)),
+    "quad-kernel-dropped": ("quad", lambda m: m["quad_kernels"].pop()),
+    "mem-size-1M": ("quad", lambda m: m.update(mem_size=1 << 20)),
+    "routine-dropped": ("gprof", lambda m: m["routines"].pop()),
 }
 
 
 class TestHostileManifest:
     """A manifest that disagrees with its pages fails with
-    :class:`CaptureFormatError` (CLI exit 2) from every tQUAD route,
-    never a raw ``IndexError`` or bytes moved between kernels."""
+    :class:`CaptureFormatError` (CLI exit 2) from every route of the tool
+    it breaks, never a raw ``IndexError``/``ValueError``, bytes moved
+    between kernels or miscounted UnMA."""
 
     @pytest.fixture(scope="class")
     def raw(self):
         buf = io.BytesIO()
-        capture_run(build_program(APP), buf, tools=("tquad",),
+        capture_run(build_program(APP), buf,
+                    tools=("tquad", "gprof", "quad"),
                     options=TQuadOptions(slice_interval=50))
         raw = buf.getvalue()
         with CaptureReader(io.BytesIO(raw)) as reader:
+            manifest = reader.manifest
             kids = np.concatenate(
                 [reader.column(STREAM_TQUAD_READ)[:, 3],
                  reader.column(STREAM_TQUAD_WRITE)[:, 3]])
-            # the mutations bite: the last table entry owns rows
-            assert int(kids.max()) == len(reader.manifest["kernels"]) - 1
+            # the mutations bite: the last table entry owns rows ...
+            assert int(kids.max()) == len(manifest["kernels"]) - 1
+            rids = reader.column(STREAM_CALLS)[:, 1]
+            assert int(rids.max()) == len(manifest["routines"]) - 1
+            recs = reader.column(STREAM_QUAD).ravel()
+            recs = recs[recs >= 0]            # drop the SP markers
+            assert (int(recs.max()) >> KID_SHIFT
+                    == len(manifest["quad_kernels"]))
+            # ... and the stack sits above 1 MiB
+            assert int((recs & ADDR_MASK).max()) > 1 << 20
         return raw
 
-    @pytest.mark.parametrize("mutation", sorted(HOSTILE))
-    def test_every_route_raises_format_error(self, raw, mutation):
+    @staticmethod
+    def _routes(tool):
         from repro.capture import approx_replay_tquad
         from repro.sweep import SweepGrid, sweep_tquad
 
-        bad = _edit_manifest(raw, HOSTILE[mutation])
         routes = {
-            "replay_tquad": lambda r: replay_tquad(r),
-            "sweep_tquad": lambda r: sweep_tquad(
-                r, SweepGrid(intervals=(50, 100))),
-            "approx_replay_tquad": lambda r: approx_replay_tquad(
-                r, rate=0.5),
-        }
-        for name, route in routes.items():
+            "tquad": {
+                "replay_tquad": lambda r: replay_tquad(r),
+                "sweep_tquad": lambda r: sweep_tquad(
+                    r, SweepGrid(intervals=(50, 100))),
+                "approx_replay_tquad": lambda r: approx_replay_tquad(
+                    r, rate=0.5),
+            },
+            "quad": {"replay_quad": lambda r: replay_quad(r)},
+            "gprof": {"replay_gprof": lambda r: replay_gprof(r)},
+        }[tool]
+        # the fused pass, streaming pages under a memory ceiling
+        routes["replay_many"] = lambda r: replay_many(
+            r, tools=(tool,), mem_limit=1 << 20)
+        return routes
+
+    @pytest.mark.parametrize("mutation", sorted(HOSTILE))
+    def test_every_route_raises_format_error(self, raw, mutation):
+        tool, edit = HOSTILE[mutation]
+        bad = _edit_manifest(raw, edit)
+        for name, route in self._routes(tool).items():
             with CaptureReader(io.BytesIO(bad)) as reader:
                 with pytest.raises(CaptureFormatError, match="corrupt"):
                     route(reader)
@@ -336,25 +367,27 @@ class TestHostileManifest:
     def test_cli_exits_2(self, raw, mutation, tmp_path, capsys):
         from repro.cli import main
 
+        tool, edit = HOSTILE[mutation]
         app = tmp_path / "app.mc"
         app.write_text(APP)
         cap = tmp_path / "bad.capture"
-        cap.write_bytes(_edit_manifest(raw, HOSTILE[mutation]))
+        cap.write_bytes(_edit_manifest(raw, edit))
         assert main(["profile", str(app), "--from-capture", str(cap),
-                     "--interval", "50"]) == 2
+                     "--interval", "50", "--tool", tool]) == 2
         assert "corrupt capture page" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mem_size", [0, (1 << 37) + 8])
+    def test_mem_size_outside_address_width(self, raw, mem_size):
+        """The shadow's page tables are sized from ``mem_size``: a value
+        the record's address field cannot reach is rejected before any
+        allocation."""
+        bad = _edit_manifest(raw, lambda m: m.update(mem_size=mem_size))
+        with CaptureReader(io.BytesIO(bad)) as reader:
+            with pytest.raises(CaptureFormatError, match="mem_size"):
+                replay_quad(reader)
 
 
 class TestToolGuards:
-    def test_tquad_capture_requires_buffered(self):
-        with pytest.raises(ValueError, match="buffered"):
-            TQuadTool(TQuadOptions(), buffered=False,
-                      capture=CaptureCollector())
-
-    def test_quad_capture_requires_paged_shadow(self):
-        with pytest.raises(ValueError, match="paged"):
-            QuadTool(shadow="legacy", capture=CaptureCollector())
-
     def test_capture_run_rejects_unknown_tools(self):
         program = build_program("int main() { return 0; }")
         with pytest.raises(ValueError, match="unknown"):
@@ -417,10 +450,17 @@ class TestMultipass:
     def _build(self):
         return build_program(APP), None
 
+    def _reexecuted(self, intervals):
+        """One direct run per interval."""
+        return MultiPassResult(reports={
+            i: run_tquad(build_program(APP),
+                         options=TQuadOptions(slice_interval=i))
+            for i in intervals})
+
     def test_capture_path_matches_reexecution(self):
         intervals = [50, 200, 1000]
         fast = profile_passes(self._build, intervals)
-        slow = profile_passes(self._build, intervals, reexecute=True)
+        slow = self._reexecuted(intervals)
         for interval in intervals:
             assert tquad_to_json(fast.reports[interval]) \
                 == tquad_to_json(slow.reports[interval])
@@ -428,5 +468,5 @@ class TestMultipass:
 
     def test_non_divisible_intervals_use_gcd_grain(self):
         fast = profile_passes(self._build, [150, 100])
-        slow = profile_passes(self._build, [150, 100], reexecute=True)
+        slow = self._reexecuted([150, 100])
         assert fast.format_table() == slow.format_table()

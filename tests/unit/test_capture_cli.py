@@ -123,10 +123,9 @@ class TestUsageErrors:
         (["--from-capture", "c", "--jobs", "2"], "--jobs"),
         (["--from-capture", "c", "--cache"], "--cache"),
         (["--from-capture", "c", "--imix"], "--cache"),
-        (["--from-capture", "c", "--tool", "quad", "--shadow", "legacy"],
-         "legacy"),
-        (["--capture-out", "d", "--tool", "quad", "--shadow", "legacy"],
-         "paged"),
+        # QUAD has one shadow: --shadow is no longer a flag
+        (["--tool", "quad", "--shadow", "legacy"], "legacy"),
+        (["--tool", "quad", "--shadow", "paged"], "paged"),
         (["--capture-out", "d", "--jobs", "2", "--tool", "gprof"],
          "--tool tquad"),
     ])

@@ -74,15 +74,6 @@ class TestExtraTools:
 
 
 class TestShadowFlags:
-    def test_legacy_shadow_json_matches_paged(self, app, tmp_path, capsys):
-        paged = tmp_path / "paged.json"
-        legacy = tmp_path / "legacy.json"
-        assert main(["profile", str(app), "--tool", "quad",
-                     "--json", str(paged)]) == 0
-        assert main(["profile", str(app), "--tool", "quad",
-                     "--shadow", "legacy", "--json", str(legacy)]) == 0
-        assert paged.read_text() == legacy.read_text()
-
     def test_stats_flag_prints_footprint(self, app, capsys):
         rc = main(["profile", str(app), "--tool", "quad", "--stats"])
         assert rc == 0

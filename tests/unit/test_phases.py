@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import (TQuadOptions, cluster_kernel_phases, detect_phases,
                         run_tquad)
-from repro.core.ledger import BandwidthLedger, R_INCL, W_INCL
+from repro.core.ledger import BandwidthLedger
 from repro.core.options import TQuadOptions as Opts
 from repro.core.report import TQuadReport
 from repro.minic import build_program
@@ -16,10 +16,7 @@ def synthetic_report(layout: dict[str, list[int]], *, interval: int = 100,
     led = BandwidthLedger(interval)
     for name, slices in layout.items():
         for s in slices:
-            c = led.bucket(name, s)
-            c[R_INCL] += 10
-            c[W_INCL] += 4
-    led.flush()
+            led.accumulate(name, s, 10, 0, 4, 0)
     total_slices = n_slices or (max(max(v) for v in layout.values()) + 1)
     return TQuadReport(ledger=led, options=Opts(slice_interval=interval),
                        total_instructions=total_slices * interval,
@@ -153,7 +150,6 @@ class TestKernelClusterPhases:
 
     def test_empty_report(self):
         led = BandwidthLedger(10)
-        led.flush()
         rep = TQuadReport(ledger=led, options=Opts(slice_interval=10),
                           total_instructions=0)
         pa = cluster_kernel_phases(rep)

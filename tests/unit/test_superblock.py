@@ -1,7 +1,8 @@
-"""Differential tests for the superblock JIT and buffered analysis paths.
+"""Differential tests for the superblock JIT and the recording analysis.
 
-The fused (superblock) tier, the per-instruction tier, the buffered
-recording analysis and the legacy per-event analysis must all be
+The fused (superblock) tier, the per-instruction tier, the recording
+analysis and the per-event reference analysis
+(:class:`repro.testing.oracles.PerEventTQuadTool`) must all be
 observationally identical: same architectural state, same instruction
 counts, same compile counts, same profiler reports.  These tests pin that
 equivalence on the MiniC kernel corpus and the WFS application, plus the
@@ -21,6 +22,7 @@ from repro.gprofsim import run_gprof
 from repro.minic import build_program
 from repro.pin import PinEngine
 from repro.quad import QuadTool
+from repro.testing.oracles import PerEventTQuadTool
 from repro.vm import InstructionBudgetExceeded, Machine
 from repro.vm.superblock import MAX_BLOCK, build_block
 
@@ -130,41 +132,50 @@ class TestBudgetExactness:
         assert states[0] == states[1]
 
 
+def _oracle_tquad(program, *, options, jit, fs=None):
+    engine = PinEngine(program, fs=fs, jit=jit)
+    tool = PerEventTQuadTool(options).attach(engine)
+    engine.run()
+    return tool.report()
+
+
 class TestProfilerDifferential:
-    """All four (analysis, tier) combinations must agree bit-for-bit."""
+    """All four (analysis, tier) combinations must agree bit-for-bit; the
+    per-event analysis is the reference oracle."""
 
     @pytest.mark.parametrize("policy", list(StackPolicy))
     def test_tquad_fir_reports_identical(self, policy):
         program = build_fir(length=256, n_taps=8)
         options = TQuadOptions(slice_interval=5000, stack=policy)
         tables = set()
-        for buffered in (True, False):
+        for run in (run_tquad, _oracle_tquad):
             for jit in (True, False):
-                report = run_tquad(program, options=options,
-                                   buffered=buffered, jit=jit)
+                report = run(program, options=options, jit=jit)
                 tables.add(report.format_table())
         assert len(tables) == 1
 
-    @pytest.mark.parametrize("buffered", [True, False])
-    def test_tquad_wfs_tiny_reports_identical(self, buffered):
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_tquad_wfs_tiny_reports_identical(self, oracle):
         program = build_wfs_program(TINY)
         options = TQuadOptions(slice_interval=20000)
+        run = _oracle_tquad if oracle else run_tquad
         tables = set()
         for jit in (True, False):
-            report = run_tquad(program, options=options, buffered=buffered,
-                               jit=jit, fs=make_workspace(TINY))
+            report = run(program, options=options, jit=jit,
+                         fs=make_workspace(TINY))
             tables.add(report.format_table())
         assert len(tables) == 1
 
     def test_tquad_buffered_equals_legacy_on_wfs(self):
+        """The recording path against the per-event oracle."""
         program = build_wfs_program(TINY)
         options = TQuadOptions(slice_interval=20000)
         tables = {
-            buffered: run_tquad(program, options=options, buffered=buffered,
-                                fs=make_workspace(TINY)).format_table()
-            for buffered in (True, False)
+            run: run(program, options=options, jit=True,
+                     fs=make_workspace(TINY)).format_table()
+            for run in (run_tquad, _oracle_tquad)
         }
-        assert tables[True] == tables[False]
+        assert tables[run_tquad] == tables[_oracle_tquad]
 
     def test_gprof_reports_identical(self):
         program = build_fir(length=256, n_taps=8)
@@ -201,11 +212,11 @@ class TestProfilerDifferential:
         """
         program = build_program(src)
         counts = set()
-        for buffered in (True, False):
+        from repro.core import TQuadTool
+        for cls in (TQuadTool, PerEventTQuadTool):
             for jit in (True, False):
-                from repro.core import TQuadTool
                 engine = PinEngine(program, jit=jit)
-                tool = TQuadTool(buffered=buffered).attach(engine)
+                tool = cls().attach(engine)
                 engine.run()
                 counts.add(tool.prefetches_skipped)
         assert counts == {32}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asmkit import assemble
-from repro.core.ledger import BandwidthLedger, R_INCL
+from repro.core.ledger import BandwidthLedger
 from repro.minic import run_minic
 from repro.vm import (GuestFS, Machine, MemoryFault, SyscallError,
                       HEAP_BASE)
@@ -111,8 +111,7 @@ class TestBursts:
     def _series(self, slices):
         led = BandwidthLedger(10)
         for s in slices:
-            led.bucket("k", s)[R_INCL] += 1
-        led.flush()
+            led.accumulate("k", s, 1, 0, 0, 0)
         return led.series("k")
 
     def test_contiguous_single_burst(self):
@@ -128,7 +127,6 @@ class TestBursts:
 
     def test_empty(self):
         led = BandwidthLedger(10)
-        led.flush()
         assert led.series("none").bursts() == []
 
     def test_single_slice(self):
