@@ -14,6 +14,23 @@ from .format import (CAPTURE_VERSION, CaptureFormatError,
                      page_name)
 
 
+def _check_name_tables(manifest: dict[str, Any]) -> None:
+    """Reject a repeated name in the ``kernels`` table or a repeated
+    (name, image) pair in ``routines``.  Page rows key those tables by
+    id, so a repeat would silently move one id's rows onto another
+    entry's name (two routines may share a name across images)."""
+    for key, entries in (("kernels", manifest.get("kernels", [])),
+                         ("routines", map(tuple,
+                                          manifest.get("routines", [])))):
+        seen = set()
+        for entry in entries:
+            if entry in seen:
+                raise CaptureFormatError(
+                    f"corrupt capture manifest: {entry!r} appears twice "
+                    f"in its {key!r} table")
+            seen.add(entry)
+
+
 class CaptureReader:
     """Random access to a capture's manifest and page streams.
 
@@ -68,6 +85,7 @@ class CaptureReader:
                 f"unsupported capture format version "
                 f"{self.manifest.get('format')!r} "
                 f"(this build reads version {CAPTURE_VERSION})")
+        _check_name_tables(self.manifest)
         self.cache_pages = cache_pages
         self._page_cache: dict[tuple[str, int], np.ndarray] = {}
         self.stats: dict[str, int] = {"decoded_pages": 0,

@@ -7,11 +7,22 @@ counters are kept for every (kernel, slice) pair::
     [read incl. stack, read excl. stack, write incl. stack, write excl. stack]
 
 so one profiling pass yields both of the paper's stack-inclusion views.
+
+The ledger is one columnar table: a kernel-name table in Python ``sorted``
+order, plus ``int64`` slice and counter columns sorted by (kernel, slice),
+one row per pair.  Writers append *grouped chunks* with :meth:`add` — the
+live recording flush, the sweep engine's cells and the shard merge all
+land their rows this way — and the first read folds the pending chunks
+into the table once.  Addition commutes, so chunks may arrive in any
+order and split any way; every reader (:meth:`kernels`, :meth:`series`,
+:attr:`history`) sees the same table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,67 +30,149 @@ import numpy as np
 R_INCL, R_EXCL, W_INCL, W_EXCL = 0, 1, 2, 3
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+_NO_ROWS = _frozen(np.empty(0, np.int64))
+_NO_COUNTERS = _frozen(np.empty((0, 4), np.int64))
+_NO_BOUNDS = _frozen(np.zeros(1, np.int64))
+
+
 class BandwidthLedger:
     """Accumulates byte counts into time slices of ``interval`` instructions.
 
     Slice ``s`` covers instructions ``s*interval+1 … (s+1)*interval``
     (instruction counts are 1-based at the time an analysis call runs).
+    Rows whose counters are all zero are kept: a (kernel, slice) pair the
+    writers named is part of the table.
     """
 
-    __slots__ = ("interval", "history")
+    __slots__ = ("interval", "_chunks", "_names", "_bounds", "_slices",
+                 "_counters")
 
     def __init__(self, interval: int):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.history: dict[str, dict[int, tuple[int, int, int, int]]] = {}
+        self.reset()
 
     def reset(self) -> None:
         """Start a fresh accounting run on the same ledger object.
 
-        ``history`` is *replaced*, not cleared — a previously extracted
-        reference (e.g. a shard payload) stays valid and frozen.
+        The table is *replaced*, not cleared in place, so views handed
+        out earlier (series arrays, a ledger :meth:`merge` took the
+        table from) stay valid and frozen.
         """
-        self.history = {}
+        self._chunks: list[tuple] = []
+        self._names: tuple[str, ...] = ()
+        #: kernel ``k`` owns rows ``_bounds[k]:_bounds[k + 1]``
+        self._bounds = _NO_BOUNDS
+        self._slices = _NO_ROWS
+        self._counters = _NO_COUNTERS
+
+    # -- writers --------------------------------------------------------------
+    def add(self, names: Sequence[str], kid, slices, counters) -> None:
+        """Append one grouped chunk: row ``i`` adds ``counters[i]`` (the
+        four counters, in counter-index order) to kernel
+        ``names[kid[i]]`` in slice ``slices[i]``.
+
+        ``names`` is copied, so the caller may keep growing or clearing
+        its own table (the recording flush passes the call stack's
+        interned-name list, which ``CallStack.reset`` clears in place).
+        The arrays are kept as given until the fold, so the caller must
+        not modify them afterwards.
+        """
+        if len(kid):
+            self._chunks.append((
+                tuple(names), np.asarray(kid, np.int64),
+                np.asarray(slices, np.int64),
+                np.asarray(counters, np.int64).reshape(-1, 4)))
 
     def accumulate(self, name: str, slice_index: int, r_incl: int,
                    r_excl: int, w_incl: int, w_excl: int) -> None:
-        """Add counts to ``name``'s counters in slice ``slice_index``.
+        """Add counts to ``name``'s counters in slice ``slice_index``:
+        a one-row :meth:`add`."""
+        self.add((name,), (0,), (slice_index,),
+                 ((r_incl, r_excl, w_incl, w_excl),))
 
-        The recording path (:mod:`repro.core.recording`) aggregates whole
-        buffers of accesses with NumPy and lands the per-(kernel, slice)
-        sums here; addition commutes, so out-of-order flushes and shard
-        merges compose.
-        """
-        hk = self.history.get(name)
-        if hk is None:
-            hk = self.history[name] = {}
-        c = hk.get(slice_index)
-        if c is None:
-            hk[slice_index] = (r_incl, r_excl, w_incl, w_excl)
-        else:
-            hk[slice_index] = (c[0] + r_incl, c[1] + r_excl,
-                               c[2] + w_incl, c[3] + w_excl)
+    def merge(self, other: "BandwidthLedger") -> None:
+        """Add every row of ``other`` as one chunk (the shard merge).
+        The chunk holds ``other``'s current table, which later writes to
+        ``other`` replace rather than modify."""
+        other._fold()
+        self.add(*other._table_chunk())
 
-    # -- queries --------------------------------------------------------------
+    def _table_chunk(self) -> tuple:
+        kid = np.repeat(np.arange(len(self._names), dtype=np.int64),
+                        np.diff(self._bounds))
+        return (self._names, kid, self._slices, self._counters)
+
+    def _fold(self) -> None:
+        """Fold the pending chunks into the table: map each chunk's
+        kernel ids onto the union name table, sort by (kernel, slice) and
+        sum rows that share a pair."""
+        if not self._chunks:
+            return
+        chunks, self._chunks = self._chunks, []
+        if self._slices.size:
+            chunks.append(self._table_chunk())
+        names = sorted(set().union(*(c[0] for c in chunks)))
+        pos = {name: i for i, name in enumerate(names)}
+        kid = np.concatenate([
+            np.array([pos[n] for n in c[0]], np.int64)[c[1]]
+            for c in chunks])
+        sl = np.concatenate([c[2] for c in chunks])
+        cnt = np.concatenate([c[3] for c in chunks])
+        order = np.lexsort((sl, kid))
+        kid, sl, cnt = kid[order], sl[order], cnt[order]
+        new = np.empty(kid.size, bool)
+        new[0] = True
+        new[1:] = (kid[1:] != kid[:-1]) | (sl[1:] != sl[:-1])
+        if not new.all():
+            starts = np.flatnonzero(new)
+            kid, sl = kid[starts], sl[starts]
+            cnt = np.add.reduceat(cnt, starts, axis=0)
+        # the kernel table keeps only kernels that own rows
+        first = np.flatnonzero(np.concatenate(([True],
+                                               kid[1:] != kid[:-1])))
+        self._names = tuple(names[k] for k in kid[first].tolist())
+        self._bounds = _frozen(np.append(first, kid.size))
+        self._slices = _frozen(sl)
+        self._counters = _frozen(cnt)
+
+    # -- readers --------------------------------------------------------------
     def kernels(self) -> list[str]:
-        return sorted(self.history)
-
-    def slices_of(self, name: str) -> dict[int, tuple[int, int, int, int]]:
-        return self.history.get(name, {})
+        """Kernels with at least one row, in ``sorted`` order."""
+        self._fold()
+        return list(self._names)
 
     def series(self, name: str) -> "KernelSeries":
-        """Dense per-slice arrays for one kernel."""
-        data = self.history.get(name, {})
-        if not data:
-            empty = np.zeros(0, dtype=np.int64)
-            return KernelSeries(name, self.interval, empty, empty.copy(),
-                                empty.copy(), empty.copy(), empty.copy())
-        slices = np.array(sorted(data), dtype=np.int64)
-        counters = np.array([data[s] for s in slices], dtype=np.int64)
-        return KernelSeries(name, self.interval, slices,
-                            counters[:, R_INCL], counters[:, R_EXCL],
-                            counters[:, W_INCL], counters[:, W_EXCL])
+        """Per-slice arrays for one kernel (read-only views of the
+        table)."""
+        self._fold()
+        names = self._names
+        k = bisect_left(names, name)
+        if k == len(names) or names[k] != name:
+            return KernelSeries(name, self.interval, _NO_ROWS, _NO_ROWS,
+                                _NO_ROWS, _NO_ROWS, _NO_ROWS)
+        i, j = self._bounds[k], self._bounds[k + 1]
+        c = self._counters[i:j]
+        return KernelSeries(name, self.interval, self._slices[i:j],
+                            c[:, R_INCL], c[:, R_EXCL], c[:, W_INCL],
+                            c[:, W_EXCL])
+
+    @property
+    def history(self) -> dict[str, dict[int, tuple[int, int, int, int]]]:
+        """The table as ``{kernel: {slice: counters}}``, built on each
+        read: writing to it does not change the ledger."""
+        self._fold()
+        slices = self._slices.tolist()
+        rows = list(map(tuple, self._counters.tolist()))
+        b = self._bounds.tolist()
+        return {name: dict(zip(slices[b[k]:b[k + 1]], rows[b[k]:b[k + 1]]))
+                for k, name in enumerate(self._names)}
 
 
 @dataclass

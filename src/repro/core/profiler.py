@@ -91,8 +91,8 @@ class TQuadTool:
         closures, which capture the call stack, ledger and sink *objects* —
         so those are reset in place (or container-swapped) rather than
         replaced, and the expensive instrumented compilation is reused.
-        The previous run's ``ledger.history`` stays valid for callers that
-        kept a reference.
+        The ledger's table is replaced rather than cleared, so series
+        views and merged copies of the previous run stay valid.
         """
         self.callstack.reset()
         self.ledger.reset()

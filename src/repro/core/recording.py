@@ -18,10 +18,10 @@ instrumenters such as Examem use:
 * **aggregate** (cold): when a buffer passes its soft capacity (checked at
   superblock entry / in the recorder closures) or at fini,
   :class:`RecordingSink` views the buffer as a NumPy matrix, groups by
-  ``(kernel, slice)`` and lands the byte sums in
-  :meth:`BandwidthLedger.accumulate`.
+  ``(kernel, slice)`` and lands the byte sums in the ledger as one
+  grouped chunk (:meth:`BandwidthLedger.add`).
 
-The produced ledger history is identical to the per-event reference,
+The produced ledger table is identical to the per-event reference,
 :class:`repro.testing.oracles.PerEventTQuadTool` — the differential
 tests in ``tests/unit/test_superblock.py`` assert report equality for
 every stack policy.
@@ -106,20 +106,14 @@ class RecordingSink:
         sl = (ic - 1) // self.interval
         base = int(sl.max()) + 1
         uniq, inv = np.unique(kid * base + sl, return_inverse=True)
-        incl_t = np.bincount(inv, weights=incl,
-                             minlength=uniq.size).astype(np.int64)
-        excl_t = np.bincount(inv, weights=excl,
-                             minlength=uniq.size).astype(np.int64)
-        names = self.tag.interned_names
-        accumulate = self.ledger.accumulate
-        for j in range(uniq.size):
-            k_id, s = divmod(int(uniq[j]), base)
-            if write:
-                accumulate(names[k_id], s, 0, 0, int(incl_t[j]),
-                           int(excl_t[j]))
-            else:
-                accumulate(names[k_id], s, int(incl_t[j]), int(excl_t[j]),
-                           0, 0)
+        counters = np.zeros((uniq.size, 4), np.int64)
+        col = 2 if write else 0
+        counters[:, col] = np.bincount(inv, weights=incl,
+                                       minlength=uniq.size)
+        counters[:, col + 1] = np.bincount(inv, weights=excl,
+                                           minlength=uniq.size)
+        self.ledger.add(self.tag.interned_names, uniq // base, uniq % base,
+                        counters)
 
 
 class CapturingRecordingSink(RecordingSink):

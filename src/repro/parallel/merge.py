@@ -4,9 +4,10 @@ Each merge is a fold over the shard results *in shard order* and produces
 a report object equal (field for field, and byte-identical once rendered
 or serialised) to what the serial tool builds:
 
-* **tQUAD** — ``BandwidthLedger.accumulate`` is commutative addition per
-  ``(kernel, slice)``; slice indices are computed from absolute icounts, so
-  a slice split across a shard boundary merges back exactly.
+* **tQUAD** — each shard's ledger table joins the merged ledger as one
+  chunk, and the fold is commutative addition per ``(kernel, slice)``;
+  slice indices are computed from absolute icounts, so a slice split
+  across a shard boundary merges back exactly.
 * **QUAD** — consumer-side counters and UnMA bitmaps sum/union directly.
   Producer attribution of cross-shard reads was deferred by the workers;
   each shard's deferred reads are resolved against the *composed shadow*
@@ -42,9 +43,7 @@ def merge_tquad(results: list[ShardResult], spec: TQuadSpec,
     for res in results:
         payload: TQuadPayload = res.payloads[spec.key]
         prefetches += payload.prefetches_skipped
-        for name, slices in payload.history.items():
-            for s, c in slices.items():
-                ledger.accumulate(name, s, c[0], c[1], c[2], c[3])
+        ledger.merge(payload.ledger)
     report = TQuadReport(ledger=ledger, options=spec.options,
                          total_instructions=total_instructions,
                          images=dict(images), complete=True)

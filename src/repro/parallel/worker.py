@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from ..core.ledger import BandwidthLedger
 from ..core.options import TQuadOptions
 from ..core.profiler import TQuadTool
 from ..gprofsim.tool import GprofTool
@@ -93,7 +94,9 @@ class ShardRunnerFactory:
 # --------------------------------------------------------- shard payloads
 @dataclass
 class TQuadPayload:
-    history: dict[str, dict[int, tuple[int, int, int, int]]]
+    #: the shard's rows, detached from the tool's ledger (which the
+    #: runner resets for its next shard)
+    ledger: BandwidthLedger
     prefetches_skipped: int
     #: stream -> sealed capture pages (raw int64 bytes, shard-local
     #: kernel ids) when the spec asked for capture, else ``None``.
@@ -216,8 +219,10 @@ class ShardRunner:
             payloads: dict[str, object] = {}
             for ts, tool in tools:
                 if isinstance(ts, TQuadSpec):
+                    ledger = BandwidthLedger(tool.ledger.interval)
+                    ledger.merge(tool.ledger)
                     payloads[ts.key] = TQuadPayload(
-                        history=tool.ledger.history,
+                        ledger=ledger,
                         prefetches_skipped=tool.prefetches_skipped,
                         capture_pages=(dict(tool.capture.pages)
                                        if ts.capture else None),

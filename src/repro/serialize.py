@@ -9,6 +9,14 @@ Round-trippable: :class:`~repro.core.report.TQuadReport`,
 :class:`~repro.gprofsim.report.FlatProfile`, and
 :class:`~repro.quad.report.QuadReport` (whose UnMA fields are
 cardinalities — Table II needs only the sizes).
+
+A tQUAD report's ``history`` section is its ledger's one (kernel, slice)
+table: :func:`tquad_to_json` formats it straight from each kernel's
+columns (one ``%``-format per kernel) and splices the text into
+``json.dumps`` of the header, and :func:`sweep_to_json` /
+:func:`approx_to_json` splice each report's text the same way.  Every
+``*_to_json`` text is byte-identical to ``json.dumps`` of the matching
+``*_to_dict`` form.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core.ledger import BandwidthLedger
+import numpy as np
+
+from .core.ledger import BandwidthLedger, KernelSeries
 from .core.machine_model import MachineModel
 from .core.options import StackPolicy, TQuadOptions
 from .core.report import TQuadReport
@@ -25,10 +35,25 @@ from .quad.report import KernelIO, QuadReport
 
 FORMAT_VERSION = 1
 
+#: One history row as ``json.dumps`` writes ``{str(slice): [counters]}``.
+_ROW = '"%d": [%d, %d, %d, %d]'
+
+
+def _splice(head: dict[str, Any], key: str, text: str) -> str:
+    """``json.dumps({**head, key: value})``, where ``text`` is already
+    the JSON text of ``value``."""
+    sep = ", " if head else ""
+    return f"{json.dumps(head)[:-1]}{sep}{json.dumps(key)}: {text}}}"
+
+
+def _rows(s: KernelSeries) -> np.ndarray:
+    """One kernel's rows as a (slice, four counters) matrix."""
+    return np.column_stack((s.slices, s.read_incl, s.read_excl,
+                            s.write_incl, s.write_excl))
+
 
 # --------------------------------------------------------------- tQUAD
-def tquad_to_dict(report: TQuadReport) -> dict[str, Any]:
-    ledger = report.ledger
+def _tquad_head(report: TQuadReport) -> dict[str, Any]:
     return {
         "format": FORMAT_VERSION,
         "kind": "tquad",
@@ -42,15 +67,20 @@ def tquad_to_dict(report: TQuadReport) -> dict[str, Any]:
         "total_instructions": report.total_instructions,
         "complete": report.complete,
         "images": report.images,
-        # canonical ordering (kernels, then slice index): the in-memory dict
-        # order depends on flush batching / shard merging, the archive must
-        # not — equal profiles serialise byte-identically
-        "history": {
-            name: {str(s): list(ledger.history[name][s])
-                   for s in sorted(ledger.history[name])}
-            for name in sorted(ledger.history)
-        },
     }
+
+
+def tquad_to_dict(report: TQuadReport) -> dict[str, Any]:
+    # the ledger table is canonical (kernels sorted, slices ascending)
+    # whatever order its rows were written in, so equal profiles
+    # serialise byte-identically
+    ledger = report.ledger
+    history = {}
+    for name in ledger.kernels():
+        rows = _rows(ledger.series(name))
+        history[name] = dict(zip(map(str, rows[:, 0].tolist()),
+                                 rows[:, 1:].tolist()))
+    return {**_tquad_head(report), "history": history}
 
 
 def tquad_from_dict(data: dict[str, Any]) -> TQuadReport:
@@ -63,18 +93,25 @@ def tquad_from_dict(data: dict[str, Any]) -> TQuadReport:
         exclude_libraries=opt["exclude_libraries"],
         kernels=tuple(opt["kernels"]) if opt["kernels"] is not None else None)
     ledger = BandwidthLedger(options.slice_interval)
-    ledger.history = {
-        name: {int(s): tuple(c) for s, c in slices.items()}
-        for name, slices in data["history"].items()
-    }
+    for name, slices in data["history"].items():
+        ledger.add((name,), np.zeros(len(slices), np.int64),
+                   list(map(int, slices)), list(slices.values()))
     return TQuadReport(ledger=ledger, options=options,
                        total_instructions=data["total_instructions"],
                        images=dict(data.get("images", {})),
                        complete=data.get("complete", True))
 
 
-def tquad_to_json(report: TQuadReport, **json_kwargs) -> str:
-    return json.dumps(tquad_to_dict(report), **json_kwargs)
+def tquad_to_json(report: TQuadReport) -> str:
+    ledger = report.ledger
+    kernels = []
+    for name in ledger.kernels():
+        rows = _rows(ledger.series(name))
+        flat = tuple(rows.ravel().tolist())
+        body = ", ".join([_ROW] * rows.shape[0]) % flat
+        kernels.append(f"{json.dumps(name)}: {{{body}}}")
+    return _splice(_tquad_head(report), "history",
+                   "{" + ", ".join(kernels) + "}")
 
 
 def tquad_from_json(text: str) -> TQuadReport:
@@ -82,10 +119,7 @@ def tquad_from_json(text: str) -> TQuadReport:
 
 
 # --------------------------------------------------------------- sweeps
-def sweep_to_dict(result) -> dict[str, Any]:
-    """Serialise a :class:`~repro.sweep.engine.SweepResult`: the grid
-    axes plus every cell's full tQUAD report, in canonical cell order —
-    one artifact for the whole config grid."""
+def _sweep_head(result) -> dict[str, Any]:
     return {
         "format": FORMAT_VERSION,
         "kind": "tquad_sweep",
@@ -99,13 +133,21 @@ def sweep_to_dict(result) -> dict[str, Any]:
         "grain": result.grain,
         "total_instructions": result.total_instructions,
         "stats": dict(result.stats),
-        "cells": [
-            {"interval": cell.interval, "stack": cell.stack.value,
-             "exclude_libraries": cell.exclude_libraries,
-             "report": tquad_to_dict(report)}
-            for cell, report in result
-        ],
     }
+
+
+def _cell_head(cell) -> dict[str, Any]:
+    return {"interval": cell.interval, "stack": cell.stack.value,
+            "exclude_libraries": cell.exclude_libraries}
+
+
+def sweep_to_dict(result) -> dict[str, Any]:
+    """Serialise a :class:`~repro.sweep.engine.SweepResult`: the grid
+    axes plus every cell's full tQUAD report, in canonical cell order —
+    one artifact for the whole config grid."""
+    return {**_sweep_head(result),
+            "cells": [{**_cell_head(cell), "report": tquad_to_dict(report)}
+                      for cell, report in result]}
 
 
 def sweep_from_dict(data: dict[str, Any]):
@@ -135,8 +177,11 @@ def sweep_from_dict(data: dict[str, Any]):
                        grain=data["grain"], stats=dict(data.get("stats", {})))
 
 
-def sweep_to_json(result, **json_kwargs) -> str:
-    return json.dumps(sweep_to_dict(result), **json_kwargs)
+def sweep_to_json(result) -> str:
+    cells = ", ".join(_splice(_cell_head(cell), "report",
+                              tquad_to_json(report))
+                      for cell, report in result)
+    return _splice(_sweep_head(result), "cells", f"[{cells}]")
 
 
 def sweep_from_json(text: str):
@@ -144,12 +189,7 @@ def sweep_from_json(text: str):
 
 
 # --------------------------------------------------------- approx tQUAD
-def approx_to_dict(result) -> dict[str, Any]:
-    """Serialise an :class:`~repro.capture.approx.ApproxTQuadReplay`:
-    the ``1/rate``-scaled report plus every estimate *with its bound* —
-    an approximate artifact must never be mistaken for an exact one, so
-    the sampling parameters, confidence intervals and sketch error
-    budget travel with the data."""
+def _approx_head(result) -> dict[str, Any]:
     return {
         "format": FORMAT_VERSION,
         "kind": "tquad_approx",
@@ -164,8 +204,16 @@ def approx_to_dict(result) -> dict[str, Any]:
                           for name, est in result.heavy_hitters],
         "sketch": dict(result.sketch),
         "mem": dict(result.mem),
-        "report": tquad_to_dict(result.report),
     }
+
+
+def approx_to_dict(result) -> dict[str, Any]:
+    """Serialise an :class:`~repro.capture.approx.ApproxTQuadReplay`:
+    the ``1/rate``-scaled report plus every estimate *with its bound* —
+    an approximate artifact must never be mistaken for an exact one, so
+    the sampling parameters, confidence intervals and sketch error
+    budget travel with the data."""
+    return {**_approx_head(result), "report": tquad_to_dict(result.report)}
 
 
 def approx_from_dict(data: dict[str, Any]):
@@ -186,8 +234,9 @@ def approx_from_dict(data: dict[str, Any]):
         sketch=dict(data["sketch"]), mem=dict(data.get("mem", {})))
 
 
-def approx_to_json(result, **json_kwargs) -> str:
-    return json.dumps(approx_to_dict(result), **json_kwargs)
+def approx_to_json(result) -> str:
+    return _splice(_approx_head(result), "report",
+                   tquad_to_json(result.report))
 
 
 def approx_from_json(text: str):
@@ -233,8 +282,8 @@ def flat_from_dict(data: dict[str, Any]) -> FlatProfile:
                        machine=machine, edges=edges)
 
 
-def flat_to_json(profile: FlatProfile, **json_kwargs) -> str:
-    return json.dumps(flat_to_dict(profile), **json_kwargs)
+def flat_to_json(profile: FlatProfile) -> str:
+    return json.dumps(flat_to_dict(profile))
 
 
 def flat_from_json(text: str) -> FlatProfile:
@@ -294,8 +343,8 @@ def quad_from_dict(data: dict[str, Any]) -> QuadReport:
                       total_instructions=data["total_instructions"])
 
 
-def quad_to_json(report: QuadReport, **json_kwargs) -> str:
-    return json.dumps(quad_to_dict(report), **json_kwargs)
+def quad_to_json(report: QuadReport) -> str:
+    return json.dumps(quad_to_dict(report))
 
 
 def quad_from_json(text: str) -> QuadReport:

@@ -16,9 +16,10 @@ whole interval × stack-policy × library-mode grid from that single pass:
   ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo.
 * **fold** — each coarser interval ``m * grain`` is an exact segment-sum
   of the fine table (``slice // m``); no re-read, no re-decode.
-* **report** — every cell materialises as a normal
-  :class:`~repro.core.report.TQuadReport`, byte-identical (at the
-  ``tquad_to_json`` level) to a live run with the same options — the
+* **report** — every cell's table lands in its own ledger as one grouped
+  chunk (:meth:`~repro.core.ledger.BandwidthLedger.add`), so each cell
+  is a normal :class:`~repro.core.report.TQuadReport`, byte-identical (at
+  the ``tquad_to_json`` level) to a live run with the same options — the
   property suite in ``tests/property/test_prop_sweep.py`` asserts this
   cell by cell.
 
@@ -58,66 +59,6 @@ _STREAMS = ((STREAM_TQUAD_READ, False), (STREAM_TQUAD_WRITE, True))
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-
-class ColumnarLedger(BandwidthLedger):
-    """A sweep-cell ledger whose ``history`` materialises on first read.
-
-    The bucket/fold phases leave each cell's table as columnar arrays;
-    expanding those into the nested per-kernel slice dicts is pure
-    Python-object work that consumers which never read the cell (grid
-    restriction, cell selection, cache reuse) should not pay for.  The
-    first ``history`` access builds exactly the dict the eager path
-    built — same keys, same tuples, same kernel merge order — so
-    serialization and table rendering stay byte-identical.
-    """
-
-    __slots__ = ("_names", "_n_fine", "_keys", "_mat", "_hist")
-
-    def __init__(self, interval: int, names: list[str], n_fine: int,
-                 keys: np.ndarray, mat: np.ndarray):
-        super().__init__(interval)
-        self._names = names
-        self._n_fine = n_fine
-        self._keys = keys
-        self._mat = mat
-
-    @property
-    def history(self) -> dict[str, dict[int, tuple[int, int, int, int]]]:
-        if self._keys is not None:
-            self._hist = self._materialise()
-            self._keys = self._mat = None
-        return self._hist
-
-    @history.setter
-    def history(self, value) -> None:
-        # an explicit assignment (base ``__init__``/``reset``, json
-        # deserialization) replaces the columnar source outright
-        self._hist = value
-        self._keys = self._mat = None
-
-    def _materialise(self) -> dict:
-        names, n_fine = self._names, self._n_fine
-        keys, mat = self._keys, self._mat
-        history: dict[str, dict[int, tuple]] = {}
-        if keys.size:
-            # keys are sorted kernel-major, so each kernel is one
-            # contiguous segment: build every inner dict with one
-            # C-speed dict(zip(...)) instead of a per-row loop
-            kid_a = keys // n_fine
-            sl_l = (keys % n_fine).tolist()
-            rows = list(zip(*(col.tolist() for col in mat.T)))
-            seg = np.flatnonzero(
-                np.concatenate(([True], kid_a[1:] != kid_a[:-1])))
-            bounds = np.append(seg, keys.size).tolist()
-            for k_id, i, j in zip(kid_a[seg].tolist(),
-                                  bounds[:-1], bounds[1:]):
-                prev = history.get(names[k_id])
-                if prev is None:
-                    history[names[k_id]] = dict(zip(sl_l[i:j],
-                                                    rows[i:j]))
-                else:
-                    prev.update(zip(sl_l[i:j], rows[i:j]))
-        return history
 
 #: Largest (kernel, slice) key span the bucket phase groups by direct
 #: bincount; beyond this the dense accumulators would outweigh the
@@ -537,8 +478,7 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                 zero_excl = (captured is StackPolicy.BOTH
                              and cell.stack is StackPolicy.INCLUDE)
                 # merge the read/write tables into one (group × 4-counter)
-                # matrix; the ledger dict itself materialises lazily on
-                # first read (:class:`ColumnarLedger`)
+                # matrix: the cell ledger's one chunk, folded on first read
                 stream_keys = []
                 for stream, _ in _STREAMS:
                     kid_a, sl_a, _, _ = folded[stream, combo, cell.interval]
@@ -572,9 +512,10 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     # end keeps every cell consistent with the same
                     # sampled row set
                     mat = np.rint(mat / rate).astype(np.int64)
+                ledger = BandwidthLedger(cell.interval)
+                ledger.add(names, keys // n_fine, keys % n_fine, mat)
                 reports[cell] = TQuadReport(
-                    ledger=ColumnarLedger(cell.interval, names, n_fine,
-                                          keys, mat),
+                    ledger=ledger,
                     options=cell.options(),
                     total_instructions=total, images=dict(images),
                     complete=True)

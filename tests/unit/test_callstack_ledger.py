@@ -78,7 +78,7 @@ class TestBandwidthLedger:
         led.accumulate("k", 0, 8, 0, 0, 0)
         led.accumulate("k", 0, 0, 8, 0, 0)
         led.accumulate("k", 1, 0, 0, 4, 0)
-        assert led.slices_of("k") == {0: (8, 8, 0, 0), 1: (0, 0, 4, 0)}
+        assert led.history == {"k": {0: (8, 8, 0, 0), 1: (0, 0, 4, 0)}}
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):

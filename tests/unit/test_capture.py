@@ -20,7 +20,7 @@ from repro.capture import (CaptureCollector, CaptureFormatError,
                            capture_run, check_program, make_manifest,
                            merge_capture_segments, program_digest,
                            replay_gprof, replay_many, replay_quad,
-                           replay_tquad)
+                           replay_tquad, sidecar_path)
 from repro.capture.format import decode_page, encode_page
 from repro.core import (MultiPassResult, TQuadOptions, profile_passes,
                         run_tquad)
@@ -302,6 +302,15 @@ HOSTILE = {
     "routine-dropped": ("gprof", lambda m: m["routines"].pop()),
 }
 
+#: Manifest edits that repeat an entry of a name table, so that the rows
+#: of kernel (or routine) 2 would be charged to entry 1's name.
+REPEATED = {
+    "kernel-repeated": ("tquad", lambda m: m["kernels"].__setitem__(
+        2, m["kernels"][1])),
+    "routine-repeated": ("gprof", lambda m: m["routines"].__setitem__(
+        2, m["routines"][1])),
+}
+
 
 class TestHostileManifest:
     """A manifest that disagrees with its pages fails with
@@ -376,6 +385,39 @@ class TestHostileManifest:
                      "--interval", "50", "--tool", tool]) == 2
         assert "corrupt capture page" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutation", sorted(REPEATED))
+    def test_repeated_table_entry_rejected_on_every_route(self, raw,
+                                                          mutation,
+                                                          tmp_path):
+        """A repeated name fails at open, before any page is read: a
+        path-backed capture gets no sidecar."""
+        tool, edit = REPEATED[mutation]
+        bad = _edit_manifest(raw, edit)
+        for name, route in self._routes(tool).items():
+            with pytest.raises(CaptureFormatError,
+                               match="^corrupt capture"):
+                with CaptureReader(io.BytesIO(bad)) as reader:
+                    route(reader)
+        path = tmp_path / "bad.capture"
+        path.write_bytes(bad)
+        with pytest.raises(CaptureFormatError, match="^corrupt capture"):
+            CaptureReader(str(path))
+        assert not sidecar_path(path).exists()
+
+    @pytest.mark.parametrize("mutation", sorted(REPEATED))
+    def test_repeated_table_entry_cli_exits_2(self, raw, mutation,
+                                              tmp_path, capsys):
+        from repro.cli import main
+
+        tool, edit = REPEATED[mutation]
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(_edit_manifest(raw, edit))
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--interval", "50", "--tool", tool]) == 2
+        assert "corrupt capture manifest" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mem_size", [0, (1 << 37) + 8])
     def test_mem_size_outside_address_width(self, raw, mem_size):
         """The shadow's page tables are sized from ``mem_size``: a value
@@ -434,11 +476,12 @@ class TestParallelCapture:
                 assert tquad_to_json(replay) == tquad_to_json(direct)
 
     def test_merge_rejects_payload_without_segments(self):
+        from repro.core.ledger import BandwidthLedger
         from repro.parallel.worker import TQuadPayload
 
         class FakeResult:
             index = 0
-            payloads = {"tquad": TQuadPayload(history={},
+            payloads = {"tquad": TQuadPayload(ledger=BandwidthLedger(50),
                                               prefetches_skipped=0)}
 
         with pytest.raises(ValueError, match="capture"):

@@ -2,7 +2,8 @@
 
 These tests keep docs/isa.md and docs/minic.md honest: every opcode the ISA
 defines appears in the ISA reference, every runtime function appears in the
-language reference, and the README's package table names real modules.
+language reference, every telemetry counter and gauge appears in the
+observability reference, and the README's package table names real modules.
 """
 
 import importlib
@@ -128,3 +129,24 @@ class TestDesignDoc:
         text = (ROOT / "DESIGN.md").read_text()
         for path in re.findall(r"`src/(repro/[\w/]+)/`", text):
             assert (ROOT / "src" / path).is_dir(), path
+
+
+class TestObservabilityDoc:
+    def test_every_counter_and_gauge_documented(self):
+        """Every literal ``.count("…")``/``.gauge("…")`` name under
+        ``src/`` and every ``quad/<key>`` gauge the QUAD tool publishes
+        from ``PagedQuadSink.stats()`` is in the docs' table."""
+        from repro.core.callstack import CallStack
+        from repro.quad.shadow import PagedQuadSink
+
+        names = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            names.update(re.findall(r'\.(?:count|gauge)\(\s*"(\w+/[\w/]+)"',
+                                    path.read_text()))
+        stats = PagedQuadSink(CallStack(), mem_size=1 << 16).stats()
+        names.update(f"quad/{key}" for key in stats)
+        assert "sweep/runs" in names and "quad/page_size" in names
+        text = (DOCS / "observability.md").read_text()
+        missing = sorted(n for n in names if f"`{n}`" not in text)
+        assert not missing, \
+            f"undocumented in docs/observability.md: {missing}"

@@ -181,64 +181,73 @@ class TestSweepEngine:
 
 
 class TestColumnarLedger:
-    """The sweep cells' lazily-materialising ledger."""
+    """A sweep cell's ledger: one chunk of (kernel, slice) rows, written
+    in the manifest's kernel order and folded into the table on first
+    read."""
 
     def _make(self):
         import numpy as np
 
-        from repro.sweep.engine import ColumnarLedger
+        from repro.core.ledger import BandwidthLedger
 
-        names = ["alpha", "beta"]
-        n_fine = 10
-        # kernel-major sorted keys: alpha slices 0, 2; beta slice 1
-        keys = np.array([0, 2, 11], dtype=np.int64)
-        mat = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]],
-                       dtype=np.int64)
-        return ColumnarLedger(50, names, n_fine, keys, mat)
+        ledger = BandwidthLedger(50)
+        # manifest order: beta owns slice 1, alpha slices 0 and 2
+        ledger.add(["beta", "alpha"], np.array([0, 1, 1]),
+                   np.array([1, 0, 2]),
+                   np.array([[9, 10, 11, 12], [1, 2, 3, 4], [5, 6, 7, 8]]))
+        return ledger
 
     EXPECT = {"alpha": {0: (1, 2, 3, 4), 2: (5, 6, 7, 8)},
               "beta": {1: (9, 10, 11, 12)}}
 
-    def test_history_materialises_once_and_caches(self):
-        ledger = self._make()
-        assert ledger._keys is not None
-        assert ledger.history == self.EXPECT
-        assert ledger._keys is None          # columnar source released
-        assert ledger.history is ledger.history
-
     def test_queries_see_the_materialised_dict(self):
         ledger = self._make()
         assert ledger.kernels() == ["alpha", "beta"]
-        assert ledger.slices_of("beta") == {1: (9, 10, 11, 12)}
+        assert ledger.history == self.EXPECT
         series = ledger.series("alpha")
         assert series.slices.tolist() == [0, 2]
         assert series.total(write=False, include_stack=True) == 6
-
-    def test_explicit_assignment_replaces_columnar_source(self):
-        ledger = self._make()
-        ledger.history = {"gamma": {3: (1, 1, 1, 1)}}
-        assert ledger.kernels() == ["gamma"]
+        # history is a view built on each read, not a second store
+        ledger.history["alpha"].clear()
+        assert ledger.history == self.EXPECT
+        with pytest.raises(AttributeError):
+            ledger.history = {}
 
     def test_reset_discards_pending_columns(self):
         ledger = self._make()
         ledger.reset()
         assert ledger.history == {}
+        assert ledger.kernels() == []
+        # a folded table is replaced, so views taken before stay valid
+        ledger = self._make()
+        series = ledger.series("beta")
+        ledger.reset()
+        assert ledger.series("beta").slices.size == 0
+        assert series.slices.tolist() == [1]
+        assert series.write_excl.tolist() == [12]
 
     def test_pickle_round_trip(self):
         import pickle
 
-        ledger = self._make()
-        clone = pickle.loads(pickle.dumps(ledger))
-        assert clone.history == self.EXPECT
+        pending = self._make()
+        folded = self._make()
+        folded.kernels()
+        for ledger in (pending, folded):
+            clone = pickle.loads(pickle.dumps(ledger))
+            assert clone.interval == 50
+            assert clone.history == self.EXPECT
 
     def test_empty_cell(self):
         import numpy as np
 
-        from repro.sweep.engine import ColumnarLedger
+        from repro.core.ledger import BandwidthLedger
 
-        ledger = ColumnarLedger(50, [], 1, np.empty(0, np.int64),
-                                np.zeros((0, 4), np.int64))
+        ledger = BandwidthLedger(50)
+        ledger.add([], np.empty(0, np.int64), np.empty(0, np.int64),
+                   np.zeros((0, 4), np.int64))
         assert ledger.history == {}
+        assert ledger.kernels() == []
+        assert ledger.series("alpha").slices.size == 0
 
 
 class TestSweepSerialization:
