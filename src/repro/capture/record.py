@@ -2,10 +2,11 @@
 
 The tQUAD and QUAD streams are produced by the tools' own capturing sinks
 (:class:`repro.core.recording.CapturingRecordingSink`,
-:class:`repro.quad.shadow.CapturingPagedQuadSink`) — this module adds the
-third stream, call/return events for gprof-sim replay, plus
-:func:`capture_run`, which attaches the requested recorders to one engine
-run and finalizes the manifest.
+:class:`repro.quad.shadow.CapturingPagedQuadSink`), which spill sealed
+record buffers and analyse nothing — this module adds the third stream,
+call/return events for gprof-sim replay, plus :func:`capture_run`, which
+attaches the requested recorders to one engine run and finalizes the
+manifest.
 """
 
 from __future__ import annotations
@@ -94,15 +95,16 @@ def capture_run(program, dest: "str | BinaryIO | CaptureWriter", *, fs=None,
                 tools: tuple[str, ...] = CAPTURE_TOOLS, label: str = "",
                 max_instructions: int | None = None,
                 mem_size: int | None = None, jit: bool = True,
-                track_bindings: bool = True, on_engine=None,
-                telemetry=TELEMETRY) -> dict:
+                on_engine=None, telemetry=TELEMETRY) -> dict:
     """Execute ``program`` once, recording capture streams for ``tools``.
 
     ``options.slice_interval`` becomes the capture *grain*: tQUAD replays
     are exact at any interval that is a multiple of it (see
-    :mod:`repro.capture.replay`).  Returns the finalized manifest; the
-    attached tools' live reports are discarded — replay them instead, the
-    property tests assert both paths are byte-identical.
+    :mod:`repro.capture.replay`).  Returns the finalized manifest.  The
+    attached tools record only — no ledger fold, no shadow drain while the
+    guest runs — so they have no reports: replay the capture instead (the
+    property tests assert replays equal live runs byte for byte).  QUAD's
+    binding tracking is a replay choice (``replay_quad(track_bindings=)``).
     """
     unknown = [t for t in tools if t not in CAPTURE_TOOLS]
     if unknown:
@@ -124,8 +126,7 @@ def capture_run(program, dest: "str | BinaryIO | CaptureWriter", *, fs=None,
     if "tquad" in tools:
         tquad_tool = TQuadTool(options, capture=writer).attach(engine)
     if "quad" in tools:
-        quad_tool = QuadTool(track_bindings=track_bindings,
-                             capture=writer).attach(engine)
+        quad_tool = QuadTool(capture=writer).attach(engine)
     if "gprof" in tools:
         recorder = CallEventRecorder(writer).attach(engine)
     with telemetry.span("capture", cat="capture", label=label or None):

@@ -151,8 +151,7 @@ def _open_capture(path: str, program, label: str = "",
 def _parallel_capture(args: argparse.Namespace, program, options, *,
                       fs=None, label: str = ""):
     """``--capture-out`` with ``--jobs N``: shards record capture segments
-    that merge into one exact capture file; returns the tQUAD report (or
-    an ``int`` exit code)."""
+    that merge into one exact capture file (the caller replays it)."""
     from .capture import CaptureWriter, make_manifest, program_digest
     from .parallel import TQuadSpec, parallel_profile
 
@@ -174,8 +173,6 @@ def _parallel_capture(args: argparse.Namespace, program, options, *,
             prefetches_skipped=run.prefetches_skipped))
     finally:
         writer.close()
-    print(f"wrote {args.capture_out}", file=sys.stderr)
-    return run.reports["tquad"]
 
 
 def _captured_report(args: argparse.Namespace, program, options, *,
@@ -183,9 +180,10 @@ def _captured_report(args: argparse.Namespace, program, options, *,
     """Resolve the report when ``--from-capture``/``--capture-out`` is in
     play.  Returns the tool's report object, or an ``int`` exit code.
 
-    ``--capture-out`` records the run and then *replays the freshly
-    written file* for printing — one execution, and the printed output
-    exercises the same path a later ``--from-capture`` will take.
+    ``--capture-out`` records the run (serial or ``--jobs N``) and then
+    *replays the freshly written file* for printing — one execution, and
+    the printed output exercises the same path a later ``--from-capture``
+    will take.
     """
     from .capture import (CaptureError, CaptureReader, capture_run,
                           replay_gprof, replay_quad, replay_tquad)
@@ -193,11 +191,11 @@ def _captured_report(args: argparse.Namespace, program, options, *,
     tool = getattr(args, "tool", "tquad")
     if getattr(args, "capture_out", None):
         if getattr(args, "jobs", 1) > 1:
-            return _parallel_capture(args, program, options, fs=fs,
-                                     label=label)
-        capture_run(program, args.capture_out, fs=fs, options=options,
-                    tools=(tool,), label=label,
-                    max_instructions=getattr(args, "budget", None))
+            _parallel_capture(args, program, options, fs=fs, label=label)
+        else:
+            capture_run(program, args.capture_out, fs=fs, options=options,
+                        tools=(tool,), label=label,
+                        max_instructions=getattr(args, "budget", None))
         print(f"wrote {args.capture_out}", file=sys.stderr)
         source = args.capture_out
     else:

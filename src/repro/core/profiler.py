@@ -26,7 +26,8 @@ from ..pin import IARG, INS, IPOINT, PinEngine, RTN
 from .callstack import CallStack
 from .ledger import BandwidthLedger
 from .options import TQuadOptions
-from .recording import CapturingRecordingSink, RecordingSink, make_recorder
+from .recording import (CapturingRecordingSink, RecordBuffers,
+                        RecordingSink, make_recorder)
 from .report import TQuadReport
 
 
@@ -35,8 +36,9 @@ class TQuadTool:
 
     With ``capture`` set (any page sink with ``add(stream, data)`` — a
     :class:`repro.capture.writer.CaptureWriter` or ``CaptureCollector``),
-    the recording sink also persists every sealed quad buffer, enabling
-    offline re-analysis via :mod:`repro.capture.replay`.
+    the tool *records only*: every sealed quad buffer goes to the capture
+    and nothing is folded into the ledger, so :meth:`report` refuses —
+    replay the capture (:mod:`repro.capture.replay`) instead.
     """
 
     def __init__(self, options: TQuadOptions | None = None, *,
@@ -54,7 +56,7 @@ class TQuadTool:
         self._engine: PinEngine | None = None
         self._machine = None
         self._images: dict[str, str] = {}
-        self._sink: RecordingSink | None = None
+        self._sink: RecordBuffers | None = None
         self._rec_read = None
         self._rec_write = None
         self.prefetches_skipped = 0
@@ -70,8 +72,8 @@ class TQuadTool:
         self._images = {r.name: r.image for r in engine.program.routines}
         if self.capture is not None:
             self._sink = CapturingRecordingSink(
-                self.ledger, self.callstack, self.options.stack,
-                self.capture)
+                self.callstack, self.options.stack,
+                self.options.slice_interval, self.capture)
         else:
             self._sink = RecordingSink(self.ledger, self.callstack,
                                        self.options.stack)
@@ -132,7 +134,8 @@ class TQuadTool:
         self.prefetches_skipped += 1
 
     def flush(self) -> None:
-        """Aggregate the buffered records into the ledger."""
+        """Aggregate the buffered records into the ledger (or spill them
+        to the capture)."""
         self._sink.flush()
 
     def _fini(self, exit_code: int) -> None:
@@ -146,7 +149,12 @@ class TQuadTool:
         With ``allow_partial=True`` a report can also be produced after the
         guest crashed (memory fault, budget exhaustion, …): the buffered
         records are flushed and the report is marked ``complete=False``.
+        A capture-attached tool has no report.
         """
+        if self.capture is not None:
+            raise RuntimeError(
+                "a capture-attached TQuadTool records only and has no "
+                "report; replay the capture (repro.capture.replay_tquad)")
         if not self.finished:
             if not allow_partial:
                 raise RuntimeError(

@@ -6,20 +6,26 @@ recording path splits that into two halves, the same shape low-overhead
 instrumenters such as Examem use:
 
 * **record** (hot): append one ``(icount, incl_bytes, excl_bytes,
-  kernel_id)`` quad to a flat ``array('q')``.  The stack policy is applied
-  *at emission time* — the byte columns already encode
-  include/exclude-stack attribution, so the flush needs no ``ea``/``sp``
-  replay.  Inside a superblock the appends are inlined into generated code
-  and, on the common path, pre-aggregated to one quad per trace segment
-  (:mod:`repro.vm.superblock`); on the per-instruction tier the same quads
-  are produced by :func:`make_recorder` closures.  ``kernel_id`` is the
-  call stack's pre-interned
-  :attr:`~repro.core.callstack.CallStack.rec_id` — no strings, no dicts.
-* **aggregate** (cold): when a buffer passes its soft capacity (checked at
-  superblock entry / in the recorder closures) or at fini,
-  :class:`RecordingSink` views the buffer as a NumPy matrix, groups by
+  kernel_id)`` quad to a flat ``array('q')`` (:class:`RecordBuffers`).
+  The stack policy is applied *at emission time* — the byte columns
+  already encode include/exclude-stack attribution, so the flush needs no
+  ``ea``/``sp`` replay.  Inside a superblock the appends are inlined into
+  generated code, one bulk write per trace segment, and on the common
+  path pre-aggregated to one quad per segment (:mod:`repro.vm.superblock`);
+  on the per-instruction tier the same quads are produced by
+  :func:`make_recorder` closures.  ``kernel_id`` is the call stack's
+  pre-interned :attr:`~repro.core.callstack.CallStack.rec_id` — no
+  strings, no dicts.
+* **hand on** (cold): when a buffer passes its soft capacity (checked at
+  superblock entry / in the recorder closures) or at fini, the sealed
+  buffer goes to one of two places.  A live tool's :class:`RecordingSink`
+  aggregates it: it views the buffer as a NumPy matrix, groups by
   ``(kernel, slice)`` and lands the byte sums in the ledger as one
-  grouped chunk (:meth:`BandwidthLedger.add`).
+  grouped chunk (:meth:`BandwidthLedger.add`).  A capture-attached
+  tool's :class:`CapturingRecordingSink` only spills it as a capture
+  page; the analysis happens when the capture is replayed
+  (:mod:`repro.capture.replay`), so a live run is the only path that
+  folds while the guest executes.
 
 The produced ledger table is identical to the per-event reference,
 :class:`repro.testing.oracles.PerEventTQuadTool` — the differential
@@ -42,30 +48,30 @@ from .options import StackPolicy
 DEFAULT_CAP = 1 << 16
 
 
-class RecordingSink:
-    """Flat access buffers plus their NumPy bulk aggregator.
+class RecordBuffers:
+    """Flat access buffers: the record-sink contract of
+    :mod:`repro.vm.superblock`.
 
-    Implements the record-sink contract of :mod:`repro.vm.superblock`:
     ``read_buf``/``write_buf`` (``array('q')`` of flattened quads), a
     ``tag`` exposing ``rec_id``, ``track_incl``/``track_excl``/``interval``
     describing what the emission side must record, a soft ``cap``, and
-    ``flush_read``/``flush_write``.
+    ``flush_read``/``flush_write``, which hand a sealed buffer to
+    :meth:`_flush` and leave it empty.
     """
 
-    __slots__ = ("read_buf", "write_buf", "tag", "cap", "ledger", "policy",
+    __slots__ = ("read_buf", "write_buf", "tag", "cap", "policy",
                  "track_incl", "track_excl", "interval")
 
-    def __init__(self, ledger: BandwidthLedger, callstack: CallStack,
-                 policy: StackPolicy, *, cap: int = DEFAULT_CAP):
+    def __init__(self, callstack: CallStack, policy: StackPolicy,
+                 interval: int, *, cap: int = DEFAULT_CAP):
         self.read_buf = array("q")
         self.write_buf = array("q")
         self.tag = callstack
         self.cap = cap
-        self.ledger = ledger
         self.policy = policy
         self.track_incl = policy is not StackPolicy.EXCLUDE
         self.track_excl = policy is not StackPolicy.INCLUDE
-        self.interval = ledger.interval
+        self.interval = interval
 
     def reset(self) -> None:
         """Drop any unflushed records (for tool reuse across runs)."""
@@ -81,6 +87,20 @@ class RecordingSink:
     def flush(self) -> None:
         self.flush_read()
         self.flush_write()
+
+    def _flush(self, buf: array, *, write: bool) -> None:
+        raise NotImplementedError
+
+
+class RecordingSink(RecordBuffers):
+    """Record buffers plus their NumPy bulk aggregator into a ledger."""
+
+    __slots__ = ("ledger",)
+
+    def __init__(self, ledger: BandwidthLedger, callstack: CallStack,
+                 policy: StackPolicy, *, cap: int = DEFAULT_CAP):
+        super().__init__(callstack, policy, ledger.interval, cap=cap)
+        self.ledger = ledger
 
     def _flush(self, buf: array, *, write: bool) -> None:
         n = len(buf) // 4
@@ -116,16 +136,19 @@ class RecordingSink:
                         counters)
 
 
-class CapturingRecordingSink(RecordingSink):
-    """A :class:`RecordingSink` that also spills every sealed buffer to a
-    capture sink (any object with ``add(stream, data)`` — see
-    :mod:`repro.capture.writer`) before aggregating it.
+class CapturingRecordingSink(RecordBuffers):
+    """Record buffers that spill every sealed buffer to a capture sink
+    (any object with ``add(stream, data)`` — see
+    :mod:`repro.capture.writer`) and stop there.
 
-    The hot path is untouched: emission still appends to the same flat
-    buffers through the same bound methods, and the capture cost is one
-    ``tobytes`` per *flush* (every ~64k elements), not per event.  The
-    captured pages are therefore the exact quads the ledger aggregation
-    consumed, which is what makes replay byte-identical.
+    This is the record half of capture once / analyze many: no ledger is
+    folded while the guest runs, because the capture's replay
+    (:mod:`repro.capture.replay`) rebuilds it from these exact quads.  The
+    hot path is the live sink's — emission appends to the same flat
+    buffers through the same bound methods — and the capture cost is one
+    ``tobytes`` per *flush* (every ~64k elements), not per event.
+    ``interval`` is the capture grain: it decides where superblocks may
+    aggregate, so it shapes the recorded rows.
     """
 
     __slots__ = ("capture",)
@@ -134,19 +157,19 @@ class CapturingRecordingSink(RecordingSink):
     READ_STREAM = "tquad.read"
     WRITE_STREAM = "tquad.write"
 
-    def __init__(self, ledger: BandwidthLedger, callstack: CallStack,
-                 policy: StackPolicy, capture, *, cap: int = DEFAULT_CAP):
-        super().__init__(ledger, callstack, policy, cap=cap)
+    def __init__(self, callstack: CallStack, policy: StackPolicy,
+                 interval: int, capture, *, cap: int = DEFAULT_CAP):
+        super().__init__(callstack, policy, interval, cap=cap)
         self.capture = capture
 
     def _flush(self, buf: array, *, write: bool) -> None:
         if buf:
             self.capture.add(self.WRITE_STREAM if write else
                              self.READ_STREAM, buf.tobytes())
-        super()._flush(buf, write=write)
+            del buf[:]
 
 
-def make_recorder(sink: RecordingSink, machine, *, write: bool):
+def make_recorder(sink: RecordBuffers, machine, *, write: bool):
     """A per-instruction-tier analysis routine that records into ``sink``.
 
     Carries ``record_sink``/``record_kind`` attributes so the Pin engine's

@@ -36,18 +36,15 @@ from .worker import (GprofPayload, GprofSpec, QuadSpec, ShardResult,
 
 def merge_tquad(results: list[ShardResult], spec: TQuadSpec,
                 images: dict[str, str],
-                total_instructions: int) -> tuple[TQuadReport, int]:
-    """Fold shard ledgers into one report; returns (report, prefetches)."""
+                total_instructions: int) -> TQuadReport:
+    """Fold shard ledgers into one report."""
     ledger = BandwidthLedger(spec.options.slice_interval)
-    prefetches = 0
     for res in results:
         payload: TQuadPayload = res.payloads[spec.key]
-        prefetches += payload.prefetches_skipped
         ledger.merge(payload.ledger)
-    report = TQuadReport(ledger=ledger, options=spec.options,
-                         total_instructions=total_instructions,
-                         images=dict(images), complete=True)
-    return report, prefetches
+    return TQuadReport(ledger=ledger, options=spec.options,
+                       total_instructions=total_instructions,
+                       images=dict(images), complete=True)
 
 
 def merge_quad(results: list[ShardResult], spec: QuadSpec,

@@ -59,7 +59,8 @@ from .worker import (GprofSpec, QuadSpec, ShardRunner, ToolSpec, TQuadSpec)
 class ParallelRun:
     """Results of one (possibly parallel) profiling run."""
 
-    #: Reports keyed by tool spec key ("tquad", "quad", "gprof").
+    #: Reports keyed by tool spec key ("tquad", "quad", "gprof").  A
+    #: ``TQuadSpec(capture=True)`` records only and has no report.
     reports: dict[str, object]
     exit_code: int
     total_instructions: int
@@ -114,15 +115,17 @@ def _serial_run(program: Program, tool_specs: tuple[ToolSpec, ...], *,
     prefetches = 0
     with telemetry.span("merge", cat="run", jobs=1):
         for ts, tool in tools:
+            if isinstance(ts, TQuadSpec):
+                prefetches = tool.prefetches_skipped
+                if ts.capture:
+                    # a capture-attached tool records only: no report
+                    capture_kernels = list(tool.callstack.interned_names)
+                    continue
             if isinstance(ts, GprofSpec):
                 reports[ts.key] = tool.report(
                     main_image_only=ts.main_image_only)
             else:
                 reports[ts.key] = tool.report()
-            if isinstance(ts, TQuadSpec):
-                prefetches = tool.prefetches_skipped
-                if ts.capture:
-                    capture_kernels = list(tool.callstack.interned_names)
     return ParallelRun(reports=reports, exit_code=exit_code,
                        total_instructions=engine.machine.icount,
                        n_shards=1, jobs=1, prefetches_skipped=prefetches,
@@ -206,8 +209,11 @@ def parallel_profile(program: Program,
         with tele.span("merge", cat="parallel", tool=ts.key,
                        shards=len(results)):
             if isinstance(ts, TQuadSpec):
-                reports[ts.key], prefetches = merge_tquad(results, ts,
-                                                          images, total)
+                prefetches = sum(res.payloads[ts.key].prefetches_skipped
+                                 for res in results)
+                if not ts.capture:
+                    reports[ts.key] = merge_tquad(results, ts, images,
+                                                  total)
             elif isinstance(ts, QuadSpec):
                 reports[ts.key] = merge_quad(results, ts, images, total)
             elif isinstance(ts, GprofSpec):

@@ -45,8 +45,9 @@ class TQuadSpec:
 
     key: ClassVar[str] = "tquad"
     options: TQuadOptions = field(default_factory=TQuadOptions)
-    #: Also collect capture pages (shipped home in the shard payload and
-    #: merged by :mod:`repro.capture.segments`).
+    #: Record capture pages instead of profiling: shards ship their pages
+    #: home (merged by :mod:`repro.capture.segments`) and no ledger, and
+    #: the run has no tQUAD report — replay the merged capture.
     capture: bool = False
 
 
@@ -95,8 +96,8 @@ class ShardRunnerFactory:
 @dataclass
 class TQuadPayload:
     #: the shard's rows, detached from the tool's ledger (which the
-    #: runner resets for its next shard)
-    ledger: BandwidthLedger
+    #: runner resets for its next shard); ``None`` for a capture spec
+    ledger: BandwidthLedger | None
     prefetches_skipped: int
     #: stream -> sealed capture pages (raw int64 bytes, shard-local
     #: kernel ids) when the spec asked for capture, else ``None``.
@@ -218,16 +219,18 @@ class ShardRunner:
         with tele.span("payload", cat="shard", shard=spec.index):
             payloads: dict[str, object] = {}
             for ts, tool in tools:
-                if isinstance(ts, TQuadSpec):
+                if isinstance(ts, TQuadSpec) and ts.capture:
+                    payloads[ts.key] = TQuadPayload(
+                        ledger=None,
+                        prefetches_skipped=tool.prefetches_skipped,
+                        capture_pages=dict(tool.capture.pages),
+                        capture_kernels=list(tool.callstack.interned_names))
+                elif isinstance(ts, TQuadSpec):
                     ledger = BandwidthLedger(tool.ledger.interval)
                     ledger.merge(tool.ledger)
                     payloads[ts.key] = TQuadPayload(
                         ledger=ledger,
-                        prefetches_skipped=tool.prefetches_skipped,
-                        capture_pages=(dict(tool.capture.pages)
-                                       if ts.capture else None),
-                        capture_kernels=(list(tool.callstack.interned_names)
-                                         if ts.capture else None))
+                        prefetches_skipped=tool.prefetches_skipped)
                 elif isinstance(ts, QuadSpec):
                     payloads[ts.key] = tool.sink.export()
                 elif isinstance(ts, GprofSpec):

@@ -363,15 +363,15 @@ class QuadShard:
     deferred: dict[int, tuple[array, array, array]]
 
 
-class PagedQuadSink:
-    """Packed-record buffer + bulk drain over the paged shadow state.
+class RawRecordBuffer:
+    """Packed QUAD records: the raw record-sink contract of
+    :mod:`repro.vm.superblock`.
 
-    Implements the raw record-sink contract of
-    :mod:`repro.vm.superblock`: ``raw`` is true, ``buf`` receives packed
-    records (``read_buf``/``write_buf`` alias it so the generic cap check
+    ``raw`` is true, ``buf`` receives packed records
+    (``read_buf``/``write_buf`` alias it so the generic cap check
     applies), ``last_sp`` carries the SP-marker protocol state, ``tag``
-    exposes ``rec_id``, and ``flush`` drains.  ``interval == 0`` keeps
-    superblocks in exact event mode.
+    exposes ``rec_id``, and ``flush`` hands the sealed buffer on.
+    ``interval == 0`` keeps superblocks in exact event mode.
     """
 
     raw = True
@@ -383,22 +383,40 @@ class PagedQuadSink:
     addr_mask = ADDR_MASK
 
     def __init__(self, callstack: CallStack, *,
-                 mem_size: int = DEFAULT_MEM_SIZE,
-                 track_bindings: bool = True,
                  cap: int = DEFAULT_RAW_CAP):
         self.tag = callstack
         self.cap = cap
-        self.mem_size = mem_size
-        self.track_bindings = track_bindings
         self.buf = array("q")
         self.read_buf = self.write_buf = self.buf
         self.last_sp = -1
+        self.flush_read = self.flush_write = self.flush
+
+    def reset(self) -> None:
+        """Drop unflushed records, in place — the buffer and tag are
+        captured by identity in compiled instrumentation."""
+        del self.buf[:]
+        self.last_sp = -1
+
+    def flush(self) -> None:
+        raise NotImplementedError
+
+
+class PagedQuadSink(RawRecordBuffer):
+    """Packed-record buffer + bulk drain over the paged shadow state:
+    ``flush`` drains the sealed buffer into the shadow."""
+
+    def __init__(self, callstack: CallStack, *,
+                 mem_size: int = DEFAULT_MEM_SIZE,
+                 track_bindings: bool = True,
+                 cap: int = DEFAULT_RAW_CAP):
+        super().__init__(callstack, cap=cap)
+        self.mem_size = mem_size
+        self.track_bindings = track_bindings
         self._sp0 = 0
         #: resolve unknown producers never (serial: reads of never-written
         #: bytes have no producer) or into the deferred tables (shard
         #: replay).
         self.defer_unknown = False
-        self.flush_read = self.flush_write = self.flush
         self._fresh_state()
 
     def _fresh_state(self) -> None:
@@ -419,10 +437,8 @@ class PagedQuadSink:
         self._def_bytes: dict[tuple[int, int], list[int]] = {}
 
     def reset(self) -> None:
-        """Return to the pristine state, in place — the buffer and tag are
-        captured by identity in compiled instrumentation."""
-        del self.buf[:]
-        self.last_sp = -1
+        """Return to the pristine state, in place."""
+        super().reset()
         self._sp0 = 0
         self._fresh_state()
 
@@ -859,34 +875,31 @@ class PagedQuadSink:
         return out
 
 
-class CapturingPagedQuadSink(PagedQuadSink):
-    """A :class:`PagedQuadSink` that also spills each sealed packed-record
-    buffer (including the negative SP markers) to a capture sink before
-    draining it — the QUAD half of the capture-once / analyze-many path.
+class CapturingPagedQuadSink(RawRecordBuffer):
+    """Packed QUAD records spilled to a capture sink, and nothing else —
+    the record half of the QUAD capture-once / analyze-many path.
 
-    Since the captured pages are the exact drained buffers, replaying
-    them through a fresh sink's ``_drain`` (chunked to the same cap)
-    reproduces the shadow state and counters bit-for-bit.
+    Each sealed buffer (SP markers included) becomes one ``quad.raw``
+    page; no shadow is drained while the guest runs.  Replaying the pages
+    through a fresh :class:`PagedQuadSink`'s ``_drain`` (chunked to the
+    same cap) builds the shadow state and counters a live run would.
     """
 
     #: stream name, kept in sync with repro.capture.format
     STREAM = "quad.raw"
 
     def __init__(self, callstack: CallStack, capture, *,
-                 mem_size: int = DEFAULT_MEM_SIZE,
-                 track_bindings: bool = True,
                  cap: int = DEFAULT_RAW_CAP):
+        super().__init__(callstack, cap=cap)
         self.capture = capture
-        super().__init__(callstack, mem_size=mem_size,
-                         track_bindings=track_bindings, cap=cap)
 
     def flush(self) -> None:
         if self.buf:
             self.capture.add(self.STREAM, self.buf.tobytes())
-        super().flush()
+            del self.buf[:]
 
 
-def make_raw_recorder(sink: PagedQuadSink, *, write: bool):
+def make_raw_recorder(sink: RawRecordBuffer, *, write: bool):
     """Per-instruction-tier analysis routine appending packed records.
 
     Carries ``record_sink``/``record_kind`` so the Pin engine's block

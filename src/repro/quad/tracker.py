@@ -38,15 +38,17 @@ from .shadow import CapturingPagedQuadSink, PagedQuadSink, make_raw_recorder
 class QuadTool:
     """The QUAD pintool.
 
-    With ``capture`` set, the sink also spills every sealed record buffer
-    to it (the QUAD half of capture once / analyze many).
+    With ``capture`` set, the tool *records only* (the QUAD half of
+    capture once / analyze many): its sink spills every sealed record
+    buffer to the capture and keeps no shadow state, so :meth:`report`
+    refuses — replay the capture (:func:`repro.capture.replay_quad`).
     """
 
     def __init__(self, *, track_bindings: bool = True, capture=None):
         self.capture = capture
         self.track_bindings = track_bindings
         self.callstack = CallStack()
-        self.sink: PagedQuadSink | None = None
+        self.sink: PagedQuadSink | CapturingPagedQuadSink | None = None
         self._rec_read = None
         self._rec_write = None
         self._machine = None
@@ -60,10 +62,7 @@ class QuadTool:
         self._machine = engine.machine
         self._images = {r.name: r.image for r in engine.program.routines}
         if self.capture is not None:
-            self.sink = CapturingPagedQuadSink(
-                self.callstack, self.capture,
-                mem_size=engine.machine.mem_size,
-                track_bindings=self.track_bindings)
+            self.sink = CapturingPagedQuadSink(self.callstack, self.capture)
         else:
             self.sink = PagedQuadSink(
                 self.callstack, mem_size=engine.machine.mem_size,
@@ -106,12 +105,14 @@ class QuadTool:
 
     def flush(self) -> None:
         """Drain the buffered records and publish the shadow-memory
-        footprint gauges."""
+        footprint gauges (a capture-attached tool only spills: it has no
+        shadow to measure)."""
         from .. import obs
 
         self.sink.flush()
-        for key, value in self.sink.stats().items():
-            obs.TELEMETRY.gauge(f"quad/{key}", value)
+        if self.capture is None:
+            for key, value in self.sink.stats().items():
+                obs.TELEMETRY.gauge(f"quad/{key}", value)
 
     def _fini(self, exit_code: int) -> None:
         self.flush()
@@ -119,6 +120,10 @@ class QuadTool:
 
     # ------------------------------------------------------------- results
     def report(self) -> QuadReport:
+        if self.capture is not None:
+            raise RuntimeError(
+                "a capture-attached QuadTool records only and has no "
+                "report; replay the capture (repro.capture.replay_quad)")
         if not self.finished:
             raise RuntimeError("run the engine before asking for the report")
         return self.sink.report(images=self._images,

@@ -63,7 +63,7 @@ instruction the compiler asks ``plan(index, ins)`` which returns ``None``
 thunks to run before the instruction (``pre``, with ``machine.icount``
 restored first) plus *record sinks* for memory instructions.
 
-A record sink (see :class:`repro.core.recording.RecordingSink`) exposes:
+A record sink (see :class:`repro.core.recording.RecordBuffers`) exposes:
 
 * ``read_buf`` / ``write_buf`` — flat ``array('q')`` buffers receiving
   ``(icount, incl_bytes, excl_bytes, kernel_id)`` quads;
@@ -75,27 +75,61 @@ A record sink (see :class:`repro.core.recording.RecordingSink`) exposes:
   (``excl`` only counts accesses below the stack pointer);
 * ``interval`` — the slice width in instructions;
 * ``cap`` — soft buffer capacity in *elements*, checked at trace entry;
-* ``flush_read`` / ``flush_write`` — aggregation callables.
+* ``flush_read`` / ``flush_write`` — hand a sealed buffer on (fold it
+  into a ledger, or spill it to a capture).
 
 A sink may instead declare ``raw = True`` (see
-:class:`repro.quad.shadow.PagedQuadSink`): its single ``buf`` receives one
-*packed* ``int64`` per access — ``(rec_id + 1) << kid_shift |
+:class:`repro.quad.shadow.RawRecordBuffer`): its single ``buf`` receives
+one *packed* ``int64`` per access — ``(rec_id + 1) << kid_shift |
 (size << 1 | is_write) << tail_shift | ea`` — plus negative
 ``-1 - sp`` markers whenever the stack pointer changes (tracked through
 ``sink.last_sp``; SP changes orders of magnitude less often than memory is
 touched).  The ``(rec_id + 1) << kid_shift`` head is hoisted into a local
-per trace segment, so the steady-state cost is one ``append`` per access.
-Raw sinks carry ``interval = 0``, which keeps their traces in exact event
-mode.
+per trace segment, and a segment's packed records go out in one bulk
+write.  Raw sinks carry ``interval = 0``, which keeps their traces in
+exact event mode.
 
-When every instruction of the trace provably lands in one time slice
-(checked with a single division at entry — true unless the trace straddles
-a slice boundary, i.e. almost always), the generated code accumulates byte
-counts in local variables and appends **one** quad per trace segment; the
-per-access quad emission is kept as the ``else`` branch for the straddling
-case, so aggregation is exact, not approximate.  Segments close before any
+Record emission
+---------------
+
+Records are written per trace *segment*: a segment closes before any
 analysis thunk runs (thunks may switch the attributed kernel) and before
-every exit.
+every exit.  Within a segment ``tag.rec_id`` is stable, so it is read once,
+into a local, at the segment's first access.
+
+* **Event mode** is the per-access path.  It runs wherever agg mode
+  cannot: on every trace a raw sink shares (or whose sinks' intervals
+  differ or are shorter than the trace), and on the rare execution that
+  straddles a slice boundary.  Each access keeps what only it knows in a local (its
+  excl bytes, or an exclude-only sink's conditional quad), and the
+  segment's quads, with exact icounts, go out in one bulk write per
+  buffer at the close: packed by a ``struct`` of their count and copied in
+  with ``frombytes``.
+* **Agg mode** is the one-slice fast path.  When every record sink of the
+  trace shares one interval no shorter than the trace, a single division
+  at entry proves the whole trace lands in one slice (true unless it
+  straddles a boundary, i.e. almost always), and each (sink, kind) pair
+  writes **one** quad per segment.  Its incl bytes are a sum computed at
+  compile time; only the excl bytes, which depend on the stack pointer,
+  accumulate at run time.
+
+Both modes are exact, not approximate.
+
+Fault branches
+--------------
+
+A memory fault, a division by zero or a non-finite float→int conversion
+raises mid-segment, before the close, yet the segment's tQUAD records must
+land: a partial report after a guest crash equals the per-instruction
+tier's.  A trace with tQUAD sinks therefore has **one fault handler**.
+Every fault branch marks the faulting icount in a local ``f`` before it
+raises; an ``except`` clause around the body hands the frame's locals to
+:func:`_write_faulted_segment`, which re-walks the trace, regenerates its
+body up to the faulting instruction and runs exactly the writes that
+instruction's fault branch would hold — the agg sums so far (the faulting
+access included) or the pending event quads.  Fault branches carry no
+record code, so generated source stays linear in the trace length.  A raw
+sink's pending records are dropped at a fault: QUAD has no partial report.
 """
 
 from __future__ import annotations
@@ -180,7 +214,10 @@ class _Emitter:
         self.indent = 1
 
     def add(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
+        # one space per level: the source is compiled, never read, and
+        # every body line sits a level deeper inside the fault handler's
+        # ``try``
+        self.lines.append(" " * self.indent + line)
 
     def push(self) -> None:
         self.indent += 1
@@ -221,19 +258,36 @@ class _Records:
     """Record-emission state for one generated body.
 
     ``mode`` is ``"event"`` (one quad per access, exact icounts — always
-    correct) or ``"agg"`` (byte sums in locals, one quad per segment —
-    valid only when the whole trace shares one slice, which the caller
-    guards at run time).
+    correct) or ``"agg"`` (one quad per segment carrying the segment's
+    byte sum — valid only when the whole trace shares one slice, which the
+    caller guards at run time).  In both modes a segment's tQUAD records
+    are written at its close, or by the trace's fault handler when a fault
+    cuts it short: with ``handled`` set, fault branches mark the faulting
+    icount in ``f``; ``fault_site`` (set only when the handler regenerates
+    the body) names the instruction whose pending writes land in
+    ``fault_writes``.
     """
 
-    def __init__(self, E: _Emitter, mode: str, x: str):
+    def __init__(self, E: _Emitter, mode: str, x: str, *,
+                 handled: bool = False, fault_site: int | None = None):
         self.E = E
         self.mode = mode
         self.x = x
-        self._vars: dict[tuple[int, str], tuple[str, str, object]] = {}
-        self._dirty: list[tuple[int, str]] = []
+        self.handled = handled
+        self.fault_site = fault_site
+        self.fault_writes: list[str] = []
+        #: tag id -> local holding ``tag.rec_id`` for the current segment
+        #: (rec_id is stable between analysis thunks)
+        self._kid: dict[int, str] = {}
+        #: agg mode: (sink id, kind) -> [buffer, sink, incl bytes so far
+        #: (a compile-time sum), local holding the excl bytes or None]
+        self._sums: dict[tuple[int, str], list] = {}
+        #: event mode: (sink id, kind) -> (buffer, sink, pending values:
+        #: four expressions per quad, or one conditional-tuple local per
+        #: access of an exclude-only sink)
+        self._quads: dict[tuple[int, str], tuple] = {}
         #: raw sinks: sink id -> hoisted kernel-head local, valid for the
-        #: current segment (rec_id is stable between analysis thunks)
+        #: current segment
         self._kh: dict[int, str] = {}
         self._kh_names: dict[int, str] = {}
         #: (sink id, record tail bits) -> local holding ``Kh | tail``, so a
@@ -243,36 +297,52 @@ class _Records:
         #: the emitted code (invalidated when an instruction may write SP)
         self._sp_ok: set[int] = set()
         #: pending packed-record expressions per raw sink, flushed as one
-        #: ``buf.extend((...))`` at segment close / SP-write boundaries
+        #: bulk write at segment close
         self._pend: dict[int, list[str]] = {}
         self._pend_sinks: dict[int, object] = {}
-        #: sink id -> bound (buf.append, buf.extend) binding names; the
+        #: buffer id -> bound (buf.append, buf.extend) binding names; the
         #: bound methods are hoisted once so the hot path skips the
         #: attribute lookup (buffers are reset in place, never replaced)
         self._buffns: dict[int, tuple[str, str]] = {}
+        #: buffer id -> bound ``buf.frombytes``; value count -> bound
+        #: ``struct.Struct(f"{n}q").pack`` (native int64, as ``array('q')``)
+        self._frombytes: dict[int, str] = {}
+        self._packers: dict[int, str] = {}
         self._na = 0
 
-    def _buf_fns(self, sink) -> tuple[str, str]:
-        sid = id(sink)
-        fns = self._buffns.get(sid)
+    def _local(self, prefix: str) -> str:
+        v = f"{prefix}{self._na}"
+        self._na += 1
+        return v
+
+    def _buf_fns(self, buf) -> tuple[str, str]:
+        fns = self._buffns.get(id(buf))
         if fns is None:
-            fns = self._buffns[sid] = (self.E.bind("ba", sink.buf.append),
-                                       self.E.bind("bx", sink.buf.extend))
+            fns = self._buffns[id(buf)] = (self.E.bind("ba", buf.append),
+                                           self.E.bind("bx", buf.extend))
         return fns
 
-    def declare(self, pairs: list) -> None:
-        """Zero-init accumulator locals for every (sink, kind) in the body
-        (agg mode only)."""
-        E = self.E
-        for si, (sink, kind) in enumerate(pairs):
-            vI, vE = f"aI{si}", f"aE{si}"
-            self._vars[(id(sink), kind)] = (vI, vE, sink)
-            names = []
-            if sink.track_incl:
-                names.append(vI)
-            if sink.track_excl:
-                names.append(vE)
-            E.add(f"{' = '.join(names)} = 0")
+    def _bulk(self, buf, values: list[str]) -> str:
+        """One statement appending ``values`` (int64 expressions) to
+        ``buf``: packed by a ``struct`` of their count and copied in with
+        ``frombytes``, several times cheaper than ``extend`` of a tuple,
+        which converts element by element."""
+        fb = self._frombytes.get(id(buf))
+        if fb is None:
+            fb = self._frombytes[id(buf)] = self.E.bind("fb", buf.frombytes)
+        n = len(values)
+        pk = self._packers.get(n)
+        if pk is None:
+            pk = self._packers[n] = self.E.bind(
+                "pk", struct.Struct(f"{n}q").pack)
+        return f"{fb}({pk}({', '.join(values)}))"
+
+    def _kid_local(self, tag) -> str:
+        K = self._kid.get(id(tag))
+        if K is None:
+            K = self._kid[id(tag)] = self._local("K")
+            self.E.add(f"{K} = {self.E.bind('tag', tag)}.rec_id")
+        return K
 
     def access(self, sink, kind: str, size: int, k: int) -> None:
         """Emit the record for one memory access (``a`` holds the EA)."""
@@ -292,7 +362,7 @@ class _Records:
                     E.add(f"{S}.last_sp = {v}")
                     self._pend[sid].append(f"-1 - {v}")
                 else:
-                    ap = self._buf_fns(sink)[0]
+                    ap = self._buf_fns(sink.buf)[0]
                     E.add(f"if {S}.last_sp != {x}[2]:")
                     E.add(f"    {S}.last_sp = {x}[2]")
                     E.add(f"    {ap}(-1 - {x}[2])")
@@ -310,77 +380,93 @@ class _Records:
                 kq = self._kq[(sid, tail)] = f"{kh}t{tail}"
                 E.add(f"{kq} = {kh} | {tail << sink.tail_shift}")
             # the EA is *not* masked here: a wild address faults at this
-            # instruction's bounds check, before the pending extend runs
+            # instruction's bounds check, before the pending write runs
             v = f"a{self._na}"
             self._na += 1
             E.add(f"{v} = a")
             self._pend.setdefault(sid, []).append(f"{kq} | {v}")
             self._pend_sinks[sid] = sink
             return
+        buf = sink.read_buf if kind == "read" else sink.write_buf
+        K = self._kid_local(sink.tag)
+        key = (id(sink), kind)
         if self.mode == "agg":
-            vI, vE, _ = self._vars[(id(sink), kind)]
-            if sink.track_incl:
-                E.add(f"{vI} += {size}")
+            acc = self._sums.setdefault(key, [buf, sink, 0, None])
+            acc[2] += size
             if sink.track_excl:
-                E.add(f"if a < {x}[2]: {vE} += {size}")
-            key = (id(sink), kind)
-            if key not in self._dirty:
-                self._dirty.append(key)
+                if acc[3] is None:
+                    acc[3] = self._local("e")
+                    E.add(f"{acc[3]} = {size} if a < {x}[2] else 0")
+                else:
+                    E.add(f"if a < {x}[2]: {acc[3]} += {size}")
             return
-        buf = E.bind("b", sink.read_buf if kind == "read"
-                     else sink.write_buf)
-        tag = E.bind("tag", sink.tag)
+        pend = self._quads.setdefault(key, (buf, sink, []))[2]
         if sink.track_incl and sink.track_excl:
-            E.add(f"{buf}.extend((ic + {k + 1}, {size}, "
-                  f"{size} if a < {x}[2] else 0, {tag}.rec_id))")
+            e = self._local("e")
+            E.add(f"{e} = {size} if a < {x}[2] else 0")
+            pend += (f"ic + {k + 1}", str(size), e, K)
         elif sink.track_incl:
-            E.add(f"{buf}.extend((ic + {k + 1}, {size}, 0, {tag}.rec_id))")
+            pend += (f"ic + {k + 1}", str(size), "0", K)
         else:
-            E.add(f"if a < {x}[2]: "
-                  f"{buf}.extend((ic + {k + 1}, 0, {size}, {tag}.rec_id))")
+            # an above-SP access records nothing: a conditional tuple
+            r = self._local("r")
+            E.add(f"{r} = (ic + {k + 1}, 0, {size}, {K}) "
+                  f"if a < {x}[2] else ()")
+            pend.append(r)
 
-    def _emit_close(self, key) -> None:
-        E = self.E
-        vI, vE, sink = self._vars[key]
-        kind = key[1]
-        buf = E.bind("b", sink.read_buf if kind == "read"
-                     else sink.write_buf)
-        tag = E.bind("tag", sink.tag)
-        primary = vI if sink.track_incl else vE
-        incl = vI if sink.track_incl else "0"
-        excl = vE if sink.track_excl else "0"
-        E.add(f"if {primary}:")
-        E.add(f"    K = {tag}.rec_id")
-        # K == -1 drops; K <= -2 is a library-marked kernel id and must be
-        # recorded (the flush / capture replay folds it back)
-        E.add(f"    if K != -1: {buf}.extend((ic + 1, {incl}, {excl}, K))")
-        names = []
-        if sink.track_incl:
-            names.append(vI)
-        if sink.track_excl:
-            names.append(vE)
-        E.add(f"    {' = '.join(names)} = 0")
+    def _writes(self) -> list[str]:
+        """The statements writing the open segment's tQUAD records: one
+        bulk write per buffer.  Agg mode: ``K == -1`` drops; ``K <= -2``
+        is a library-marked kernel id and must be recorded (the flush /
+        capture replay folds it back)."""
+        out = []
+        for buf, sink, incl, excl in self._sums.values():
+            K = self._kid[id(sink.tag)]
+            write = self._bulk(buf, ["ic + 1", str(incl) if sink.track_incl
+                                     else "0", excl or "0", K])
+            if sink.track_incl:
+                out.append(f"if {K} != -1: {write}")
+            else:
+                out.append(f"if {excl} and {K} != -1: {write}")
+        for buf, sink, pend in self._quads.values():
+            if sink.track_incl:
+                out.append(self._bulk(buf, pend))
+            else:
+                out.append(f"{self._buf_fns(buf)[1]}"
+                           f"([{', '.join('*' + r for r in pend)}])")
+        return out
+
+    def at_fault(self, k: int) -> None:
+        """Instruction ``k``'s fault branch: when the handler regenerates
+        the body for a fault there, keep the writes of the segment it cut
+        short (agg sums so far, the faulting access included, or the
+        pending event quads).  Raw sinks' pending records are dropped:
+        QUAD has no partial report."""
+        if k == self.fault_site:
+            self.fault_writes = self._writes()
 
     def _flush_raw(self, sid: int) -> None:
         """Emit the pending packed records of one raw sink as a single
-        ``extend`` (or ``append`` for a lone record)."""
+        bulk write (or an ``append`` for a lone record)."""
         exprs = self._pend.get(sid)
         if not exprs:
             return
-        ap, ex = self._buf_fns(self._pend_sinks[sid])
+        buf = self._pend_sinks[sid].buf
         if len(exprs) == 1:
-            self.E.add(f"{ap}({exprs[0]})")
+            self.E.add(f"{self._buf_fns(buf)[0]}({exprs[0]})")
         else:
-            self.E.add(f"{ex}(({', '.join(exprs)}))")
+            self.E.add(self._bulk(buf, exprs))
         exprs.clear()
 
     def close_segment(self) -> None:
-        """Flush dirty accumulators to the buffers and reset them.  Emitted
+        """Write the segment's records and start a new one.  Emitted
         before analysis thunks (which may change ``tag.rec_id``) and before
         the trace's final exit."""
-        for key in self._dirty:
-            self._emit_close(key)
-        self._dirty.clear()
+        for line in self._writes():
+            self.E.add(line)
+        self._sums.clear()
+        self._quads.clear()
+        self._kid.clear()
         for sid in self._pend:
             self._flush_raw(sid)
         self._kh.clear()
@@ -394,7 +480,6 @@ class _Records:
         self._sp_ok.clear()
 
 
-
 def build_block(machine, start: int):
     """Materialize the superblock (trace) starting at instruction ``start``.
 
@@ -403,6 +488,22 @@ def build_block(machine, start: int):
     index (or -1 to halt).  ``indices`` lists the static instructions fused
     into the trace, in order (not necessarily contiguous).
     """
+    items, guarded = _form_trace(machine, start)
+    if not items:
+        return _fallback_singleton(machine, start), [start]
+    fn = _compile_block(machine, items, guarded)
+    # block materializations are cached by the machine, so these land once
+    # per static block, not per execution
+    _TELEMETRY.count("vm/superblocks")
+    _TELEMETRY.count("vm/fused_instructions", len(items))
+    return fn, [idx for idx, _, _ in items]
+
+
+def _form_trace(machine, start: int):
+    """Walk the trace from ``start`` under the formation rules.  Returns
+    ``(items, guarded)``; ``items`` is empty when the first instruction
+    must take the per-instruction path.  Deterministic for a machine (the
+    instrumenter caches its plans), so the fault handler can re-walk it."""
     instrs = machine.instrs
     n_instr = len(instrs)
     instrumenter = machine.block_instrumenter
@@ -413,18 +514,12 @@ def build_block(machine, start: int):
     while i < n_instr:
         ins = instrs[i]
         if ins.pred != NO_PRED:
-            if instrumenter is not None:
-                if not items:
-                    return _fallback_singleton(machine, i), [i]
-                break
-            if not items:
+            if instrumenter is None and not items:
                 items.append((i, ins, None))
                 guarded = True
             break
         plan = instrumenter.plan(i, ins) if instrumenter is not None else None
         if plan is FALLBACK:
-            if not items:
-                return _fallback_singleton(machine, i), [i]
             break
         items.append((i, ins, plan))
         trace.add(i)
@@ -440,12 +535,7 @@ def build_block(machine, start: int):
         if i + 1 in trace:
             break
         i += 1
-    fn = _compile_block(machine, items, guarded)
-    # block materializations are cached by the machine, so these land once
-    # per static block, not per execution
-    _TELEMETRY.count("vm/superblocks")
-    _TELEMETRY.count("vm/fused_instructions", len(items))
-    return fn, [idx for idx, _, _ in items]
+    return items, guarded
 
 
 def _fallback_singleton(machine, index: int):
@@ -506,23 +596,38 @@ def _compile_block(machine, items, guarded: bool):
         E.add(f"{m}.icount = ic + 1")
         E.add(f"if not {x}[{items[0][1].pred}]: return {items[0][0] + 1}")
 
-    intervals = {sink.interval for sink, _ in pairs}
-    if pairs and len(intervals) == 1 and min(intervals) >= n:
+    I = _agg_interval(pairs, n)
+    # a tQUAD sink's open segment is written by one fault handler per
+    # trace, not by every fault branch: the branches mark the faulting
+    # icount in ``f`` and the handler regenerates the writes on demand
+    handled = any(not getattr(sink, "raw", False) for sink, _ in pairs)
+    if handled:
+        E.add("f = 0")
+        E.add("try:")
+        E.push()
+    if I:
         # The whole trace spans one slice unless a boundary falls inside it
-        # (possible only every `interval` instructions): aggregate in locals
-        # on the fast path, fall back to exact per-access quads on the rare
-        # straddling execution.
-        I = intervals.pop()
+        # (possible only every `interval` instructions): aggregate per
+        # segment on the fast path, fall back to exact per-access quads on
+        # the rare straddling execution.
         E.add(f"if ic // {I} == (ic + {n - 1}) // {I}:")
         E.push()
-        _emit_body(E, machine, items, "agg", m, x)
+        _emit_body(E, machine, items, "agg", m, x, handled=handled)
         E.pop()
         E.add("else:")
         E.push()
-        _emit_body(E, machine, items, "event", m, x)
+        _emit_body(E, machine, items, "event", m, x, handled=handled)
         E.pop()
     else:
-        _emit_body(E, machine, items, "event" if pairs else "none", m, x)
+        _emit_body(E, machine, items, "event" if pairs else "none", m, x,
+                   handled=handled)
+    if handled:
+        E.pop()
+        F = E.bind("F", (MemoryFault, ArithmeticFault))
+        W = E.bind("FW", _write_faulted_segment)
+        E.add(f"except {F}:")
+        E.add(f"    if f: {W}({m}, {items[0][0]}, locals())")
+        E.add("    raise")
 
     src = "def step(pc, {args}):\n{body}\n".format(
         args=", ".join(f"{k}={k}" for k in E.env),
@@ -532,12 +637,44 @@ def _compile_block(machine, items, guarded: bool):
     return ns["step"]
 
 
-def _emit_body(E: _Emitter, machine, items, mode: str, m: str,
-               x: str) -> None:
+def _agg_interval(pairs, n: int) -> int | None:
+    """The slice interval of agg mode, or ``None`` when the trace has no
+    record sinks, they disagree on the interval, or a trace can straddle
+    more than one slice boundary."""
+    intervals = {sink.interval for sink, _ in pairs}
+    if pairs and len(intervals) == 1 and min(intervals) >= n:
+        return intervals.pop()
+    return None
+
+
+def _write_faulted_segment(machine, start: int, frame: dict) -> None:
+    """The fault handler of the trace at ``start``: write the records of
+    the segment a fault branch cut short.
+
+    ``frame`` holds the faulting step's locals (``ic``, ``f`` and the
+    segment's record locals).  The trace is re-walked and its body
+    regenerated up to the faulting instruction, whose pending writes then
+    run against those locals — the exact statements a fault branch would
+    carry inline, built only when a guest actually faults.
+    """
+    items, _ = _form_trace(machine, start)
+    n, ic = len(items), frame["ic"]
+    I = _agg_interval(_record_pairs(items), n)
+    mode = "agg" if I and ic // I == (ic + n - 1) // I else "event"
+    E = _Emitter()
+    rec = _emit_body(E, machine, items, mode, E.bind("m", machine),
+                     E.bind("x", machine.x), handled=True,
+                     fault_site=frame["f"] - ic - 1)
+    env = dict(frame)
+    env.update(E.env)
+    exec("\n".join(rec.fault_writes), env)  # noqa: S102
+
+
+def _emit_body(E: _Emitter, machine, items, mode: str, m: str, x: str, *,
+               handled: bool = False,
+               fault_site: int | None = None) -> _Records:
     n = len(items)
-    rec = _Records(E, mode, x)
-    if mode == "agg":
-        rec.declare(_record_pairs(items))
+    rec = _Records(E, mode, x, handled=handled, fault_site=fault_site)
     terminated = False
     for k, (index, ins, plan) in enumerate(items):
         if plan is not None and plan.pre:
@@ -559,6 +696,7 @@ def _emit_body(E: _Emitter, machine, items, mode: str, m: str,
         rec.close_segment()
         E.add(f"{m}.icount = ic + {n}")
         E.add(f"return {items[-1][0] + 1}")
+    return rec
 
 
 def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,
@@ -574,8 +712,15 @@ def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,
     if op == oc.NOP:
         return False
 
-    def fault_fix() -> str:
-        return f"{m}.icount = ic + {k + 1}"
+    def fault(exc: str, msg: str) -> None:
+        """The body of a fault branch: the exact per-instruction icount
+        (marked for the trace's fault handler), then the raise."""
+        E.push()
+        mark = "f = " if rec.handled else ""
+        E.add(f"{m}.icount = {mark}ic + {k + 1}")
+        rec.at_fault(k)
+        E.add(f"raise {exc}({msg}, pc={pc_byte})")
+        E.pop()
 
     # --- memory (loads/stores share the address + bounds preamble) --------
     if op in _UNPACK or op in _PACK or op == oc.PREFETCH:
@@ -599,9 +744,7 @@ def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,
             return False
         MF = E.bind("MF", MemoryFault)
         E.add(f"if not {NULL_GUARD} <= a <= {machine.mem_size - size}:")
-        E.add(f"    {fault_fix()}")
-        E.add(f"    raise {MF}('bad access [%#x, +{size})' % a, "
-              f"pc={pc_byte})")
+        fault(MF, f"'bad access [%#x, +{size})' % a")
         mem = E.bind("mem", machine.mem)
         if op in _UNPACK:
             up = E.bind("u", _UNPACK[op])
@@ -633,8 +776,7 @@ def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,
         AF = E.bind("AF", ArithmeticFault)
         E.add(f"va = {x}[{rs1}]; vb = {x}[{rs2}]")
         E.add("if vb == 0:")
-        E.add(f"    {fault_fix()}")
-        E.add(f"    raise {AF}('division by zero', pc={pc_byte})")
+        fault(AF, "'division by zero'")
         if rd:
             E.add("q = abs(va) // abs(vb)")
             E.add("if (va < 0) != (vb < 0): q = -q")
@@ -758,9 +900,7 @@ def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,
         isfin = E.bind("fin", math.isfinite)
         E.add(f"va = {f}[{rs1}]")
         E.add(f"if not {isfin}(va):")
-        E.add(f"    {fault_fix()}")
-        E.add(f"    raise {AF}('float->int of non-finite value', "
-              f"pc={pc_byte})")
+        fault(AF, "'float->int of non-finite value'")
         if rd:
             _wrap_assign(E, f"{x}[{rd}]", "int(va)")
         return False

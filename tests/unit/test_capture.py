@@ -13,6 +13,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.capture import (CaptureCollector, CaptureFormatError,
                            CaptureMismatchError, CaptureReader,
                            CaptureWriter, STREAM_CALLS, STREAM_QUAD,
@@ -22,13 +23,15 @@ from repro.capture import (CaptureCollector, CaptureFormatError,
                            replay_gprof, replay_many, replay_quad,
                            replay_tquad, sidecar_path)
 from repro.capture.format import decode_page, encode_page
-from repro.core import (MultiPassResult, TQuadOptions, profile_passes,
-                        run_tquad)
+from repro.core import (MultiPassResult, TQuadOptions, TQuadTool,
+                        profile_passes, run_tquad)
 from repro.core.options import StackPolicy
+from repro.core.recording import RecordingSink
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
-from repro.quad import run_quad
-from repro.quad.shadow import ADDR_MASK, KID_SHIFT
+from repro.pin import PinEngine
+from repro.quad import QuadTool, run_quad
+from repro.quad.shadow import ADDR_MASK, KID_SHIFT, PagedQuadSink
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 
 APP = """
@@ -444,6 +447,44 @@ class TestToolGuards:
         with pytest.raises(ValueError, match="capture"):
             parallel_profile(program, TQuadSpec(options=TQuadOptions()),
                              capture_writer=CaptureWriter(io.BytesIO()))
+
+
+class TestRecordOnly:
+    """Capture-attached tools record and do nothing else: the ledger fold
+    and the shadow drain happen at replay, never during the run."""
+
+    @pytest.mark.parametrize("make", [
+        lambda capture: TQuadTool(TQuadOptions(), capture=capture),
+        lambda capture: QuadTool(capture=capture),
+    ], ids=["tquad", "quad"])
+    def test_report_refuses(self, make):
+        engine = PinEngine(build_program(APP))
+        tool = make(CaptureCollector()).attach(engine)
+        engine.run()
+        with pytest.raises(RuntimeError, match="replay the capture"):
+            tool.report()
+
+    def test_capture_run_folds_and_drains_nothing(self, monkeypatch):
+        program = build_program(APP)
+        options = TQuadOptions(slice_interval=50)
+        live = (tquad_to_json(run_tquad(program, options=options)),
+                quad_to_json(run_quad(program)))
+
+        def analysis(*args, **kwargs):
+            raise AssertionError("capture_run analysed what it records")
+
+        monkeypatch.setattr(RecordingSink, "_flush", analysis)
+        monkeypatch.setattr(PagedQuadSink, "_drain", analysis)
+        monkeypatch.setattr(obs.TELEMETRY, "gauges", {})
+        buf = io.BytesIO()
+        capture_run(program, buf, options=options)
+        # no shadow, so no shadow-footprint gauges
+        assert not [g for g in obs.TELEMETRY.gauges if g.startswith("quad/")]
+        monkeypatch.undo()
+        buf.seek(0)
+        with CaptureReader(buf) as reader:
+            assert tquad_to_json(replay_tquad(reader, options)) == live[0]
+            assert quad_to_json(replay_quad(reader)) == live[1]
 
 
 class TestParallelCapture:

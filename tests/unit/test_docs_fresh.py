@@ -131,7 +131,52 @@ class TestDesignDoc:
             assert (ROOT / "src" / path).is_dir(), path
 
 
+def _span_rows(text: str) -> set[tuple[str, str]]:
+    """The (name, category) pairs of the span table in
+    ``docs/observability.md``: every backticked name of a row's first
+    cell with every backticked category of its second."""
+    table = text.split("### Spans recorded by the pipeline")[1]
+    table = table.split("\n### ")[0]
+    pairs = set()
+    for row in re.findall(r"^\|(.*?)\|(.*?)\|", table, re.M):
+        names = re.findall(r"`([^`]+)`", row[0])
+        cats = re.findall(r"`([^`]+)`", row[1])
+        pairs.update((n, c) for n in names for c in cats)
+    return pairs
+
+
 class TestObservabilityDoc:
+    def test_every_span_documented(self):
+        """Every ``.span(name, cat="…")`` under ``src/`` is a documented
+        (name, category) pair.  An f-string name matches a row whose
+        name has a ``<placeholder>`` in place of each ``{…}``; a name
+        held in a variable matches a row whose whole name is one."""
+        documented = _span_rows((DOCS / "observability.md").read_text())
+        emitted = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            text = path.read_text()
+            found = re.findall(
+                r'\.span\(\s*(f?"[^"]*"|[\w.]+)\s*,\s*cat="(\w+)"', text)
+            # a call this pattern cannot read must not slip through
+            assert len(found) == text.count(".span("), path
+            emitted.update(found)
+        assert ('"sweep.fold"', "sweep") in emitted
+        missing = []
+        for name, cat in sorted(emitted):
+            if name.startswith('"'):
+                pattern = re.escape(name[1:-1])
+            elif name.startswith('f"'):
+                pattern = "<[\\w-]+>".join(
+                    re.escape(part)
+                    for part in re.split(r"\{[^}]*\}", name[2:-1]))
+            else:
+                pattern = "<[\\w-]+>"
+            if not any(c == cat and re.fullmatch(pattern, n)
+                       for n, c in documented):
+                missing.append(f"{name} ({cat})")
+        assert not missing, \
+            f"spans undocumented in docs/observability.md: {missing}"
+
     def test_every_counter_and_gauge_documented(self):
         """Every literal ``.count("…")``/``.gauge("…")`` name under
         ``src/`` and every ``quad/<key>`` gauge the QUAD tool publishes

@@ -9,6 +9,8 @@ equivalence on the MiniC kernel corpus and the WFS application, plus the
 exact-budget semantics of ``Machine.run``.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,13 +19,16 @@ from repro.apps.kernels import (build_conv2d, build_fir, build_histogram,
 from repro.apps.wfs import TINY, build_wfs_program
 from repro.apps.wfs.source import make_workspace
 from repro.asmkit import assemble
-from repro.core import StackPolicy, TQuadOptions, run_tquad
+from repro.core import StackPolicy, TQuadOptions, TQuadTool, run_tquad
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
 from repro.pin import PinEngine
 from repro.quad import QuadTool
+from repro.serialize import tquad_to_json
 from repro.testing.oracles import PerEventTQuadTool
-from repro.vm import InstructionBudgetExceeded, Machine
+from repro.vm import (ArithmeticFault, InstructionBudgetExceeded, Machine,
+                      MemoryFault)
+from repro.vm import superblock
 from repro.vm.superblock import MAX_BLOCK, build_block
 
 
@@ -220,6 +225,123 @@ class TestProfilerDifferential:
                 engine.run()
                 counts.add(tool.prefetches_skipped)
         assert counts == {32}
+
+
+#: Guests that fault mid-trace, after the open segment has recorded
+#: accesses (``g[1] = g[2] + g[3]``) and, for the null read, on an access.
+FAULT_GUESTS = {
+    "null-read": """
+int g[16];
+int main() { int i; int *p;
+  for (i = 0; i < 16; i++) { g[i] = i; }
+  p = 0; g[1] = g[2] + g[3]; g[4] = g[5] + *p; return 0; }
+""",
+    "div-zero": """
+int g[16];
+int main() { int i; int z;
+  for (i = 0; i < 16; i++) { g[i] = i; }
+  z = 0; g[1] = g[2] + g[3]; g[4] = g[5] / z; return 0; }
+""",
+    "float-to-int": """
+int g[16];
+int main() { int i; float f;
+  for (i = 0; i < 16; i++) { g[i] = i; }
+  f = 0.0; f = 1.0 / f; g[1] = g[2] + g[3]; g[4] = g[5] + (int) f;
+  return 0; }
+""",
+}
+
+#: Long straight-line segments: 36 global accesses in main, 20+ per trace.
+STRAIGHT = "int g[64];\nint main() { %s return 0; }\n" % " ".join(
+    f"g[{i}] = g[{i + 20}] + g[{i + 40}];" for i in range(12))
+
+
+@pytest.fixture()
+def sources(monkeypatch):
+    """The source of every superblock compiled while the test runs."""
+    out: list[str] = []
+
+    def spy(src, filename, mode, *args, **kwargs):
+        if filename.startswith("<superblock@"):
+            out.append(src)
+        return compile(src, filename, mode, *args, **kwargs)
+
+    monkeypatch.setattr(superblock, "compile", spy, raising=False)
+    return out
+
+
+def _straight_source(sources, *, quad: bool) -> str:
+    engine = PinEngine(build_program(STRAIGHT))
+    TQuadTool(TQuadOptions(slice_interval=10**6)).attach(engine)
+    if quad:
+        QuadTool().attach(engine)
+    engine.run()
+    return max(sources, key=len)
+
+
+class TestRecordEmission:
+    """What generated bodies write, and when.  A trace runs in agg mode
+    when tQUAD is its only sink and in event mode when a QUAD sink shares
+    it; both must record what the per-instruction tier records, also when
+    a fault cuts a segment short."""
+
+    @pytest.mark.parametrize("quad", [False, True],
+                             ids=["tquad", "tquad+quad"])
+    @pytest.mark.parametrize("guest", sorted(FAULT_GUESTS))
+    def test_fault_mid_trace_keeps_segment_records(self, guest, quad):
+        def partial(jit):
+            engine = PinEngine(build_program(FAULT_GUESTS[guest]), jit=jit)
+            tool = TQuadTool(TQuadOptions(slice_interval=1000))
+            tool.attach(engine)
+            if quad:
+                QuadTool().attach(engine)
+            with pytest.raises((MemoryFault, ArithmeticFault)):
+                engine.run()
+            return tquad_to_json(tool.report(allow_partial=True))
+
+        assert partial(jit=True) == partial(jit=False)
+
+    @pytest.mark.parametrize("policy", list(StackPolicy))
+    def test_event_mode_reports_identical(self, policy):
+        program = build_fir(length=256, n_taps=8)
+        options = TQuadOptions(slice_interval=5000, stack=policy)
+
+        def shared_with_quad(jit):
+            engine = PinEngine(program, jit=jit)
+            tool = TQuadTool(options).attach(engine)
+            QuadTool().attach(engine)
+            engine.run()
+            return tquad_to_json(tool.report())
+
+        oracle = _oracle_tquad(program, options=options, jit=False)
+        assert (shared_with_quad(True) == shared_with_quad(False)
+                == tquad_to_json(oracle))
+
+    def test_event_mode_writes_once_per_buffer(self, sources):
+        src = _straight_source(sources, quad=True)
+        accesses = len(re.findall(r"\be\d+ = \d+ if a <", src))
+        writes = len(re.findall(r"_fb\d+\(_pk\d+\(ic \+ \d+, ", src))
+        assert accesses >= 20
+        assert 0 < writes * 8 <= accesses
+
+    def test_agg_mode_sums_at_compile_time(self, sources):
+        src = _straight_source(sources, quad=False)
+        assert "aI" not in src
+        sums = [int(v) for v in
+                re.findall(r"_pk\d+\(ic \+ 1, (\d+), e\d+, K\d+\)", src)]
+        assert max(sums) > 8
+
+    @pytest.mark.parametrize("quad", [False, True],
+                             ids=["tquad", "tquad+quad"])
+    def test_fault_branches_write_nothing(self, sources, quad):
+        src = _straight_source(sources, quad=quad)
+        lines = src.splitlines()
+        raises = [i for i, line in enumerate(lines)
+                  if line.strip().startswith("raise ")]
+        assert raises
+        for i in raises:
+            assert not re.search(r"_(fb|bx|ba)\d+\(", lines[i - 1])
+        assert src.count("except ") == 1
 
 
 class TestTraceFormation:
