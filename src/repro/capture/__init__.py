@@ -38,25 +38,24 @@ from .reader import CaptureReader, PageCursor, StreamingCursor
 from .record import CallEventRecorder, capture_run
 from .replay import (REPLAY_TOOLS, ReplayBundle, replay_gprof, replay_many,
                      replay_quad, replay_tquad)
-from .segments import merge_capture_segments
 from .streaming import (MemBudget, SpillPool, cleanup_spill_dirs,
                         merge_sorted_runs, parse_mem_limit, sample_mask)
 from .approx import (ApproxTQuadReplay, CountMinSketch,
                      approx_replay_tquad)
-from .writer import CaptureCollector, CaptureWriter
+from .writer import CaptureWriter
 
 __all__ = [
     "CAPTURE_VERSION", "CaptureError", "CaptureFormatError",
     "CaptureMismatchError", "MappedPages", "PageCacheError",
     "PAGE_BATCH_ROWS", "REPLAY_TOOLS", "ReplayBundle", "STREAM_CALLS",
     "STREAM_QUAD", "STREAM_TQUAD_READ", "STREAM_TQUAD_WRITE",
-    "ApproxTQuadReplay", "CaptureCollector", "CaptureReader",
-    "CaptureWriter", "CallEventRecorder", "CountMinSketch", "MemBudget",
-    "PageCursor", "SpillPool", "StreamingCursor",
+    "ApproxTQuadReplay", "CaptureReader", "CaptureWriter",
+    "CallEventRecorder", "CountMinSketch", "MemBudget", "PageCursor",
+    "SpillPool", "StreamingCursor",
     "approx_replay_tquad", "build_sidecar", "capture_digest",
     "capture_run", "check_label", "check_program", "cleanup_spill_dirs",
     "library_rows_of", "load_sidecar", "make_manifest",
-    "merge_capture_segments", "merge_sorted_runs", "parse_mem_limit",
-    "program_digest", "replay_gprof", "replay_many", "replay_quad",
-    "replay_tquad", "sample_mask", "sidecar_path",
+    "merge_sorted_runs", "parse_mem_limit", "program_digest",
+    "replay_gprof", "replay_many", "replay_quad", "replay_tquad",
+    "sample_mask", "sidecar_path",
 ]

@@ -10,8 +10,8 @@ from typing import Any, BinaryIO, Iterator
 import numpy as np
 
 from .format import (CAPTURE_VERSION, CaptureFormatError,
-                     CaptureMismatchError, MANIFEST_NAME, decode_page,
-                     page_name)
+                     CaptureMismatchError, MANIFEST_NAME, STREAM_STRIDES,
+                     decode_page, page_name)
 
 
 def _check_name_tables(manifest: dict[str, Any]) -> None:
@@ -29,6 +29,53 @@ def _check_name_tables(manifest: dict[str, Any]) -> None:
                     f"corrupt capture manifest: {entry!r} appears twice "
                     f"in its {key!r} table")
             seen.add(entry)
+
+
+def _check_stream_directory(zf: zipfile.ZipFile,
+                            manifest: dict[str, Any]) -> None:
+    """Reject a ``streams`` directory its ZIP members contradict.
+
+    Readers and the sidecar builder size every page from the directory's
+    ``stride``/``pages``/``rows``, so each stream must be one
+    :class:`~repro.capture.writer.CaptureWriter` writes, at its fixed
+    stride, with exactly ``pages`` members whose decoded sizes (the
+    members' uncompressed sizes: delta encoding keeps byte counts) are
+    whole rows summing to ``rows``.  Read from the central directory
+    alone — no page is inflated."""
+    streams = manifest.get("streams", {})
+    if not isinstance(streams, dict):
+        raise CaptureFormatError(
+            "corrupt capture manifest: 'streams' is not a directory")
+    sizes = {info.filename: info.file_size for info in zf.infolist()
+             if info.filename.startswith("pages/")}
+    for name, info in streams.items():
+        if name not in STREAM_STRIDES:
+            raise CaptureFormatError(
+                f"corrupt capture manifest: unknown stream {name!r}")
+        stride = STREAM_STRIDES[name]
+        fields = info if isinstance(info, dict) else {}
+        if fields.get("stride") != stride:
+            raise CaptureFormatError(
+                f"corrupt capture manifest: stream {name!r} stride "
+                f"{fields.get('stride')!r} (its rows are {stride} wide)")
+        for key in ("pages", "rows"):
+            value = fields.get(key)
+            if type(value) is not int or value < 0:
+                raise CaptureFormatError(
+                    f"corrupt capture manifest: stream {name!r} {key} "
+                    f"{value!r} is not a count")
+        held = [n for n in sizes if n.rpartition("/")[0] == f"pages/{name}"]
+        if len(held) != fields["pages"] or set(held) != {
+                page_name(name, i) for i in range(len(held))}:
+            raise CaptureFormatError(
+                f"corrupt capture manifest: stream {name!r} declares "
+                f"{fields['pages']} pages, the archive holds {len(held)}")
+        row_bytes = 8 * stride
+        if (any(sizes[n] % row_bytes for n in held)
+                or sum(sizes[n] for n in held) != fields["rows"] * row_bytes):
+            raise CaptureFormatError(
+                f"corrupt capture manifest: stream {name!r} pages do not "
+                f"hold its {fields['rows']} rows of {stride} columns")
 
 
 class CaptureReader:
@@ -86,6 +133,7 @@ class CaptureReader:
                 f"{self.manifest.get('format')!r} "
                 f"(this build reads version {CAPTURE_VERSION})")
         _check_name_tables(self.manifest)
+        _check_stream_directory(self._zf, self.manifest)
         self.cache_pages = cache_pages
         self._page_cache: dict[tuple[str, int], np.ndarray] = {}
         self.stats: dict[str, int] = {"decoded_pages": 0,

@@ -1,10 +1,8 @@
-"""Capture sinks: the on-disk page writer and the in-memory collector.
+"""The capture sink: the on-disk page writer.
 
-Both expose the one-method protocol the capturing recording sinks talk
+It exposes the one-method protocol the capturing recording sinks talk
 to — ``add(stream, data)`` with ``data`` the raw little-endian ``int64``
-bytes of one sealed page — so the hot path never knows whether pages go
-straight to a ZIP member (serial runs) or pile up in worker memory to be
-shipped home in the shard payload (parallel runs).
+bytes of one sealed page, written straight to a ZIP member.
 """
 
 from __future__ import annotations
@@ -84,21 +82,3 @@ class CaptureWriter:
         if not self.finalized:
             self._zf.close()
 
-
-class CaptureCollector:
-    """In-memory page accumulator for shard workers and multipass.
-
-    Pages keep the exact bytes the capturing sinks sealed; the parallel
-    merge remaps shard-local kernel ids and forwards them to a real
-    :class:`CaptureWriter` in shard order.
-    """
-
-    def __init__(self):
-        self.pages: dict[str, list[bytes]] = {}
-
-    def add(self, stream: str, data: bytes) -> None:
-        if data:
-            self.pages.setdefault(stream, []).append(bytes(data))
-
-    def reset(self) -> None:
-        self.pages = {}

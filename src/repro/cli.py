@@ -62,10 +62,6 @@ def _bad_usage(message: str) -> int:
 def _validate_profile_args(args: argparse.Namespace) -> int | None:
     if getattr(args, "interval", 1) <= 0:
         return _bad_usage("--interval must be a positive instruction count")
-    if getattr(args, "jobs", 1) < 1:
-        return _bad_usage("--jobs must be >= 1")
-    if getattr(args, "deadline", 1.0) <= 0:
-        return _bad_usage("--deadline must be a positive number of seconds")
     if (getattr(args, "stats", False)
             and getattr(args, "tool", "") != "quad"
             and not getattr(args, "from_capture", None)):
@@ -76,24 +72,14 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
         return _bad_usage("--from-capture and --capture-out are mutually "
                           "exclusive (one reads a capture, one records it)")
     if from_capture:
-        if getattr(args, "jobs", 1) > 1:
-            return _bad_usage("--from-capture replays without executing; "
-                              "it cannot be combined with --jobs")
         if getattr(args, "cache", False) or getattr(args, "imix", False):
             return _bad_usage("--cache/--imix re-execute the guest and "
                               "cannot be combined with --from-capture")
         if getattr(args, "report", None):
             return _bad_usage("--report re-executes the guest and cannot "
                               "be combined with --from-capture")
-    if capture_out:
-        if getattr(args, "jobs", 1) > 1 and getattr(args, "tool",
-                                                    "tquad") != "tquad":
-            return _bad_usage("--capture-out with --jobs requires "
-                              "--tool tquad (only tQUAD shards emit "
-                              "capture segments)")
-        if getattr(args, "report", None):
-            return _bad_usage("--report cannot be combined with "
-                              "--capture-out")
+    if capture_out and getattr(args, "report", None):
+        return _bad_usage("--report cannot be combined with --capture-out")
     err = _parse_replay_args(args)
     if err is not None:
         return err
@@ -148,54 +134,23 @@ def _open_capture(path: str, program, label: str = "",
     return reader
 
 
-def _parallel_capture(args: argparse.Namespace, program, options, *,
-                      fs=None, label: str = ""):
-    """``--capture-out`` with ``--jobs N``: shards record capture segments
-    that merge into one exact capture file (the caller replays it)."""
-    from .capture import CaptureWriter, make_manifest, program_digest
-    from .parallel import TQuadSpec, parallel_profile
-
-    writer = CaptureWriter(args.capture_out)
-    try:
-        run = parallel_profile(program,
-                               TQuadSpec(options=options, capture=True),
-                               jobs=args.jobs, fs=fs,
-                               deadline=args.deadline,
-                               capture_writer=writer)
-        writer.finalize(make_manifest(
-            program_sha=program_digest(program), label=label,
-            grain=options.slice_interval, stack=options.stack.value,
-            exclude_libraries=options.exclude_libraries,
-            total_instructions=run.total_instructions,
-            exit_code=run.exit_code, images=run.images,
-            kernels=run.capture_kernels or [], mem_size=run.mem_size,
-            tools=("tquad",),
-            prefetches_skipped=run.prefetches_skipped))
-    finally:
-        writer.close()
-
-
 def _captured_report(args: argparse.Namespace, program, options, *,
                      fs=None, label: str = ""):
     """Resolve the report when ``--from-capture``/``--capture-out`` is in
     play.  Returns the tool's report object, or an ``int`` exit code.
 
-    ``--capture-out`` records the run (serial or ``--jobs N``) and then
-    *replays the freshly written file* for printing — one execution, and
-    the printed output exercises the same path a later ``--from-capture``
-    will take.
+    ``--capture-out`` records the run and then *replays the freshly
+    written file* for printing — one execution, and the printed output
+    exercises the same path a later ``--from-capture`` will take.
     """
     from .capture import (CaptureError, CaptureReader, capture_run,
                           replay_gprof, replay_quad, replay_tquad)
 
     tool = getattr(args, "tool", "tquad")
     if getattr(args, "capture_out", None):
-        if getattr(args, "jobs", 1) > 1:
-            _parallel_capture(args, program, options, fs=fs, label=label)
-        else:
-            capture_run(program, args.capture_out, fs=fs, options=options,
-                        tools=(tool,), label=label,
-                        max_instructions=getattr(args, "budget", None))
+        capture_run(program, args.capture_out, fs=fs, options=options,
+                    tools=(tool,), label=label,
+                    max_instructions=getattr(args, "budget", None))
         print(f"wrote {args.capture_out}", file=sys.stderr)
         source = args.capture_out
     else:
@@ -280,18 +235,8 @@ def _profile_body(args: argparse.Namespace, program) -> int:
         captured = _captured_report(args, program, options)
         if isinstance(captured, int):
             return captured
-    elif args.jobs > 1:
-        from .parallel import (GprofSpec, QuadSpec, TQuadSpec,
-                               parallel_profile)
-
-        spec = {"tquad": lambda: TQuadSpec(options=options),
-                "quad": QuadSpec,
-                "gprof": GprofSpec}[args.tool]()
-        run = parallel_profile(program, spec, jobs=args.jobs,
-                               deadline=args.deadline)
     if args.tool == "tquad":
         report = (captured if captured is not None else
-                  run.reports["tquad"] if args.jobs > 1 else
                   run_tquad(program, options=options,
                             max_instructions=args.budget))
         approx_result = None
@@ -343,7 +288,6 @@ def _profile_body(args: argparse.Namespace, program) -> int:
             print(tool.format_table(top=args.top))
     elif args.tool == "quad":
         report = (captured if captured is not None else
-                  run.reports["quad"] if args.jobs > 1 else
                   run_quad(program, max_instructions=args.budget))
         if args.json:
             from .serialize import quad_to_json
@@ -357,7 +301,6 @@ def _profile_body(args: argparse.Namespace, program) -> int:
             print(report.format_stats())
     elif args.tool == "gprof":
         flat = (captured if captured is not None else
-                run.reports["gprof"] if args.jobs > 1 else
                 run_gprof(program, max_instructions=args.budget))
         if args.json:
             from .serialize import flat_to_json
@@ -413,12 +356,6 @@ def _wfs_body(args: argparse.Namespace, cfg, program) -> int:
         if isinstance(outcome, int):
             return outcome
         report = outcome
-    elif args.jobs > 1:
-        from .parallel import TQuadSpec, parallel_profile
-
-        report = parallel_profile(program, TQuadSpec(options=options),
-                                  jobs=args.jobs, fs=make_workspace(cfg),
-                                  deadline=args.deadline).reports["tquad"]
     else:
         report = run_tquad(program, fs=make_workspace(cfg),
                            options=options)
@@ -476,13 +413,6 @@ def _guest_body(args: argparse.Namespace, app, cfg, program,
         if isinstance(outcome, int):
             return outcome
         report = outcome
-    elif args.jobs > 1:
-        from .parallel import TQuadSpec, parallel_profile
-
-        report = parallel_profile(
-            program, TQuadSpec(options=options), jobs=args.jobs,
-            fs=app.make_workspace(cfg),
-            deadline=args.deadline).reports["tquad"]
     else:
         report = run_tquad(program, fs=app.make_workspace(cfg),
                            options=options)
@@ -834,14 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     def observability(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace-out", metavar="PATH",
                        help="write a Chrome trace-event JSON of the run "
-                            "(checkpoint/replay/drain/merge spans; open in "
-                            "Perfetto or chrome://tracing) and print a "
-                            "timing summary to stderr")
-        p.add_argument("--deadline", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="with --jobs N: seconds a worker may go without "
-                            "progress before it is declared hung and its "
-                            "shard is retried elsewhere (default: 30)")
+                            "(open in Perfetto or chrome://tracing) and "
+                            "print a timing summary to stderr")
 
     def replay_flags(p: argparse.ArgumentParser, *, bounded: bool = False,
                      sampled: bool = False) -> None:
@@ -888,10 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the report as JSON")
     p.add_argument("--stats", action="store_true",
                    help="with --tool quad: print shadow footprint stats")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="profile with N worker processes via checkpointed "
-                        "sharded replay; results are byte-identical to the "
-                        "serial run (--budget is not applied when N > 1)")
     p.add_argument("--cache", action="store_true",
                    help="with --tool tquad: also simulate the data cache")
     p.add_argument("--imix", action="store_true",
@@ -926,8 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", action="store_true")
     p.add_argument("--report", metavar="PATH",
                    help="write the full case-study report as markdown")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="profile with N worker processes (exact results)")
     p.add_argument("--capture-out", metavar="PATH",
                    help="record a replayable capture of the case study")
     p.add_argument("--from-capture", metavar="PATH",
@@ -953,8 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--writes", action="store_true")
     p.add_argument("--figure", action="store_true")
     p.add_argument("--phases", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="profile with N worker processes (exact results)")
     p.add_argument("--capture-out", metavar="PATH",
                    help="record a replayable capture of this guest run")
     p.add_argument("--from-capture", metavar="PATH",
@@ -1054,6 +970,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "processes (crash/hang recovery included); "
                              "artifacts and the canonical report are "
                              "byte-identical to --jobs 1")
+        cp.add_argument("--deadline", type=float, default=30.0,
+                        metavar="SECONDS",
+                        help="with --jobs N: seconds a worker may go "
+                             "without progress before it is declared hung "
+                             "and its entry is retried elsewhere "
+                             "(default: 30)")
         replay_flags(cp, bounded=True, sampled=sampled)
         observability(cp)
 

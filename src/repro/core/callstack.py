@@ -62,22 +62,6 @@ class CallStack:
         self._intern_ids: dict[str, int] = {}
         self.interned_names: list[str] = []
 
-    def reset(self) -> None:
-        """Return to the pristine post-``__init__`` state.
-
-        In-place (the object identity is captured by analysis closures and
-        recording sinks), so an attached tool can be reused for another
-        independent run without recompiling its instrumentation.
-        """
-        self._frames.clear()
-        self.current_kernel = None
-        self.in_library = False
-        self.max_depth = 0
-        self.underflows = 0
-        self.rec_id = -1
-        self._intern_ids.clear()
-        self.interned_names.clear()
-
     def intern(self, name: str) -> int:
         """The stable integer id for ``name`` (allocating on first use)."""
         i = self._intern_ids.get(name)

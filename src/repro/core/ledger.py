@@ -11,8 +11,8 @@ so one profiling pass yields both of the paper's stack-inclusion views.
 The ledger is one columnar table: a kernel-name table in Python ``sorted``
 order, plus ``int64`` slice and counter columns sorted by (kernel, slice),
 one row per pair.  Writers append *grouped chunks* with :meth:`add` — the
-live recording flush, the sweep engine's cells and the shard merge all
-land their rows this way — and the first read folds the pending chunks
+live recording flush and the sweep engine's cells both land their rows
+this way — and the first read folds the pending chunks
 into the table once.  Addition commutes, so chunks may arrive in any
 order and split any way; every reader (:meth:`kernels`, :meth:`series`,
 :attr:`history`) sees the same table.
@@ -78,9 +78,9 @@ class BandwidthLedger:
         four counters, in counter-index order) to kernel
         ``names[kid[i]]`` in slice ``slices[i]``.
 
-        ``names`` is copied, so the caller may keep growing or clearing
-        its own table (the recording flush passes the call stack's
-        interned-name list, which ``CallStack.reset`` clears in place).
+        ``names`` is copied, so the caller may keep growing its own
+        table (the recording flush passes the call stack's interned-name
+        list, which grows as new kernels are entered).
         The arrays are kept as given until the fold, so the caller must
         not modify them afterwards.
         """
@@ -98,9 +98,9 @@ class BandwidthLedger:
                  ((r_incl, r_excl, w_incl, w_excl),))
 
     def merge(self, other: "BandwidthLedger") -> None:
-        """Add every row of ``other`` as one chunk (the shard merge).
-        The chunk holds ``other``'s current table, which later writes to
-        ``other`` replace rather than modify."""
+        """Add every row of ``other`` as one chunk.  The chunk holds
+        ``other``'s current table, which later writes to ``other``
+        replace rather than modify."""
         other._fold()
         self.add(*other._table_chunk())
 

@@ -34,9 +34,9 @@ from .report import TQuadReport
 class TQuadTool:
     """Temporal memory-bandwidth profiler (the paper's primary artifact).
 
-    With ``capture`` set (any page sink with ``add(stream, data)`` — a
-    :class:`repro.capture.writer.CaptureWriter` or ``CaptureCollector``),
-    the tool *records only*: every sealed quad buffer goes to the capture
+    With ``capture`` set (any page sink with ``add(stream, data)``, such
+    as a :class:`repro.capture.writer.CaptureWriter`), the tool *records
+    only*: every sealed quad buffer goes to the capture
     and nothing is folded into the ledger, so :meth:`report` refuses —
     replay the capture (:mod:`repro.capture.replay`) instead.
     """
@@ -85,25 +85,6 @@ class TQuadTool:
         engine.RTN_AddInstrumentFunction(self._instrument_routine)
         engine.AddFiniFunction(self._fini)
         return self
-
-    def reset(self) -> None:
-        """Prepare the attached tool for another independent run.
-
-        The engine's compiled code cache embeds this tool's analysis
-        closures, which capture the call stack, ledger and sink *objects* —
-        so those are reset in place (or container-swapped) rather than
-        replaced, and the expensive instrumented compilation is reused.
-        The ledger's table is replaced rather than cleared, so series
-        views and merged copies of the previous run stay valid.
-        """
-        self.callstack.reset()
-        self.ledger.reset()
-        if self._sink is not None:
-            self._sink.reset()
-        if self.capture is not None and hasattr(self.capture, "reset"):
-            self.capture.reset()
-        self.prefetches_skipped = 0
-        self.finished = False
 
     def _instrument_instruction(self, ins: INS) -> None:
         """``Instruction()`` — see paper Fig. 4."""

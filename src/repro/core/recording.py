@@ -73,11 +73,6 @@ class RecordBuffers:
         self.track_excl = policy is not StackPolicy.INCLUDE
         self.interval = interval
 
-    def reset(self) -> None:
-        """Drop any unflushed records (for tool reuse across runs)."""
-        del self.read_buf[:]
-        del self.write_buf[:]
-
     def flush_read(self) -> None:
         self._flush(self.read_buf, write=False)
 

@@ -50,23 +50,6 @@ class GprofTool:
         engine.AddFiniFunction(self._fini)
         return self
 
-    def reset(self) -> None:
-        """Prepare the attached tool for another independent run.
-
-        The four result dicts are *replaced* (a previously extracted
-        reference stays valid and frozen); stack state is cleared in
-        place.  Compiled instrumentation capturing the bound analysis
-        methods keeps working — they look the containers up per event.
-        """
-        self.self_instructions = {}
-        self.cumulative_instructions = {}
-        self.calls = {}
-        self.edges = {}
-        self._stack.clear()
-        self._on_stack.clear()
-        self._last_event = 0
-        self.finished = False
-
     def _instrument_instruction(self, ins: INS) -> None:
         if ins.IsRet():
             ins.InsertCall(IPOINT.BEFORE, self._on_ret)
@@ -111,41 +94,6 @@ class GprofTool:
             # recursion rule)
             self.cumulative_instructions[name] = (
                 self.cumulative_instructions.get(name, 0) + elapsed)
-
-    # ------------------------------------------------- sharded replay hooks
-    def seed_frames(self, frames, start_icount: int) -> None:
-        """Adopt a live call stack for a mid-execution (shard) replay.
-
-        ``frames`` are ``(name, image, entry_icount)`` tuples with
-        *absolute* entry icounts (from
-        :class:`~repro.parallel.checkpoint.CheckpointTracer`); the machine
-        must be restored to ``start_icount``.  Calls and edges for these
-        frames were already counted by the shard that entered them, so
-        only stack/recursion state is recreated here.
-        """
-        for name, _image, entry_ic in frames:
-            self._stack.append(_Frame(name, entry_ic))
-            self._on_stack[name] = self._on_stack.get(name, 0) + 1
-        self._last_event = start_icount
-
-    def flush_shard(self) -> None:
-        """Charge self time up to the current icount at a shard boundary.
-
-        The serial run attributes the span since the last call/return event
-        lazily, at the *next* event; a shard must instead settle it at its
-        end.  The next shard seeds ``_last_event`` to this boundary, so the
-        two charges add up to exactly the serial attribution (the top frame
-        cannot change between the boundary and the next event).  Unlike
-        ``_fini`` this touches no cumulative counts — open frames are
-        completed by the shard that observes their return.
-        """
-        ic = self._machine.icount
-        if self._stack:
-            top = self._stack[-1]
-            self.self_instructions[top.name] = (
-                self.self_instructions.get(top.name, 0)
-                + ic - self._last_event)
-        self._last_event = ic
 
     def _fini(self, exit_code: int) -> None:
         # Attribute the tail (between the last event and exit) to whatever

@@ -1,7 +1,7 @@
 """Run telemetry: spans, counters, gauges, Chrome trace export.
 
 The process-wide singleton :data:`TELEMETRY` is what the engine, the VM's
-superblock compiler, the QUAD drains and the parallel pipeline record
+superblock compiler, the QUAD drains and the corpus worker pool record
 into by default; code that wants an isolated collection (tests, the
 worker processes) builds its own :class:`Telemetry` and passes it down
 explicitly.

@@ -1,10 +1,10 @@
 """Spans, counters and gauges over a monotonic clock.
 
 The profiler treats itself as an observable system: every coarse unit of
-work — a checkpoint quantum, a shard replay, a record-buffer drain, a
-merge — is wrapped in a :meth:`Telemetry.span`, and structural facts
-(superblocks compiled, shards retried, shadow pages resident) land in
-counters and gauges.
+work — a compile, a capture replay, a record-buffer drain, a sweep — is
+wrapped in a :meth:`Telemetry.span`, and structural facts (superblocks
+compiled, worker tasks retried, shadow pages resident) land in counters
+and gauges.
 
 Overhead discipline
 -------------------

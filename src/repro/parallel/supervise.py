@@ -1,42 +1,45 @@
-"""Fault-tolerant worker supervision for the parallel replay pipeline.
+"""Fault-tolerant worker supervision for ``tquad corpus --jobs``.
 
-The old orchestrator streamed shards into a ``multiprocessing.Pool`` and
-waited: one worker crash, hang, or torn result poisoned the whole run.
-This module replaces the pool with a :class:`Supervisor` that treats the
-worker fleet as an unreliable distributed system and the merged report's
-byte-exactness as the invariant to protect:
+A :class:`Supervisor` maps a list of independent tasks onto a fleet of
+worker processes and treats that fleet as an unreliable distributed
+system, with the results' byte-exactness as the invariant to protect.
+The corpus fleet (:mod:`repro.corpus.fleet`) hands it one task per
+roster entry.
 
 * **Directed scheduling** — each worker has its own inbox; the parent
-  assigns one shard at a time, so a failed shard can be retried on a
+  assigns one task at a time, so a failed task can be retried on a
   *different* worker (``excluded`` set per task).
 * **Progress heartbeats** — a worker-side thread publishes a timestamp
-  whenever the replayed machine's ``icount`` (or the worker's task
+  whenever the runner's ``progress()`` token (or the worker's task
   counter) advances.  A worker whose heartbeat is older than
-  ``deadline`` seconds is declared hung, killed, and its shard requeued.
-  Because the beat is tied to *progress*, a worker stalled inside the
-  replay is caught even though its process is alive and scheduling
-  threads.
+  ``deadline`` seconds is declared hung, killed, and its task requeued.
+  Because the beat is tied to *progress*, a worker stalled inside a task
+  is caught even though its process is alive and scheduling threads.
 * **Crash detection** — a non-``None`` ``exitcode`` on a busy worker
-  requeues its shard with that worker excluded.
+  requeues its task with that worker excluded.
 * **Torn payloads** — workers pickle their own results and the parent
-  unpickles defensively; a truncated or corrupt blob is a shard failure
+  unpickles defensively; a truncated or corrupt blob is a task failure
   like any other, not a crashed run.
-* **Bounded retry, then degradation** — a shard that fails more than
+* **Bounded retry, then degradation** — a task that fails more than
   ``max_retries`` times (or that every surviving worker has already
-  failed) is replayed *in-process* by the parent's own
-  :class:`~repro.parallel.worker.ShardRunner`.  Shard replay is
-  deterministic, so a result is a result no matter where it was computed
-  — the merged report stays byte-identical to the serial run no matter
-  which workers die.
-* **Lazy spawning** — workers are forked only when a shard is waiting
-  and nobody idle can take it, so ``--jobs`` larger than the shard count
+  failed) runs *in-process* on the parent's own runner.  Tasks are
+  deterministic, so a result is a result no matter where it was
+  computed.
+* **Lazy spawning** — workers are forked only when a task is waiting
+  and nobody idle can take it, so ``--jobs`` larger than the task count
   never spawns idle processes (the clamp lands in the
   ``parallel/jobs_clamped`` telemetry counter).
 
+The runner comes from ``runner_factory``: a picklable callable with a
+``result_type`` attribute that takes a :class:`~repro.obs.Telemetry` and
+builds an object exposing ``execute(task) -> result_type`` and
+``progress()``.  Tasks carry an ``index`` that orders the results.
+
 Fault injection (:mod:`repro.testing.faults`) hooks the worker loop
 (stage ``replay``), the result wire (stage ``payload``) and the parent's
-checkpoint pull (stage ``checkpoint``); the crash-recovery tests drive
-every kind through every stage.
+hand-out of each task (stage ``checkpoint``); a fault's ``shard``
+selector is the task index.  The crash-recovery tests drive every kind
+through every stage.
 """
 
 from __future__ import annotations
@@ -50,9 +53,6 @@ from dataclasses import dataclass, field
 
 from ..obs import Telemetry
 from ..testing.faults import FaultInjector, FaultPlan
-from ..vm.program import Program
-from .checkpoint import ShardSpec
-from .worker import ShardResult, ShardRunnerFactory, ToolSpec
 
 _LOG = logging.getLogger("repro.parallel")
 
@@ -62,8 +62,8 @@ HEARTBEAT_INTERVAL = 0.2
 #: Default seconds without progress before a busy worker is declared hung.
 DEFAULT_DEADLINE = 30.0
 
-#: Default number of re-executions of a failed shard on other workers
-#: before it degrades to in-process serial replay.
+#: Default number of re-executions of a failed task on other workers
+#: before it degrades to an in-process run.
 DEFAULT_MAX_RETRIES = 2
 
 #: Parent-side wait granularity while blocked on worker results.
@@ -72,11 +72,11 @@ _POLL = 0.05
 
 @dataclass
 class _Task:
-    """One shard on its way to a result."""
+    """One task on its way to a result."""
 
-    spec: ShardSpec
+    spec: object
     attempt: int = 0
-    #: Worker ids that already failed this shard.
+    #: Worker ids that already failed this task.
     excluded: set[int] = field(default_factory=set)
 
 
@@ -93,9 +93,9 @@ def _heartbeat(hb, state, runner) -> None:  # pragma: no cover - worker side
     """Publish a fresh timestamp whenever the worker makes progress.
 
     Progress is the pair (tasks started/finished, the runner's own
-    ``progress()`` token — the replayed ``icount`` for shard runners): a
-    stalled replay stops advancing the token and therefore stops beating,
-    even though the process and this thread stay alive.
+    ``progress()`` token — the live guest's ``icount`` for the corpus
+    fleet): a stalled task stops advancing the token and therefore stops
+    beating, even though the process and this thread stay alive.
     """
     last = None
     while True:
@@ -147,36 +147,26 @@ def _worker_main(wid, inbox, outbox, hb, factory, plan,
 
 
 class Supervisor:
-    """Runs shards across a self-healing fleet of worker processes."""
+    """Runs tasks across a self-healing fleet of worker processes."""
 
-    def __init__(self, program: Program | None = None,
-                 tool_specs: tuple[ToolSpec, ...] = (), *, jobs: int,
-                 jit: bool = True, deadline: float = DEFAULT_DEADLINE,
+    def __init__(self, runner_factory, *, jobs: int,
+                 deadline: float = DEFAULT_DEADLINE,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  faults: FaultPlan | None = None,
-                 telemetry: Telemetry | None = None, ctx=None,
-                 runner_factory=None):
+                 telemetry: Telemetry | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if deadline <= 0:
             raise ValueError("deadline must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if ctx is None:
-            import multiprocessing
+        import multiprocessing
 
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-        self.ctx = ctx
-        self.program = program
-        self.tool_specs = tuple(tool_specs)
-        if runner_factory is None:
-            runner_factory = ShardRunnerFactory(program, self.tool_specs,
-                                                jit=jit)
+        methods = multiprocessing.get_all_start_methods()
+        self.ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else None)
         self.factory = runner_factory
         self.jobs = jobs
-        self.jit = jit
         self.deadline = deadline
         self.max_retries = max_retries
         self.plan = faults if faults is not None else FaultPlan.from_env()
@@ -184,38 +174,38 @@ class Supervisor:
 
         self.telemetry = telemetry if telemetry is not None else obs.TELEMETRY
         self._parent_faults = FaultInjector(self.plan, role="parent")
-        self.outbox = ctx.Queue()
+        self.outbox = self.ctx.Queue()
         self.workers: dict[int, _Worker] = {}
         self._idle: set[int] = set()
         self._next_wid = 1               # tid 0 is the parent timeline
         self._spawned = 0
-        self._n_shards = 0
+        self._n_tasks = 0
         self._fallback = None
         self._pids: set[int] = set()
         self.retries = 0
         self.degraded = 0
 
     # --------------------------------------------------------------- driving
-    def run(self, shards) -> list[ShardResult]:
-        """Consume the shard stream and return one result per shard, in
-        shard order, surviving worker crashes, hangs and torn payloads."""
+    def run(self, tasks) -> list:
+        """Consume the task stream and return one result per task, in
+        index order, surviving worker crashes, hangs and torn payloads."""
         pending: list[_Task] = []
-        results: dict[int, ShardResult] = {}
-        shard_iter = iter(shards)
+        results: dict[int, object] = {}
+        task_iter = iter(tasks)
         exhausted = False
         try:
             while True:
                 if not exhausted:
                     try:
                         self._parent_faults.fire("checkpoint",
-                                                 shard=self._n_shards)
-                        spec = next(shard_iter)
+                                                 shard=self._n_tasks)
+                        spec = next(task_iter)
                     except StopIteration:
                         exhausted = True
                         self._note_clamp()
                     else:
                         pending.append(_Task(spec=spec))
-                        self._n_shards += 1
+                        self._n_tasks += 1
                 self._assign(pending, results)
                 self._collect(pending, results, block=exhausted)
                 self._reap(pending, results)
@@ -223,10 +213,10 @@ class Supervisor:
                     break
         finally:
             self._shutdown()
-        missing = [i for i in range(self._n_shards) if i not in results]
+        missing = [i for i in range(self._n_tasks) if i not in results]
         if missing:  # pragma: no cover - invariant, not a code path
-            raise RuntimeError(f"shards {missing} produced no result")
-        return [results[i] for i in range(self._n_shards)]
+            raise RuntimeError(f"tasks {missing} produced no result")
+        return [results[i] for i in range(self._n_tasks)]
 
     # ------------------------------------------------------------ scheduling
     def _busy(self) -> bool:
@@ -236,11 +226,11 @@ class Supervisor:
         if self._spawned < self.jobs:
             clamped = self.jobs - self._spawned
             self.telemetry.count("parallel/jobs_clamped", clamped)
-            _LOG.info("clamped --jobs %d to %d worker(s): only %d shard(s)",
-                      self.jobs, self._spawned, self._n_shards)
+            _LOG.info("clamped --jobs %d to %d worker(s): only %d task(s)",
+                      self.jobs, self._spawned, self._n_tasks)
 
     def _assign(self, pending: list[_Task],
-                results: dict[int, ShardResult]) -> None:
+                results: dict[int, object]) -> None:
         while pending:
             task = pending[0]
             wid = next((w for w in sorted(self._idle)
@@ -252,7 +242,7 @@ class Supervisor:
                 self._send(wid, task)
                 continue
             if all(w in task.excluded for w in self.workers):
-                # every surviving worker already failed this shard
+                # every surviving worker already failed this task
                 pending.pop(0)
                 self._degrade(task, results)
                 continue
@@ -267,7 +257,7 @@ class Supervisor:
             target=_worker_main,
             args=(wid, inbox, self.outbox, hb, self.factory, self.plan,
                   self.telemetry.enabled),
-            daemon=True, name=f"repro-shard-worker-{wid}")
+            daemon=True, name=f"repro-worker-{wid}")
         process.start()
         if process.pid:
             self._pids.add(process.pid)
@@ -286,7 +276,7 @@ class Supervisor:
 
     # ------------------------------------------------------------ collecting
     def _collect(self, pending: list[_Task],
-                 results: dict[int, ShardResult], *, block: bool) -> None:
+                 results: dict[int, object], *, block: bool) -> None:
         timeout = _POLL if (block and self._busy()) else 0.0
         while True:
             try:
@@ -300,7 +290,7 @@ class Supervisor:
             self._handle(msg, pending, results)
 
     def _handle(self, msg, pending: list[_Task],
-                results: dict[int, ShardResult]) -> None:
+                results: dict[int, object]) -> None:
         kind, wid, idx, attempt, payload = msg
         worker = self.workers.get(wid)
         task = None
@@ -330,7 +320,7 @@ class Supervisor:
 
     # ----------------------------------------------------- failure handling
     def _reap(self, pending: list[_Task],
-              results: dict[int, ShardResult]) -> None:
+              results: dict[int, object]) -> None:
         now = time.monotonic()
         for wid, worker in list(self.workers.items()):
             exitcode = worker.process.exitcode
@@ -378,14 +368,14 @@ class Supervisor:
 
     def _failure(self, task: _Task, wid: int, reason: str,
                  pending: list[_Task],
-                 results: dict[int, ShardResult]) -> None:
+                 results: dict[int, object]) -> None:
         if task.spec.index in results:
             return                    # a racing attempt already delivered
         task.excluded.add(wid)
         task.attempt += 1
         self.retries += 1
         self.telemetry.count("parallel/shard_retries")
-        _LOG.warning("shard %d attempt %d failed on worker %d: %s",
+        _LOG.warning("task %d attempt %d failed on worker %d: %s",
                      task.spec.index, task.attempt - 1, wid, reason)
         if task.attempt > self.max_retries:
             self._degrade(task, results)
@@ -393,13 +383,13 @@ class Supervisor:
             pending.insert(0, task)
 
     def _degrade(self, task: _Task,
-                 results: dict[int, ShardResult]) -> None:
-        """Retries exhausted: replay the shard in-process.  Replay is
+                 results: dict[int, object]) -> None:
+        """Retries exhausted: run the task in-process.  Tasks are
         deterministic, so the result is exactly what a worker would have
-        produced and the merge stays byte-identical."""
+        produced."""
         self.degraded += 1
         self.telemetry.count("parallel/shards_degraded")
-        _LOG.warning("shard %d degraded to in-process serial replay",
+        _LOG.warning("task %d degraded to an in-process run",
                      task.spec.index)
         if self._fallback is None:
             self._fallback = self.factory(self.telemetry)

@@ -26,7 +26,6 @@ from typing import Callable
 from ..isa.instruction import NO_PRED, Instr
 from ..isa.registers import RA, SP
 from ..obs import TELEMETRY as _TELEMETRY
-from ..vm.errors import InstructionBudgetExceeded
 from ..vm.filesystem import GuestFS
 from ..vm.layout import DEFAULT_MEM_SIZE, index_to_pc
 from ..vm.machine import Machine, StepFn
@@ -148,14 +147,9 @@ class PinEngine:
     """Instruments and runs one guest program."""
 
     def __init__(self, program: Program, *, fs: GuestFS | None = None,
-                 mem_size: int = DEFAULT_MEM_SIZE, jit: bool = True,
-                 snapshot=None):
+                 mem_size: int = DEFAULT_MEM_SIZE, jit: bool = True):
         self.program = program
-        if snapshot is not None:
-            mem_size = snapshot.mem_size
         self.machine = Machine(program, fs=fs, mem_size=mem_size, jit=jit)
-        if snapshot is not None:
-            self.machine.restore(snapshot)
         self.machine.instrument_hook = self._instrument
         self.machine.block_instrumenter = self
         self._ins_cbs: list[Callable[[INS], None]] = []
@@ -188,30 +182,6 @@ class PinEngine:
     def run(self, max_instructions: int | None = None) -> int:
         """Execute the instrumented program; returns the guest exit code."""
         code = self.machine.run(max_instructions=max_instructions)
-        for cb in self._fini_cbs:
-            cb(code)
-        return code
-
-    def run_until(self, icount: int) -> int | None:
-        """Run until the machine's ``icount`` reaches ``icount`` exactly, or
-        the guest exits, whichever comes first.
-
-        Returns the guest exit code if the program finished (fini callbacks
-        run), else ``None`` — the machine is then *paused* at an instruction
-        boundary with ``machine.icount == icount`` and can be snapshotted or
-        resumed (``halted`` is reset so another ``run``/``run_until`` call
-        continues).  Fini callbacks do **not** run on a pause.
-        """
-        m = self.machine
-        budget = icount - m.icount
-        if budget < 0:
-            raise ValueError(f"target icount {icount} already passed "
-                             f"(at {m.icount})")
-        try:
-            code = m.run(max_instructions=budget)
-        except InstructionBudgetExceeded:
-            m.halted = False
-            return None
         for cb in self._fini_cbs:
             cb(code)
         return code

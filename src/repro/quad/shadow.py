@@ -15,8 +15,7 @@ working-set tool) use:
   byte flags, marked by bulk fancy assignment and popcounted only at
   report time, replacing the per-kernel Python sets.  All (kernel, view)
   bitmaps share one plane-keyed store so marking needs no per-kernel
-  loop; :class:`PageBitmap` is the single-set variant the shard merge
-  unions exported pages into.
+  loop.
 * :class:`PagedQuadSink` — a buffered recording path mirroring
   :mod:`repro.core.recording`: the engine appends one packed ``int64`` per
   access into an ``array('q')`` buffer which is drained in bulk — binding
@@ -25,9 +24,7 @@ working-set tool) use:
 
 This module is the only owner of the sink's counter layout: the sink
 renders its own :class:`~repro.quad.report.QuadReport`
-(:meth:`PagedQuadSink.report`), exports its state for sharded runs
-(:meth:`PagedQuadSink.export`) and folds those exports back into one
-report (:func:`merge_shards`).
+(:meth:`PagedQuadSink.report`).
 
 Record format (the emission hot path writes exactly one ``append``)::
 
@@ -60,7 +57,6 @@ sp``) for the access counters.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,66 +164,9 @@ class ShadowPages:
         s = self._slots_rw(addrs >> PAGE_SHIFT)
         self._data[s, addrs & (PAGE - 1)] = writer1
 
-    # ------------------------------------------------------- shard merge
-    def overlay_page(self, pid: int, page: np.ndarray) -> None:
-        """Layer one page on top of this mapping: bytes written in ``page``
-        (non-zero) win, unwritten bytes keep their current producer."""
-        self._need(pid)
-        slot = self.lut[pid]
-        if slot < 0:
-            slot = self._alloc(pid)
-        dst = self._data[slot]
-        np.copyto(dst, page, where=page != 0)
-
     @property
     def resident_bytes(self) -> int:
         return self._data.nbytes + self.lut.nbytes
-
-
-class PageBitmap:
-    """A paged set of byte addresses: one ``uint8`` flag per byte.
-
-    The shard merge unions exported :class:`PlaneBitmap` pages into one
-    of these per (kernel, view); the cardinality is one ``sum()`` at
-    report time.
-    """
-
-    __slots__ = ("lut", "_data", "n_pages")
-
-    def __init__(self, mem_size: int = DEFAULT_MEM_SIZE):
-        npids = max(1, -(-mem_size // PAGE))
-        self.lut = np.full(npids, -1, np.int64)
-        self._data = np.zeros((0, PAGE), np.uint8)
-        self.n_pages = 0
-
-    def _need(self, max_pid: int) -> None:
-        if max_pid >= self.lut.size:
-            lut = np.full(max_pid + 1, -1, np.int64)
-            lut[:self.lut.size] = self.lut
-            self.lut = lut
-
-    def _alloc(self, pid: int) -> int:
-        slot = self.n_pages
-        if slot >= self._data.shape[0]:
-            cap = max(4, self._data.shape[0] * 2)
-            data = np.zeros((cap, PAGE), np.uint8)
-            data[:self._data.shape[0]] = self._data
-            self._data = data
-        self.lut[pid] = slot
-        self.n_pages += 1
-        return slot
-
-    def or_page(self, pid: int, page: np.ndarray) -> None:
-        """Union one exported page in (shard merging)."""
-        self._need(pid)
-        slot = self.lut[pid]
-        if slot < 0:
-            slot = self._alloc(pid)
-        np.bitwise_or(self._data[slot], page, out=self._data[slot])
-
-    def count(self) -> int:
-        """The set's cardinality (popcount over all pages)."""
-        return int(self._data[:self.n_pages].sum(dtype=np.int64))
 
 
 class PlaneBitmap:
@@ -299,12 +238,6 @@ class PlaneBitmap:
             return 0
         return int(self._data[rows].sum(dtype=np.int64))
 
-    def export(self, plane: int) -> tuple[np.ndarray, np.ndarray]:
-        """(pids, pages) of one plane in pid order — the shard wire form."""
-        pairs = self._plane_slots(plane)
-        pids = np.array([p for p, _ in pairs], np.int64)
-        return pids, self._data[[s for _, s in pairs]]
-
     @property
     def resident_bytes(self) -> int:
         return self._data.nbytes + self.lut.nbytes
@@ -318,12 +251,6 @@ _READS, _WRITES, _READS_NS, _WRITES_NS = 4, 5, 6, 7
 _V_IN_INCL, _V_IN_EXCL, _V_OUT_INCL, _V_OUT_EXCL = 0, 1, 2, 3
 
 
-def _has_accesses(c: np.ndarray) -> bool:
-    """Whether a kernel's counter column records any access — a kernel
-    enters the report on its first access."""
-    return bool(c[_READS] or c[_WRITES])
-
-
 def _kernel_io(c: np.ndarray, unma: list[int]) -> KernelIO:
     """One kernel's report row from its counter column ``c`` and its four
     UnMA cardinalities (indexed by view)."""
@@ -335,32 +262,6 @@ def _kernel_io(c: np.ndarray, unma: list[int]) -> KernelIO:
         reads=int(c[_READS]), writes=int(c[_WRITES]),
         reads_nonstack=int(c[_READS_NS]),
         writes_nonstack=int(c[_WRITES_NS]))
-
-
-@dataclass
-class QuadShard:
-    """One shard's :class:`PagedQuadSink` state in wire form.
-
-    Everything stays in the sink's interned/paged representation: counter
-    matrix, UnMA bitmap pages, last-writer shadow pages and the deferred
-    columns all pickle as flat buffers; :func:`merge_shards` composes
-    them without ever expanding to per-address Python objects.
-    """
-
-    #: interned kernel names — shard-local kid -> name
-    names: list[str]
-    #: (8, nk) counter matrix
-    counts: np.ndarray
-    #: (kid, view) -> (pids, pages) UnMA bitmap export
-    unma: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    #: (producer_kid, consumer_kid) -> [bytes incl, bytes excl]
-    bindings: dict[tuple[int, int], list[int]]
-    #: shard-local last-writer shadow: page ids + int32 writer1 pages
-    shadow_pids: np.ndarray
-    shadow_pages: np.ndarray
-    #: consumer kid -> (addrs, incl counts, excl counts) of reads whose
-    #: producer wrote before this shard started
-    deferred: dict[int, tuple[array, array, array]]
 
 
 class RawRecordBuffer:
@@ -391,12 +292,6 @@ class RawRecordBuffer:
         self.last_sp = -1
         self.flush_read = self.flush_write = self.flush
 
-    def reset(self) -> None:
-        """Drop unflushed records, in place — the buffer and tag are
-        captured by identity in compiled instrumentation."""
-        del self.buf[:]
-        self.last_sp = -1
-
     def flush(self) -> None:
         raise NotImplementedError
 
@@ -413,34 +308,14 @@ class PagedQuadSink(RawRecordBuffer):
         self.mem_size = mem_size
         self.track_bindings = track_bindings
         self._sp0 = 0
-        #: resolve unknown producers never (serial: reads of never-written
-        #: bytes have no producer) or into the deferred tables (shard
-        #: replay).
-        self.defer_unknown = False
-        self._fresh_state()
-
-    def _fresh_state(self) -> None:
-        self.shadow = ShadowPages(self.mem_size)
+        self.shadow = ShadowPages(mem_size)
         self._counts = np.zeros((8, 8), np.int64)
         self._nk = 0
         #: all per-kernel [in_incl, in_excl, out_incl, out_excl] UnMA
         #: bitmaps in one plane-keyed store (plane = kid * 4 + view).
-        self._unma = PlaneBitmap(self.mem_size)
+        self._unma = PlaneBitmap(mem_size)
         #: (producer_kid, consumer_kid) -> [bytes incl, bytes excl]
         self.kid_bindings: dict[tuple[int, int], list[int]] = {}
-        #: (word, consumer_kid) -> histogram of per-event ``n_below`` (the
-        #: count of bytes under SP), length 9.  Every byte of the word gets
-        #: one IN count per event; byte ``b``'s excl count is the number of
-        #: events with ``n_below > b``.
-        self._def_words: dict[tuple[int, int], list[int]] = {}
-        #: (addr, consumer_kid) -> [incl, excl]
-        self._def_bytes: dict[tuple[int, int], list[int]] = {}
-
-    def reset(self) -> None:
-        """Return to the pristine state, in place."""
-        super().reset()
-        self._sp0 = 0
-        self._fresh_state()
 
     # ---------------------------------------------------------- plumbing
     def _ensure_kernels(self) -> None:
@@ -606,17 +481,12 @@ class PagedQuadSink(RawRecordBuffer):
             prod[pers] = np.where(unif, mat[:, 0].astype(np.int64), -1)
             if not unif.all():
                 nu = ~unif
-                self._persistent_mixed(pw[nu], mat[nu], k[pers][nu],
-                                       nbo[pers][nu])
+                self._persistent_mixed(mat[nu], k[pers][nu], nbo[pers][nu])
 
         res = rd & (prod > 0)
         if res.any():
             self._accumulate_out(prod[res] - 1, k[res], np.full(res.sum(),
                                  8, np.int64), nbo[res])
-        if self.defer_unknown:
-            unk = rd & (prod == 0)
-            if unk.any():
-                self._defer_words(w[unk], k[unk], nbo[unk])
 
         self._mark_fast(w, k, iw, nbo)
 
@@ -663,12 +533,12 @@ class PagedQuadSink(RawRecordBuffer):
                 b[0] += int(bi[j])
                 b[1] += int(be[j])
 
-    def _persistent_mixed(self, words: np.ndarray, mat: np.ndarray,
-                          cons: np.ndarray, nb: np.ndarray) -> None:
+    def _persistent_mixed(self, mat: np.ndarray, cons: np.ndarray,
+                          nb: np.ndarray) -> None:
         """Reads whose word has more than one persistent producer: expand
         to bytes (rare — only products of sub-word writes survive as mixed
         words)."""
-        n = words.size
+        n = mat.shape[0]
         flat = mat.astype(np.int64).ravel()
         byteix = np.tile(np.arange(8), n)
         below = byteix < np.repeat(nb, 8)
@@ -678,36 +548,6 @@ class PagedQuadSink(RawRecordBuffer):
             self._accumulate_out(flat[known] - 1, cflat[known],
                                  np.ones(int(known.sum()), np.int64),
                                  below[known].astype(np.int64))
-        if self.defer_unknown and not known.all():
-            unk = ~known
-            addrs = np.repeat(words << 3, 8)[unk] + byteix[unk]
-            self._defer_bytes(addrs, cflat[unk], below[unk])
-
-    def _defer_words(self, words: np.ndarray, cons: np.ndarray,
-                     nb: np.ndarray) -> None:
-        nk = self._nk
-        key = (words * nk + cons) * 9 + nb
-        u, cnt = np.unique(key, return_counts=True)
-        table = self._def_words
-        for kk, n in zip(u.tolist(), cnt.tolist()):
-            wc, nbv = divmod(kk, 9)
-            wkey = divmod(wc, nk)
-            h = table.get(wkey)
-            if h is None:
-                h = table[wkey] = [0] * 9
-            h[nbv] += n
-
-    def _defer_bytes(self, addrs: np.ndarray, cons: np.ndarray,
-                     below: np.ndarray) -> None:
-        table = self._def_bytes
-        for ad, cn, be in zip(addrs.tolist(), cons.tolist(),
-                              below.tolist()):
-            d = table.get((ad, cn))
-            if d is None:
-                d = table[(ad, cn)] = [0, 0]
-            d[0] += 1
-            if be:
-                d[1] += 1
 
     def _mark_fast(self, w: np.ndarray, k: np.ndarray, iw: np.ndarray,
                    nbo: np.ndarray) -> None:
@@ -782,10 +622,6 @@ class PagedQuadSink(RawRecordBuffer):
             self._accumulate_out(prod[res] - 1, kd[res],
                                  np.ones(int(res.sum()), np.int64),
                                  bl[res].astype(np.int64))
-        if self.defer_unknown:
-            unk = rd & (prod == 0)
-            if unk.any():
-                self._defer_bytes(ad[unk], kd[unk], bl[unk])
 
         planes = (kd << 2) + np.where(iw, _V_OUT_INCL, _V_IN_INCL)
         self._unma.mark_bytes(planes, ad)
@@ -810,7 +646,7 @@ class PagedQuadSink(RawRecordBuffer):
         kernels: dict[str, KernelIO] = {}
         for kid, name in enumerate(names):
             c = self._counts[:, kid]
-            if _has_accesses(c):
+            if c[_READS] or c[_WRITES]:       # entered on its first access
                 kernels[name] = _kernel_io(
                     c, [self._unma.count(kid * 4 + v) for v in range(4)])
         bindings = {(names[p], names[c]): list(v)
@@ -819,60 +655,6 @@ class PagedQuadSink(RawRecordBuffer):
                           images=dict(images),
                           total_instructions=total_instructions,
                           shadow_stats=self.stats())
-
-    def export(self) -> QuadShard:
-        """This sink's state as one shard of a sharded run."""
-        self.flush()
-        self._ensure_kernels()
-        nk = self._nk
-        unma: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for kid in range(nk):
-            for view in range(4):
-                pids, pages = self._unma.export(kid * 4 + view)
-                if pids.size:
-                    unma[(kid, view)] = (pids, pages)
-        shadow = self.shadow
-        shadow_pids = np.nonzero(shadow.lut >= 0)[0]
-        return QuadShard(
-            names=list(self.tag.interned_names),
-            counts=self._counts[:, :nk].copy(),
-            unma=unma,
-            bindings=dict(self.kid_bindings),
-            shadow_pids=shadow_pids,
-            shadow_pages=shadow._data[shadow.lut[shadow_pids]],
-            deferred=self.deferred_columns())
-
-    def deferred_columns(self) -> dict[int, tuple[array, array, array]]:
-        """Per consumer kid: flat (addrs, incl, excl) columns of the
-        deferred unknown-producer reads (shard wire form)."""
-        out: dict[int, tuple[array, array, array]] = {}
-
-        def row(cid: int) -> tuple[array, array, array]:
-            d = out.get(cid)
-            if d is None:
-                d = out[cid] = (array("q"), array("q"), array("q"))
-            return d
-
-        for (word, cid), hist in self._def_words.items():
-            d = row(cid)
-            n_incl = sum(hist)
-            # byte b's excl count = events with more than b bytes below SP
-            tail = 0
-            excl = [0] * 8
-            for nbv in range(8, 0, -1):
-                tail += hist[nbv]
-                excl[nbv - 1] = tail
-            base = word << 3
-            for b in range(8):
-                d[0].append(base + b)
-                d[1].append(n_incl)
-                d[2].append(excl[b])
-        for (addr, cid), (vi, ve) in self._def_bytes.items():
-            d = row(cid)
-            d[0].append(addr)
-            d[1].append(vi)
-            d[2].append(ve)
-        return out
 
 
 class CapturingPagedQuadSink(RawRecordBuffer):
@@ -926,99 +708,3 @@ def make_raw_recorder(sink: RawRecordBuffer, *, write: bool):
     record.record_sink = sink
     record.record_kind = "write" if write else "read"
     return record
-
-
-def merge_shards(shards: list[QuadShard], *, track_bindings: bool,
-                 images: dict[str, str],
-                 total_instructions: int) -> QuadReport:
-    """Fold shard exports, in shard order, into the whole-run report.
-
-    Each shard's deferred reads resolve against the composed shadow of
-    all *earlier* shards (exactly the serial shadow at the shard's start
-    for every address the shard did not overwrite), then the shard's own
-    shadow is layered on top, remapped from shard-local to merge-global
-    writer ids.  Counters sum, UnMA bitmaps union.
-    """
-    gid: dict[str, int] = {}           # name -> composed-shadow writer id
-    gnames: list[str] = []
-    gcounts: dict[str, np.ndarray] = {}
-    gunma: dict[tuple[str, int], PageBitmap] = {}
-    bindings: dict[tuple[str, str], list[int]] = {}
-    composed = ShadowPages()
-    for shard in shards:
-        names = shard.names
-        # 1. resolve cross-shard reads against the pre-shard shadow; a
-        # miss means the address was never written (dropped, as serially)
-        for cid, (addrs, incls, excls) in shard.deferred.items():
-            ad = np.frombuffer(addrs, np.int64)
-            w1 = composed.gather_bytes(ad).astype(np.int64)
-            known = w1 > 0
-            if not known.any():
-                continue
-            p = w1[known] - 1
-            vi = np.frombuffer(incls, np.int64)[known]
-            ve = np.frombuffer(excls, np.int64)[known]
-            bi = np.bincount(p, weights=vi).astype(np.int64)
-            be = np.bincount(p, weights=ve).astype(np.int64)
-            consumer = names[cid]
-            # every deferred byte has incl >= 1: bi's support covers be's
-            for g in np.nonzero(bi)[0].tolist():
-                pname = gnames[g]
-                c = gcounts[pname]
-                c[_OUT_INCL] += int(bi[g])
-                c[_OUT_EXCL] += int(be[g])
-                if track_bindings:
-                    key = (pname, consumer)
-                    b = bindings.get(key)
-                    if b is None:
-                        bindings[key] = [int(bi[g]), int(be[g])]
-                    else:
-                        b[0] += int(bi[g])
-                        b[1] += int(be[g])
-        # 2. sum counters
-        for kid, name in enumerate(names):
-            c = shard.counts[:, kid]
-            if not _has_accesses(c):
-                continue
-            g = gcounts.get(name)
-            if g is None:
-                g = gcounts[name] = np.zeros(8, np.int64)
-            g += c
-        # 3. union UnMA bitmaps
-        for (kid, view), (pids, pages) in shard.unma.items():
-            key = (names[kid], view)
-            bm = gunma.get(key)
-            if bm is None:
-                bm = gunma[key] = PageBitmap()
-            for pid, page in zip(pids.tolist(), pages):
-                bm.or_page(int(pid), page)
-        # 4. sum within-shard bindings
-        for (pk, ck), v in shard.bindings.items():
-            key = (names[pk], names[ck])
-            b = bindings.get(key)
-            if b is None:
-                bindings[key] = list(v)
-            else:
-                b[0] += v[0]
-                b[1] += v[1]
-        # 5. layer the shard shadow on top, remapped to global writer ids
-        remap = np.zeros(len(names) + 1, np.int32)
-        for i, name in enumerate(names):
-            g = gid.get(name)
-            if g is None:
-                g = gid[name] = len(gnames)
-                gnames.append(name)
-            remap[i + 1] = g + 1
-        for pid, page in zip(shard.shadow_pids.tolist(),
-                             shard.shadow_pages):
-            composed.overlay_page(int(pid), remap[page])
-
-    def card(name: str, view: int) -> int:
-        bm = gunma.get((name, view))
-        return bm.count() if bm is not None else 0
-
-    kernels = {name: _kernel_io(c, [card(name, v) for v in range(4)])
-               for name, c in gcounts.items()}
-    return QuadReport(kernels=kernels, bindings=bindings,
-                      images=dict(images),
-                      total_instructions=total_instructions)

@@ -74,17 +74,6 @@ class QuadTool:
         engine.AddFiniFunction(self._fini)
         return self
 
-    def reset(self) -> None:
-        """Prepare the attached tool for another independent run.
-
-        The call stack and the sink's record buffer — captured by identity
-        in compiled instrumentation — are reset in place.
-        """
-        self.callstack.reset()
-        if self.sink is not None:
-            self.sink.reset()
-        self.finished = False
-
     def _instrument_instruction(self, ins: INS) -> None:
         if ins.IsPrefetch():
             return

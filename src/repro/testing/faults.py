@@ -1,20 +1,21 @@
-"""Deterministic fault injection for the parallel pipeline.
+"""Deterministic fault injection for the supervised worker pool.
 
 This module is the seam both the runtime and the failure tests drive: the
-supervised executor (:mod:`repro.parallel.supervise`) calls
-:meth:`FaultInjector.fire` at each pipeline stage and
-:meth:`FaultInjector.mangle` on every wire payload, and a
-:class:`FaultPlan` decides — deterministically, keyed on the stage, shard
-index, worker id and attempt number — whether anything bad happens there.
+supervisor behind ``tquad corpus --jobs``
+(:mod:`repro.parallel.supervise`) calls :meth:`FaultInjector.fire` at
+each stage of a task's life and :meth:`FaultInjector.mangle` on every
+wire payload, and a :class:`FaultPlan` decides — deterministically, keyed
+on the stage, task index, worker id and attempt number — whether anything
+bad happens there.
 
 Fault kinds
 -----------
 
 ``exit``
     The worker process dies immediately (``os._exit``), modelling a hard
-    crash (OOM kill, segfault).  Fired in the parent (stages the parent
-    owns: ``checkpoint``, ``merge``) it raises :class:`SystemExit`
-    instead, so tests can observe it without killing the test runner.
+    crash (OOM kill, segfault).  Fired in the parent (the stage the
+    parent owns: ``checkpoint``) it raises :class:`SystemExit` instead,
+    so tests can observe it without killing the test runner.
 ``exception``
     Raises :class:`InjectedFault` — an ordinary Python error escaping the
     stage.
@@ -29,16 +30,22 @@ Fault kinds
 Selection
 ---------
 
-A :class:`FaultSpec` matches on ``stage`` (``checkpoint`` / ``replay`` /
-``payload`` / ``merge``), and optionally on ``shard``, ``worker`` and
-``attempt`` (``None`` = any).  ``attempt`` defaults to 0 — fire on the
-first try only, so the retry path is what gets exercised; ``attempt=None``
-makes the fault persistent, which is how the degradation-to-serial path
-is driven.
+A :class:`FaultSpec` matches on ``stage`` and optionally on ``shard``,
+``worker`` and ``attempt`` (``None`` = any).  The stages are:
 
-Plans come from parameters (``parallel_profile(..., faults=plan)``) or
-from the environment: ``TQUAD_FAULTS="exit@replay:shard=1;stall@replay"``
-— ``;``-separated specs, each ``kind@stage[:key=value,...]``.
+* ``checkpoint`` — in the parent, just before it takes the next task to
+  hand out;
+* ``replay`` — in a worker, before it runs a task;
+* ``payload`` — the pickled result a worker sends back.
+
+``shard`` selects a task by its index (the corpus fleet's roster order).
+``attempt`` defaults to 0 — fire on the first try only, so the retry path
+is what gets exercised; ``attempt=None`` makes the fault persistent,
+which is how the degradation to an in-process run is driven.
+
+Plans come from parameters (``Supervisor(..., faults=plan)``) or from
+the environment: ``TQUAD_FAULTS="exit@replay:shard=1;stall@replay"`` —
+``;``-separated specs, each ``kind@stage[:key=value,...]``.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 ENV_VAR = "TQUAD_FAULTS"
 
 FAULT_KINDS = ("exit", "exception", "stall", "truncate")
-STAGES = ("checkpoint", "replay", "payload", "merge")
+STAGES = ("checkpoint", "replay", "payload")
 
 
 class InjectedFault(RuntimeError):
@@ -73,7 +80,7 @@ class FaultSpec:
 
     kind: str
     stage: str = "replay"
-    #: Shard index to hit (``None`` = any shard).
+    #: Task index to hit (``None`` = any task).
     shard: int | None = None
     #: Worker id to hit (``None`` = any worker).
     worker: int | None = None

@@ -10,11 +10,9 @@ from .layout import (CODE_BASE, DATA_BASE, DEFAULT_MEM_SIZE, HEAP_BASE,
                      NULL_GUARD, index_to_pc, pc_to_index)
 from .machine import Machine, run_program
 from .program import MAIN_IMAGE, Program, Routine
-from .snapshot import PAGE_SIZE, MachineSnapshot
 
 __all__ = [
     "Machine", "run_program", "Program", "Routine", "MAIN_IMAGE",
-    "MachineSnapshot", "PAGE_SIZE",
     "GuestFS", "O_RDONLY", "O_WRONLY", "FD_STDIN", "FD_STDOUT", "FD_STDERR",
     "VMError", "MemoryFault", "IllegalInstruction", "ArithmeticFault",
     "SyscallError", "InstructionBudgetExceeded",

@@ -212,27 +212,6 @@ class Machine:
             pc = fn(pc)
         return pc
 
-    # ------------------------------------------------------- checkpointing
-    def snapshot(self):
-        """Capture guest-visible state as a picklable snapshot.
-
-        See :mod:`repro.vm.snapshot`.  Valid at any instruction boundary:
-        before the first instruction, at an exact-budget pause, or after
-        the guest exits.
-        """
-        from .snapshot import capture
-        return capture(self)
-
-    def restore(self, snap) -> None:
-        """Replace guest-visible state with ``snap`` (in place).
-
-        Code caches survive — they depend only on the program.  A machine
-        restored from a mid-run snapshot can continue with ``run()`` after
-        this call (``halted`` is taken from the snapshot).
-        """
-        from .snapshot import restore
-        restore(self, snap)
-
     # ----------------------------------------------------------- utilities
     def pc_byte(self) -> int:
         """The current program counter as a byte address."""

@@ -1,18 +1,16 @@
 """Differential fuzzing of the profiler stack.
 
 Hypothesis-generated MiniC guests (and a checked-in seed corpus) run
-under all three tools in three configurations — serial, sharded
-(``jobs=4``), and with the superblock JIT disabled — and every byte of
-every report must agree: JSON serialisations, rendered tables, the gprof
-call graph, the guest exit code and the retired-instruction count.  Any
-divergence is a real bug in the VM, the JIT, the instrumentation engine,
-or the shard/merge pipeline.
+under all three tools, attached to one engine, in two configurations —
+with the superblock JIT (the default tier) and with it disabled — and
+every byte of every report must agree: JSON serialisations, rendered
+tables, the gprof call graph, the guest exit code and the
+retired-instruction count.  Any divergence is a real bug in the VM, the
+JIT or the instrumentation engine.
 
 Budget: the hypothesis example count comes from ``FUZZ_EXAMPLES``
 (default 15 — CI-sized); the nightly job sets ``TQUAD_NIGHTLY=1`` and a
-larger budget.  The hypothesis loop uses the inline executor (identical
-shard/seed/merge machinery, no fork overhead); real worker processes are
-exercised over the corpus.
+larger budget.
 """
 
 import os
@@ -21,10 +19,11 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import TQuadOptions
+from repro.core import TQuadOptions, TQuadTool
+from repro.gprofsim import GprofTool
 from repro.minic import build_program
-from repro.parallel import (GprofSpec, QuadSpec, TQuadSpec,
-                            parallel_profile)
+from repro.pin import PinEngine
+from repro.quad import QuadTool
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 from repro.testing.workloads import (SHAPES, WorkloadSpec,
                                      generate_workload)
@@ -37,14 +36,11 @@ FUZZ_NIGHTLY_EXAMPLES = int(os.environ.get("FUZZ_NIGHTLY_EXAMPLES", "200"))
 NIGHTLY = os.environ.get("TQUAD_NIGHTLY", "") == "1"
 
 INTERVAL = 97          # deliberately not a divisor of anything
-SPECS = (TQuadSpec(options=TQuadOptions(slice_interval=INTERVAL)),
-         QuadSpec(), GprofSpec())
 
 
-def fingerprint(src, *, jobs: int = 1, jit: bool = True,
-                executor: str = "process",
-                quantum: int | None = None, fs_factory=None) -> tuple:
-    """Every byte-level artifact of one profiling configuration.
+def fingerprint(src, *, jit: bool = True, fs_factory=None) -> tuple:
+    """Every byte-level artifact of one profiling configuration: tQUAD,
+    QUAD and gprof attached to one engine, one run.
 
     ``src`` is MiniC source or a prebuilt ``Program``; ``fs_factory``
     supplies a fresh workspace per run for guests that read input files
@@ -52,24 +48,21 @@ def fingerprint(src, *, jobs: int = 1, jit: bool = True,
     """
     program = src if not isinstance(src, str) else build_program(src)
     fs = fs_factory() if fs_factory is not None else None
-    run = parallel_profile(program, SPECS, jobs=jobs, jit=jit, fs=fs,
-                           executor=executor, quantum=quantum, align=False)
-    tq, q, g = (run.reports["tquad"], run.reports["quad"],
-                run.reports["gprof"])
+    engine = PinEngine(program, fs=fs, jit=jit)
+    tquad = TQuadTool(TQuadOptions(slice_interval=INTERVAL)).attach(engine)
+    quad = QuadTool().attach(engine)
+    gprof = GprofTool().attach(engine)
+    exit_code = engine.run()
+    tq, q, g = tquad.report(), quad.report(), gprof.report()
     return (tquad_to_json(tq), tq.format_table(),
             quad_to_json(q), q.format_table(),
             flat_to_json(g), g.format_table(), g.format_call_graph(),
-            run.exit_code, run.total_instructions)
+            exit_code, engine.machine.icount)
 
 
-def assert_all_configs_agree(src, *, executor: str = "inline",
-                             quantum: int = 173, fs_factory=None) -> None:
+def assert_all_configs_agree(src, *, fs_factory=None) -> None:
     reference = fingerprint(src, fs_factory=fs_factory)
-    sharded = fingerprint(src, jobs=4, executor=executor, quantum=quantum,
-                          fs_factory=fs_factory)
     nojit = fingerprint(src, jit=False, fs_factory=fs_factory)
-    for i, (a, b) in enumerate(zip(reference, sharded)):
-        assert a == b, f"serial vs jobs=4 diverged at artifact {i}"
     for i, (a, b) in enumerate(zip(reference, nojit)):
         assert a == b, f"serial vs jit-off diverged at artifact {i}"
 
@@ -139,9 +132,9 @@ def workload_specs(draw, max_size: int = 48):
 # -------------------------------------------------------------- the tests
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_differential_with_real_processes(path):
-    """Seed corpus: serial == --jobs 4 (real workers) == JIT-off."""
-    assert_all_configs_agree(path.read_text(), executor="process",
-                             quantum=600)
+    """Seed corpus: serial == JIT-off.  (The name predates the removal
+    of sharded execution, whose worker processes this also ran.)"""
+    assert_all_configs_agree(path.read_text())
 
 
 def test_corpus_is_checked_in():
@@ -170,10 +163,8 @@ def test_fuzz_generated_workloads(spec):
 @settings(max_examples=FUZZ_NIGHTLY_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_differential_nightly(src):
-    """The same property at the nightly example budget, with shard
-    boundaries forced off slice edges at a second quantum."""
+    """The same property at the nightly example budget."""
     assert_all_configs_agree(src)
-    assert_all_configs_agree(src, quantum=311)
 
 
 @pytest.mark.nightly
@@ -182,7 +173,5 @@ def test_fuzz_differential_nightly(src):
 @settings(max_examples=FUZZ_NIGHTLY_EXAMPLES, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_generated_workloads_nightly(spec):
-    """Shape-generator guests at the nightly budget and second quantum."""
-    src = generate_workload(spec)
-    assert_all_configs_agree(src)
-    assert_all_configs_agree(src, quantum=311)
+    """Shape-generator guests at the nightly budget."""
+    assert_all_configs_agree(generate_workload(spec))

@@ -1,61 +1,117 @@
-"""Fault tolerance of the supervised parallel pipeline, end to end.
+"""Fault tolerance of the supervised worker pool, end to end.
 
-Every fault kind is driven through every pipeline stage with real worker
-processes, and the assertion is always the same: the merged report is
-byte-identical to the healthy serial run, and the recovery shows up in
-the telemetry counters (retries, crashes, hangs, torn payloads,
-degradations).  Faults injected at the parent-owned stages (checkpoint,
-merge) are not survivable by design — there the tests assert they
-propagate observably instead of corrupting output.
+Every fault kind is driven through every stage with real worker
+processes.  Most cases run :class:`~repro.parallel.supervise.Supervisor`
+over a small module-level runner whose tasks each profile a tiny guest
+with all three tools and return the reports' bytes; the assertion is
+always the same: the results are byte-identical to running every task
+in-process, and the recovery shows up in the telemetry counters
+(retries, crashes, hangs, torn payloads, degradations).  Faults injected
+at the parent-owned ``checkpoint`` stage are not survivable by design —
+there the tests assert they propagate observably instead of corrupting
+output.
+
+:class:`TestFleetUnderFaults` runs the corpus fleet itself
+(``run_fleet(jobs=2)``) under ``TQUAD_FAULTS`` and holds its canonical
+report to the ``--jobs 1`` one.
 """
+
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
-from repro.core import TQuadOptions
+from repro import obs
+from repro.core import TQuadOptions, TQuadTool
+from repro.corpus import CaptureStore, run_fleet
+from repro.gprofsim import GprofTool
 from repro.minic import build_program
 from repro.obs import Telemetry
-from repro.parallel import (GprofSpec, QuadSpec, Supervisor, TQuadSpec,
-                            iter_shards, parallel_profile)
+from repro.parallel import Supervisor
+from repro.pin import PinEngine
+from repro.quad import QuadTool
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 from repro.testing import FaultPlan, InjectedFault, WorkerExit
 
 SRC = """
-int a[48]; int b[48];
-int fill() { int i; for (i=0;i<48;i=i+1) { a[i]=i*5; } return 0; }
-int mix()  { int i; for (i=0;i<48;i=i+1) { b[i]=a[i]+b[i]; } return 0; }
-int main() { int r; fill(); mix(); r = b[7] + a[9];
-    print_int(r); return r & 31; }
+int a[{n}]; int b[{n}];
+int fill() {{ int i; for (i=0;i<{n};i=i+1) {{ a[i]=i*5; }} return 0; }}
+int mix()  {{ int i; for (i=0;i<{n};i=i+1) {{ b[i]=a[i]+b[i]; }} return 0; }}
+int main() {{ int r; fill(); mix(); r = b[7] + a[9];
+    print_int(r); return r & 31; }}
 """
 
-QUANTUM = 200          # small fixed shard size: the guest splits 8 ways
 
-SPECS = (TQuadSpec(options=TQuadOptions(slice_interval=64)), QuadSpec(),
-         GprofSpec())
+@dataclass(frozen=True)
+class GuestTask:
+    """One supervisor task: profile the guest with arrays of ``n``."""
+
+    index: int
+    n: int
+
+
+#: Eight independent tasks, as many as the old sharded runs split into.
+TASKS = tuple(GuestTask(index=i, n=16 + 8 * i) for i in range(8))
+
+
+@dataclass
+class GuestResult:
+    index: int
+    #: tQUAD JSON and table, QUAD JSON, gprof JSON, exit code
+    artifacts: tuple
+
+
+class GuestRunner:
+    """Runs :class:`GuestTask`s; the heartbeat token is the live
+    engine's ``icount``, so a stalled task stops beating."""
+
+    def __init__(self) -> None:
+        self._engine = None
+        self._ticks = 0
+
+    def progress(self):
+        engine = self._engine
+        return (self._ticks,
+                engine.machine.icount if engine is not None else -1)
+
+    def execute(self, task: GuestTask) -> GuestResult:
+        self._ticks += 1
+        engine = self._engine = PinEngine(build_program(
+            SRC.format(n=task.n)))
+        tquad = TQuadTool(TQuadOptions(slice_interval=64)).attach(engine)
+        quad = QuadTool().attach(engine)
+        gprof = GprofTool().attach(engine)
+        exit_code = engine.run()
+        tq = tquad.report()
+        return GuestResult(index=task.index, artifacts=(
+            tquad_to_json(tq), tq.format_table(),
+            quad_to_json(quad.report()), flat_to_json(gprof.report()),
+            exit_code))
+
+
+@dataclass(frozen=True)
+class GuestRunnerFactory:
+    result_type: ClassVar[type] = GuestResult
+
+    def __call__(self, telemetry) -> GuestRunner:
+        return GuestRunner()
 
 
 @pytest.fixture(scope="module")
 def serial():
-    run = parallel_profile(build_program(SRC), SPECS, jobs=1)
-    return {"tquad": tquad_to_json(run.reports["tquad"]),
-            "tquad_table": run.reports["tquad"].format_table(),
-            "quad": quad_to_json(run.reports["quad"]),
-            "gprof": flat_to_json(run.reports["gprof"]),
-            "exit_code": run.exit_code}
+    runner = GuestRunner()
+    return [runner.execute(task) for task in TASKS]
 
 
-def run_with(plan_text, *, jobs=4, serial=None, **kwargs):
+def run_with(plan_text, *, jobs=4, serial=None, tasks=TASKS, **kwargs):
     tele = Telemetry()
-    run = parallel_profile(build_program(SRC), SPECS, jobs=jobs,
-                           quantum=QUANTUM,
-                           faults=FaultPlan.parse(plan_text),
-                           telemetry=tele, **kwargs)
+    supervisor = Supervisor(GuestRunnerFactory(), jobs=jobs,
+                            faults=FaultPlan.parse(plan_text),
+                            telemetry=tele, **kwargs)
+    results = supervisor.run(tasks)
     if serial is not None:
-        assert tquad_to_json(run.reports["tquad"]) == serial["tquad"]
-        assert run.reports["tquad"].format_table() == serial["tquad_table"]
-        assert quad_to_json(run.reports["quad"]) == serial["quad"]
-        assert flat_to_json(run.reports["gprof"]) == serial["gprof"]
-        assert run.exit_code == serial["exit_code"]
-    return run, tele
+        assert results == serial
+    return supervisor, tele
 
 
 class TestReplayStage:
@@ -76,8 +132,8 @@ class TestReplayStage:
         assert run.retries == 1 and run.degraded == 0
 
     def test_any_single_worker_dying_never_changes_output(self, serial):
-        # the acceptance scenario: a fault that kills one specific worker
-        # (every time it touches anything) leaves --jobs 4 byte-identical
+        # a fault that kills one specific worker (every time it touches
+        # anything) leaves a --jobs 4 run byte-identical
         run, tele = run_with("exit@replay:worker=1,attempt=any",
                              serial=serial)
         assert tele.counters["parallel/worker_crashes"] >= 1
@@ -92,9 +148,8 @@ class TestPayloadStage:
         assert run.retries == 1 and run.degraded == 0
 
     def test_exception_extracting_payload_is_retried(self, serial):
-        # "payload" fire happens inside the worker try-block via the
-        # replay-stage hook on a later attempt selector; the worker turns
-        # any BaseException into an "err" message
+        # the worker turns any BaseException escaping a task — here one
+        # selected by task and worker — into an "err" message
         run, tele = run_with("exception@replay:shard=3,worker=2",
                              serial=serial)
         assert run.degraded == 0
@@ -109,11 +164,11 @@ class TestDegradation:
         assert tele.counters["parallel/shards_degraded"] == 1
 
     def test_every_worker_dying_degrades_everything(self, serial):
-        # all workers crash on every attempt: the whole run falls back to
-        # in-process replay, still byte-identical
+        # all workers crash on every attempt: every task falls back to an
+        # in-process run, still byte-identical
         run, tele = run_with("exit@replay:attempt=any", jobs=2,
                              max_retries=1, serial=serial)
-        assert run.degraded == run.n_shards
+        assert run.degraded == len(TASKS)
         assert tele.counters["parallel/worker_crashes"] >= 2
 
 
@@ -130,47 +185,37 @@ class TestParentStages:
         run_with("stall@checkpoint:stall_seconds=0.01", jobs=2,
                  serial=serial)
 
-    def test_merge_exception_propagates(self):
-        with pytest.raises(InjectedFault):
-            run_with("exception@merge")
 
-    def test_merge_exit_raises_worker_exit(self):
-        with pytest.raises(WorkerExit):
-            run_with("exit@merge")
-
-    def test_merge_stall_only_delays(self, serial):
-        run_with("stall@merge:stall_seconds=0.01", jobs=2, serial=serial)
+def _interrupted(supervisor, at_index, before_raise):
+    """The task stream, raising KeyboardInterrupt once task
+    ``at_index`` has been handed out (workers are spawned by then)."""
+    for task in TASKS:
+        yield task
+        if task.index == at_index:
+            before_raise(supervisor)
+            raise KeyboardInterrupt
 
 
 class TestSupervisorHousekeeping:
     def test_keyboard_interrupt_terminates_all_workers(self):
         # regression: the old pool-based orchestrator leaked worker
-        # processes when the checkpoint pass was interrupted
-        program = build_program(SRC)
-        supervisor = Supervisor(program, SPECS, jobs=2)
+        # processes when the parent was interrupted mid-run
+        supervisor = Supervisor(GuestRunnerFactory(), jobs=2,
+                                faults=FaultPlan())
         seen = []
-
-        def interrupted_shards():
-            for spec in iter_shards(program, jobs=2, quantum=QUANTUM,
-                                    interval=64):
-                yield spec
-                if spec.index == 1:
-                    seen.extend(supervisor.workers.values())
-                    raise KeyboardInterrupt
+        tasks = _interrupted(
+            supervisor, 1, lambda s: seen.extend(s.workers.values()))
         with pytest.raises(KeyboardInterrupt):
-            supervisor.run(interrupted_shards())
+            supervisor.run(tasks)
         assert seen, "workers should have been spawned before the interrupt"
         assert supervisor.workers == {}
         for worker in seen:
             worker.process.join(timeout=5.0)
             assert not worker.process.is_alive()
 
-    def test_jobs_beyond_shard_count_spawn_no_idle_workers(self):
-        tele = Telemetry()
-        run = parallel_profile(build_program(SRC), SPECS, jobs=8,
-                               telemetry=tele)   # default quantum: 1 shard
-        assert run.n_shards == 1
-        assert run.workers_spawned == 1
+    def test_jobs_beyond_shard_count_spawn_no_idle_workers(self, serial):
+        run, tele = run_with("", jobs=8, tasks=TASKS[:1],
+                             serial=serial[:1])
         assert tele.counters["parallel/jobs_clamped"] == 7
         assert tele.counters["parallel/workers_spawned"] == 1
 
@@ -204,32 +249,27 @@ class TestSpillCleanup:
         # before their own atexit sweep can run; the parent's shutdown
         # path must reclaim their spill directories
         from repro.capture.streaming import SPILL_PREFIX
-        from repro.parallel import iter_shards
 
-        program = build_program(SRC)
-        supervisor = Supervisor(program, SPECS, jobs=2)
+        supervisor = Supervisor(GuestRunnerFactory(), jobs=2,
+                                faults=FaultPlan())
         left_behind = []
 
-        def interrupted_shards():
-            for spec in iter_shards(program, jobs=2, quantum=QUANTUM,
-                                    interval=64):
-                yield spec
-                if spec.index == 1:
-                    for pid in sorted(supervisor._pids):
-                        d = private_tmp / f"{SPILL_PREFIX}{pid}-t"
-                        d.mkdir()
-                        (d / "run00000.npy").write_bytes(b"x")
-                        left_behind.append(d)
-                    raise KeyboardInterrupt
+        def spill_as_workers(sup):
+            for pid in sorted(sup._pids):
+                d = private_tmp / f"{SPILL_PREFIX}{pid}-t"
+                d.mkdir()
+                (d / "run00000.npy").write_bytes(b"x")
+                left_behind.append(d)
+
         with pytest.raises(KeyboardInterrupt):
-            supervisor.run(interrupted_shards())
+            supervisor.run(_interrupted(supervisor, 1, spill_as_workers))
         assert left_behind, "workers should have spawned before interrupt"
         for d in left_behind:
             assert not d.exists(), f"spill dir {d} leaked past shutdown"
 
     def test_crashed_worker_spill_dirs_are_swept(self, private_tmp,
                                                  monkeypatch):
-        # a worker that dies mid-replay never runs its own teardown; the
+        # a worker that dies mid-task never runs its own teardown; the
         # scratch it left (modelled here at the moment the supervisor
         # notices the crash) is reclaimed by the end of the run
         import repro.parallel.supervise as sup
@@ -260,7 +300,6 @@ class TestSpillCleanup:
         # the primitive itself: a process that spilled and then died
         # without any teardown is reclaimed by pid-targeted cleanup
         import multiprocessing
-        import os as _os
         import time as _time
 
         from repro.capture.streaming import (SPILL_PREFIX, SpillPool,
@@ -286,3 +325,51 @@ class TestSpillCleanup:
         removed = cleanup_spill_dirs([proc.pid])
         assert removed
         assert not list(private_tmp.glob(f"{SPILL_PREFIX}{proc.pid}-*"))
+
+
+#: The smallest roster entry (the fleet tests' fixture).
+ENTRY = "gen-streaming_0055"
+
+
+class TestFleetUnderFaults:
+    """``tquad corpus run --jobs 2`` under ``TQUAD_FAULTS``: the fleet's
+    canonical report stays byte-identical to ``--jobs 1``."""
+
+    @pytest.mark.parametrize("plan, counter", [
+        ("exit@replay:shard=0", "parallel/worker_crashes"),
+        ("exception@replay:attempt=any", "parallel/shards_degraded"),
+    ], ids=["crash", "degraded"])
+    def test_fleet_matches_jobs_1(self, tmp_path, monkeypatch, plan,
+                                  counter):
+        serial = run_fleet(store=CaptureStore(tmp_path / "s1"),
+                           only=ENTRY)
+        before = obs.TELEMETRY.counters.get(counter, 0)
+        monkeypatch.setenv("TQUAD_FAULTS", plan)
+        fanned = run_fleet(store=CaptureStore(tmp_path / "s2"),
+                           only=ENTRY, jobs=2)
+        assert serial.ok and fanned.ok
+        assert fanned.canonical_json() == serial.canonical_json()
+        assert obs.TELEMETRY.counters.get(counter, 0) == before + 1
+
+    def test_torn_payload_keeps_every_artifact(self, tmp_path,
+                                               monkeypatch):
+        """A torn payload is retried after the failed attempt already
+        recorded the capture, so the retry reuses it and the report's
+        capture and sidecar counters differ from ``--jobs 1`` (the failed
+        attempt's counts are lost with its payload).  Every artifact is
+        still byte-identical."""
+        from repro.corpus import ARTIFACTS
+
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        serial = run_fleet(store=CaptureStore(tmp_path / "s1"),
+                           only=ENTRY, out_dir=out1)
+        before = obs.TELEMETRY.counters.get("parallel/bad_payloads", 0)
+        monkeypatch.setenv("TQUAD_FAULTS", "truncate@payload:shard=0")
+        fanned = run_fleet(store=CaptureStore(tmp_path / "s2"),
+                           only=ENTRY, out_dir=out2, jobs=2)
+        assert serial.ok and fanned.ok
+        assert (obs.TELEMETRY.counters.get("parallel/bad_payloads", 0)
+                == before + 1)
+        for name in ARTIFACTS:
+            assert ((out1 / ENTRY / name).read_bytes()
+                    == (out2 / ENTRY / name).read_bytes())

@@ -4,8 +4,8 @@ Each test regenerates one published artifact — Tables I–IV and the
 Figure 6/7 bandwidth strips, all on the ``small`` WFS preset — and
 compares it byte-for-byte against the frozen copy in ``tests/golden/``.
 The profilers are deterministic, so any diff is a behaviour change, not
-noise; in particular these pin the exact text the parallel sharded-replay
-pipeline must also reproduce.
+noise; in particular these pin the exact text the capture-replay and
+sweep routes must also reproduce.
 
 After an *intentional* output change, refresh the fixtures with::
 

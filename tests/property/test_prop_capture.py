@@ -4,8 +4,7 @@ For randomly generated MiniC guests (and the shared fuzz corpus), a
 report replayed from a capture must serialise to *exactly* the bytes the
 direct re-executing tool produces — across slice intervals (any multiple
 of the capture grain), stack policies (including policies derived from a
-both-sided capture), the gprof and QUAD replays, and the sharded
-parallel capture merge.
+both-sided capture), and the gprof and QUAD replays.
 """
 
 import io
@@ -14,8 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capture import (CaptureReader, CaptureWriter, capture_run,
-                           make_manifest, program_digest, replay_gprof,
+from repro.capture import (CaptureReader, capture_run, replay_gprof,
                            replay_quad, replay_tquad)
 from repro.core import TQuadOptions, run_tquad
 from repro.core.options import StackPolicy
@@ -92,38 +90,6 @@ class TestRandomGuests:
                 == flat_to_json(run_gprof(program))
             assert quad_to_json(replay_quad(reader)) \
                 == quad_to_json(run_quad(program))
-
-    @given(source=guest_programs(),
-           jobs=st.integers(min_value=2, max_value=4),
-           factor=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=8, deadline=None)
-    def test_sharded_capture_merge_is_byte_identical(self, source, jobs,
-                                                     factor):
-        from repro.parallel import TQuadSpec, parallel_profile
-
-        program = build_program(source)
-        options = TQuadOptions(slice_interval=50)
-        buf = io.BytesIO()
-        writer = CaptureWriter(buf)
-        run = parallel_profile(program,
-                               TQuadSpec(options=options, capture=True),
-                               jobs=jobs, executor="inline",
-                               capture_writer=writer)
-        writer.finalize(make_manifest(
-            program_sha=program_digest(program), label="", grain=50,
-            stack="both", exclude_libraries=False,
-            total_instructions=run.total_instructions,
-            exit_code=run.exit_code, images=run.images,
-            kernels=run.capture_kernels, mem_size=run.mem_size,
-            tools=("tquad",),
-            prefetches_skipped=run.prefetches_skipped))
-        buf.seek(0)
-        opts = TQuadOptions(slice_interval=50 * factor)
-        direct = run_tquad(program, options=opts)
-        with CaptureReader(buf) as reader:
-            replay = replay_tquad(reader, opts)
-        assert tquad_to_json(replay) == tquad_to_json(direct)
-
 
 class TestFuzzCorpus:
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

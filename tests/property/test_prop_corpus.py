@@ -1,17 +1,16 @@
-"""Every corpus guest is one workload with five byte-identical routes.
+"""Every corpus guest is one workload with four byte-identical routes.
 
 For each guest the fleet covers, the same execution must be reproduced
-exactly by five independent code paths:
+exactly by four independent code paths:
 
 1. serial instrumented run,
-2. sharded ``--jobs 4`` run (checkpointed replay + merge),
-3. serial with the superblock JIT disabled,
-4. replay from a recorded capture, and
-5. the batched sweep engine reading the same capture.
+2. serial with the superblock JIT disabled,
+3. replay from a recorded capture, and
+4. the batched sweep engine reading the same capture.
 
-Routes 1-3 reuse the differential-fuzzing harness
+Routes 1-2 reuse the differential-fuzzing harness
 (:func:`tests.fuzz.test_fuzz_differential.assert_all_configs_agree`)
-with a per-route fresh workspace; routes 4-5 replay a single capture and
+with a per-route fresh workspace; routes 3-4 replay a single capture and
 must match route 1's artifacts byte-for-byte.
 """
 
@@ -42,15 +41,16 @@ def _program_and_fs_factory(name):
 
 @pytest.mark.parametrize("name", GUESTS)
 def test_serial_jobs4_jitoff_agree(name):
-    """Routes 1-3: the fuzz harness' differential property, on guests
-    with real input workspaces."""
+    """Routes 1-2: the fuzz harness' differential property, on guests
+    with real input workspaces.  (The name predates the removal of the
+    sharded ``--jobs 4`` route it also checked.)"""
     program, fs_factory = _program_and_fs_factory(name)
     assert_all_configs_agree(program, fs_factory=fs_factory)
 
 
 @pytest.mark.parametrize("name", GUESTS)
 def test_capture_and_sweep_routes_agree(name):
-    """Routes 4-5: capture once, then the vectorized replays and the
+    """Routes 3-4: capture once, then the vectorized replays and the
     sweep engine reproduce the direct run's artifacts exactly."""
     program, fs_factory = _program_and_fs_factory(name)
     reference = fingerprint(program, fs_factory=fs_factory)
@@ -74,7 +74,7 @@ def test_capture_and_sweep_routes_agree(name):
         assert reader.manifest["exit_code"] == reference[7]
         assert reader.manifest["total_instructions"] == reference[8]
 
-        # route 5: every cell of a sweep over the same capture matches a
+        # route 4: every cell of a sweep over the same capture matches a
         # standalone replay at that cell's options
         grid = SweepGrid(intervals=(INTERVAL, 4 * INTERVAL))
         sweep = sweep_tquad(reader, grid)

@@ -64,11 +64,10 @@ def _play(events, callstack, on_read, on_write, flush) -> None:
             on_write(ev[1], ev[2], ev[3])
 
 
-def _paged(events, sink: PagedQuadSink | None = None) -> dict:
+def _paged(events) -> dict:
     """The paged sink's report over the stream, engine-free (a small cap
     forces frequent drains)."""
-    if sink is None:
-        sink = PagedQuadSink(CallStack(), cap=24)
+    sink = PagedQuadSink(CallStack(), cap=24)
     _play(events, sink.tag, make_raw_recorder(sink, write=False),
           make_raw_recorder(sink, write=True), sink.flush)
     return quad_to_dict(sink.report(images={}, total_instructions=0))
@@ -86,14 +85,3 @@ class TestPagedLegacyDifferential:
     @settings(max_examples=120, deadline=None)
     def test_byte_identical_to_legacy(self, events):
         assert _paged(events) == _oracle(events)
-
-    @given(access_streams(), access_streams())
-    @settings(max_examples=40, deadline=None)
-    def test_reset_gives_independent_run(self, first, second):
-        """After reset() the sink reproduces a fresh sink's results (no
-        state bleed through shadow, counters, bitmaps or buffer)."""
-        sink = PagedQuadSink(CallStack(), cap=24)
-        _paged(first, sink)
-        sink.tag.reset()
-        sink.reset()
-        assert _paged(second, sink) == _paged(second)

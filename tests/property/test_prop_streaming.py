@@ -2,10 +2,9 @@
 
 The exact streaming replay must serialise to *exactly* the bytes the
 unbounded in-memory path produces, for any memory ceiling — with or
-without the decoded-page sidecar, over serial captures and captures
-merged from parallel shards.  The ceiling only moves *how* the replay
-walks the pages (LRU window, carry compaction, disk spill), never what
-it computes.
+without the decoded-page sidecar.  The ceiling only moves *how* the
+replay walks the pages (LRU window, carry compaction, disk spill), never
+what it computes.
 """
 
 import io
@@ -13,8 +12,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capture import (CaptureReader, CaptureWriter, capture_run,
-                           make_manifest, program_digest, replay_tquad)
+from repro.capture import CaptureReader, capture_run, replay_tquad
 from repro.capture.streaming import MIN_MEM_LIMIT
 from repro.core import TQuadOptions
 from repro.minic import build_program
@@ -35,28 +33,10 @@ def _serial_capture(program, path):
                 options=TQuadOptions(slice_interval=GRAIN))
 
 
-def _parallel_capture(program, path, jobs=4):
-    from repro.parallel import TQuadSpec, parallel_profile
-
-    options = TQuadOptions(slice_interval=GRAIN)
-    writer = CaptureWriter(str(path))
-    run = parallel_profile(program,
-                           TQuadSpec(options=options, capture=True),
-                           jobs=jobs, executor="inline",
-                           capture_writer=writer)
-    writer.finalize(make_manifest(
-        program_sha=program_digest(program), label="", grain=GRAIN,
-        stack="both", exclude_libraries=False,
-        total_instructions=run.total_instructions,
-        exit_code=run.exit_code, images=run.images,
-        kernels=run.capture_kernels, mem_size=run.mem_size,
-        tools=("tquad",), prefetches_skipped=run.prefetches_skipped))
-
-
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """One fixed guest captured twice (serial and 4-way-sharded merge),
-    with unbounded baselines for replay and a sweep grid."""
+    """One fixed guest captured once, with unbounded baselines for
+    replay and a sweep grid."""
     root = tmp_path_factory.mktemp("stream-prop")
     source = """
     int a[80]; int b[80];
@@ -68,38 +48,31 @@ def corpus(tmp_path_factory):
     """
     program = build_program(source)
     serial = root / "serial.capture"
-    merged = root / "merged.capture"
     _serial_capture(program, serial)
-    _parallel_capture(program, merged)
     grid = SweepGrid(intervals=(GRAIN, 2 * GRAIN, 4 * GRAIN))
-    baselines = {}
-    for name, path in (("serial", serial), ("merged", merged)):
-        with CaptureReader(str(path), page_cache=False) as reader:
-            baselines[name] = tquad_to_json(replay_tquad(reader))
-        with CaptureReader(str(path), page_cache=False) as reader:
-            sweep = sweep_tquad(reader, grid)
-            baselines[name + ".sweep"] = sweep_to_json(sweep)
-    return {"serial": serial, "merged": merged, "grid": grid,
-            "baselines": baselines}
+    with CaptureReader(str(serial), page_cache=False) as reader:
+        replay = tquad_to_json(replay_tquad(reader))
+    with CaptureReader(str(serial), page_cache=False) as reader:
+        sweep = sweep_to_json(sweep_tquad(reader, grid))
+    return {"serial": serial, "grid": grid,
+            "baselines": {"serial": replay, "serial.sweep": sweep}}
 
 
 class TestStreamingByteIdentity:
-    @given(limit=mem_limits, sidecar=st.booleans(),
-           which=st.sampled_from(["serial", "merged"]))
+    @given(limit=mem_limits, sidecar=st.booleans())
     @settings(max_examples=16, deadline=None)
     def test_replay_identical_for_any_ceiling(self, corpus, limit,
-                                              sidecar, which):
-        with CaptureReader(str(corpus[which]),
+                                              sidecar):
+        with CaptureReader(str(corpus["serial"]),
                            page_cache=sidecar) as reader:
             bounded = replay_tquad(reader, mem_limit=limit)
-        assert tquad_to_json(bounded) == corpus["baselines"][which]
+        assert tquad_to_json(bounded) == corpus["baselines"]["serial"]
 
-    @given(limit=mem_limits, sidecar=st.booleans(),
-           which=st.sampled_from(["serial", "merged"]))
+    @given(limit=mem_limits, sidecar=st.booleans())
     @settings(max_examples=10, deadline=None)
     def test_sweep_cells_identical_for_any_ceiling(self, corpus, limit,
-                                                   sidecar, which):
-        with CaptureReader(str(corpus[which]),
+                                                   sidecar):
+        with CaptureReader(str(corpus["serial"]),
                            page_cache=sidecar) as reader:
             result = sweep_tquad(reader, corpus["grid"],
                                  mem_limit=limit)
@@ -107,7 +80,7 @@ class TestStreamingByteIdentity:
         # (they carry the streaming counters), so compare cell payloads
         import json
 
-        base = json.loads(corpus["baselines"][which + ".sweep"])
+        base = json.loads(corpus["baselines"]["serial.sweep"])
         got = json.loads(sweep_to_json(result))
         assert got["cells"] == base["cells"]
 

@@ -6,16 +6,15 @@ run produces for the same options.  The sweep engine is also what
 independent of it: one :class:`~repro.pin.PinEngine` execution with one
 :class:`~repro.core.TQuadTool` per cell, no capture involved.  Holds
 across random MiniC guests, random interval ladders, every stack policy,
-both library modes (including the exclude-libs view *derived* from a
-library-marked capture), and captures merged from parallel shards.
+and both library modes (including the exclude-libs view *derived* from
+a library-marked capture).
 """
 
 import io
 
 from hypothesis import given, settings, strategies as st
 
-from repro.capture import (CaptureReader, CaptureWriter, capture_run,
-                           make_manifest, program_digest)
+from repro.capture import CaptureReader, capture_run
 from repro.core import TQuadOptions, TQuadTool, run_tquad
 from repro.core.options import StackPolicy
 from repro.minic import build_program
@@ -90,33 +89,3 @@ class TestSweepMatchesReplay:
             slice_interval=interval, exclude_libraries=True))
         cell_report = result.report(interval, exclude_libraries=True)
         assert tquad_to_json(cell_report) == tquad_to_json(direct)
-
-    @given(source=guest_programs(), jobs=st.integers(2, 4))
-    @settings(max_examples=6, deadline=None)
-    def test_parallel_captured_merge_sweeps_identically(self, source,
-                                                        jobs):
-        from repro.parallel import TQuadSpec, parallel_profile
-
-        program = build_program(source)
-        options = TQuadOptions(slice_interval=50)
-        buf = io.BytesIO()
-        writer = CaptureWriter(buf)
-        run = parallel_profile(program,
-                               TQuadSpec(options=options, capture=True),
-                               jobs=jobs, executor="inline",
-                               capture_writer=writer)
-        writer.finalize(make_manifest(
-            program_sha=program_digest(program), label="", grain=50,
-            stack="both", exclude_libraries=False,
-            total_instructions=run.total_instructions,
-            exit_code=run.exit_code, images=run.images,
-            kernels=run.capture_kernels, mem_size=run.mem_size,
-            tools=("tquad",),
-            prefetches_skipped=run.prefetches_skipped))
-        grid = SweepGrid(intervals=(50, 100, 200),
-                         stacks=(StackPolicy.BOTH, StackPolicy.INCLUDE),
-                         library_modes=(False, True))
-        buf.seek(0)
-        with CaptureReader(buf) as reader:
-            result = sweep_tquad(reader, grid)
-        assert_cells_match_live(program, result)

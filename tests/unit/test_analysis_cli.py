@@ -180,7 +180,8 @@ class TestCsvExport:
 class TestCliErrorPaths:
     """Invalid operands must exit with code 2 (argparse's usage-error
     convention), via a returned int — never an uncaught traceback or a
-    SystemExit escaping main()."""
+    SystemExit escaping main().  ``--jobs`` and ``--deadline`` belong to
+    ``tquad corpus`` only; every other command rejects them."""
 
     def _src(self, tmp_path):
         src = tmp_path / "app.mc"
@@ -224,37 +225,22 @@ class TestCliErrorPaths:
         assert rc == 2
         capsys.readouterr()
 
-
-class TestCliParallel:
-    SRC = """
-    int a[64];
-    int fill() { int i; for (i=0;i<64;i=i+1) { a[i]=i*3; } return 0; }
-    int tally() { int i; int s=0; for (i=0;i<64;i=i+1) { s=s+a[i]; }
-        return s; }
-    int main() { fill(); return tally() & 7; }
-    """
-
-    def _src(self, tmp_path):
-        src = tmp_path / "app.mc"
-        src.write_text(self.SRC)
-        return str(src)
-
-    @pytest.mark.parametrize("tool", ["tquad", "quad", "gprof"])
-    def test_jobs_output_matches_serial(self, tmp_path, capsys, tool):
-        src = self._src(tmp_path)
-        assert main(["profile", src, "--tool", tool,
-                     "--interval", "100"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["profile", src, "--tool", tool, "--interval", "100",
-                     "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_jobs_json_matches_serial(self, tmp_path, capsys):
-        src = self._src(tmp_path)
-        j1, j2 = tmp_path / "serial.json", tmp_path / "jobs.json"
-        assert main(["profile", src, "--interval", "100",
-                     "--json", str(j1)]) == 0
-        assert main(["profile", src, "--interval", "100", "--jobs", "2",
-                     "--json", str(j2)]) == 0
-        capsys.readouterr()
-        assert j1.read_bytes() == j2.read_bytes()
+    @pytest.mark.parametrize("argv, needle", [
+        (["profile", "{src}", "--jobs", "2"], "--jobs"),
+        (["wfs", "--jobs", "2"], "--jobs"),
+        (["guest", "hashjoin", "--jobs", "2"], "--jobs"),
+        (["profile", "{src}", "--deadline", "3"], "--deadline"),
+        (["wfs", "--deadline", "3"], "--deadline"),
+        (["guest", "hashjoin", "--deadline", "3"], "--deadline"),
+        (["sweep", "{src}", "--intervals", "50", "--deadline", "3"],
+         "--deadline"),
+        (["capture", "run", "{src}", "--out", "{out}", "--deadline", "3"],
+         "--deadline"),
+    ])
+    def test_worker_pool_flags_only_on_corpus(self, tmp_path, capsys,
+                                              argv, needle):
+        src, out = self._src(tmp_path), str(tmp_path / "app.capture")
+        rc = main([a.format(src=src, out=out) for a in argv])
+        assert rc == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "app.capture").exists()

@@ -3,7 +3,7 @@
 The contract under test is *byte-identity*: every report replayed from a
 capture must serialise to exactly the bytes the direct (re-executing)
 tool produces — same tables, same JSON — across slice intervals, stack
-policies, and the parallel merge.
+policies and stream layouts.
 """
 
 import io
@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.capture import (CaptureCollector, CaptureFormatError,
-                           CaptureMismatchError, CaptureReader,
-                           CaptureWriter, STREAM_CALLS, STREAM_QUAD,
-                           STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
-                           capture_run, check_program, make_manifest,
-                           merge_capture_segments, program_digest,
-                           replay_gprof, replay_many, replay_quad,
-                           replay_tquad, sidecar_path)
+from repro.capture import (CaptureFormatError, CaptureMismatchError,
+                           CaptureReader, CaptureWriter, STREAM_CALLS,
+                           STREAM_QUAD, STREAM_TQUAD_READ,
+                           STREAM_TQUAD_WRITE, capture_run, check_program,
+                           make_manifest, program_digest, replay_gprof,
+                           replay_many, replay_quad, replay_tquad,
+                           sidecar_path)
 from repro.capture.format import decode_page, encode_page
 from repro.core import (MultiPassResult, TQuadOptions, TQuadTool,
                         profile_passes, run_tquad)
@@ -162,13 +161,6 @@ class TestWriterReader:
         with CaptureReader(buf) as r:
             with pytest.raises(CaptureMismatchError, match="calls"):
                 r.require_stream(STREAM_QUAD)
-
-    def test_collector_reset_preserves_extracted_pages(self):
-        c = CaptureCollector()
-        c.add(STREAM_CALLS, b"\x01" * 16)
-        pages = c.pages
-        c.reset()
-        assert pages[STREAM_CALLS] and c.pages == {}
 
 
 class TestReplayEquality:
@@ -314,6 +306,24 @@ REPEATED = {
         2, m["routines"][1])),
 }
 
+#: Edits of the ``tquad.read`` stream directory that misstate the pages
+#: the archive holds.  Readers and the sidecar builder size every page
+#: from ``stride``/``pages``/``rows``.
+STREAM_DIRECTORY = {
+    "stride-0": lambda s: s.update(stride=0),
+    "stride-2": lambda s: s.update(stride=2),
+    "stride-dropped": lambda s: s.pop("stride"),
+    "pages-0": lambda s: s.update(pages=0),
+    "pages-negative": lambda s: s.update(pages=-1),
+    "pages+1": lambda s: s.update(pages=s["pages"] + 1),
+    "rows+1": lambda s: s.update(rows=s["rows"] + 1),
+}
+
+
+def _edit_stream(mutation):
+    edit = STREAM_DIRECTORY[mutation]
+    return lambda m: edit(m["streams"][STREAM_TQUAD_READ])
+
 
 class TestHostileManifest:
     """A manifest that disagrees with its pages fails with
@@ -421,6 +431,40 @@ class TestHostileManifest:
                      "--interval", "50", "--tool", tool]) == 2
         assert "corrupt capture manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutation", sorted(STREAM_DIRECTORY))
+    def test_stream_directory_rejected_on_every_route(self, raw, mutation,
+                                                      tmp_path):
+        """A stream directory the archive contradicts fails at open,
+        before any page is read: a path-backed capture gets no
+        sidecar."""
+        bad = _edit_manifest(raw, _edit_stream(mutation))
+        for name, route in self._routes("tquad").items():
+            with pytest.raises(CaptureFormatError,
+                               match="^corrupt capture manifest"):
+                with CaptureReader(io.BytesIO(bad)) as reader:
+                    route(reader)
+        path = tmp_path / "bad.capture"
+        path.write_bytes(bad)
+        with pytest.raises(CaptureFormatError,
+                           match="^corrupt capture manifest"):
+            CaptureReader(str(path))
+        assert not sidecar_path(path).exists()
+
+    @pytest.mark.parametrize("mutation", sorted(STREAM_DIRECTORY))
+    def test_stream_directory_cli_exits_2(self, raw, mutation, tmp_path,
+                                          capsys):
+        from repro.cli import main
+
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(_edit_manifest(raw, _edit_stream(mutation)))
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--interval", "50"]) == 2
+        assert main(["capture", "info", str(cap), "--stats"]) == 2
+        assert "corrupt capture manifest" in capsys.readouterr().err
+        assert not sidecar_path(cap).exists()
+
     @pytest.mark.parametrize("mem_size", [0, (1 << 37) + 8])
     def test_mem_size_outside_address_width(self, raw, mem_size):
         """The shadow's page tables are sized from ``mem_size``: a value
@@ -440,14 +484,6 @@ class TestToolGuards:
         with pytest.raises(ValueError):
             capture_run(program, io.BytesIO(), tools=())
 
-    def test_parallel_capture_writer_requires_capture_spec(self):
-        from repro.parallel import TQuadSpec, parallel_profile
-
-        program = build_program("int main() { return 0; }")
-        with pytest.raises(ValueError, match="capture"):
-            parallel_profile(program, TQuadSpec(options=TQuadOptions()),
-                             capture_writer=CaptureWriter(io.BytesIO()))
-
 
 class TestRecordOnly:
     """Capture-attached tools record and do nothing else: the ledger fold
@@ -459,8 +495,10 @@ class TestRecordOnly:
     ], ids=["tquad", "quad"])
     def test_report_refuses(self, make):
         engine = PinEngine(build_program(APP))
-        tool = make(CaptureCollector()).attach(engine)
+        writer = CaptureWriter(io.BytesIO())
+        tool = make(writer).attach(engine)
         engine.run()
+        writer.close()
         with pytest.raises(RuntimeError, match="replay the capture"):
             tool.report()
 
@@ -485,49 +523,6 @@ class TestRecordOnly:
         with CaptureReader(buf) as reader:
             assert tquad_to_json(replay_tquad(reader, options)) == live[0]
             assert quad_to_json(replay_quad(reader)) == live[1]
-
-
-class TestParallelCapture:
-    def test_sharded_capture_replays_byte_identically(self):
-        from repro.parallel import TQuadSpec, parallel_profile
-
-        program = build_program(APP)
-        options = TQuadOptions(slice_interval=50)
-        buf = io.BytesIO()
-        writer = CaptureWriter(buf)
-        run = parallel_profile(program,
-                               TQuadSpec(options=options, capture=True),
-                               jobs=3, executor="inline",
-                               capture_writer=writer)
-        writer.finalize(make_manifest(
-            program_sha=program_digest(program), label="", grain=50,
-            stack="both", exclude_libraries=False,
-            total_instructions=run.total_instructions,
-            exit_code=run.exit_code, images=run.images,
-            kernels=run.capture_kernels, mem_size=run.mem_size,
-            tools=("tquad",),
-            prefetches_skipped=run.prefetches_skipped))
-        buf.seek(0)
-        with CaptureReader(buf) as reader:
-            for interval in (50, 150, 500):
-                direct = run_tquad(program, options=TQuadOptions(
-                    slice_interval=interval))
-                replay = replay_tquad(reader, TQuadOptions(
-                    slice_interval=interval))
-                assert tquad_to_json(replay) == tquad_to_json(direct)
-
-    def test_merge_rejects_payload_without_segments(self):
-        from repro.core.ledger import BandwidthLedger
-        from repro.parallel.worker import TQuadPayload
-
-        class FakeResult:
-            index = 0
-            payloads = {"tquad": TQuadPayload(ledger=BandwidthLedger(50),
-                                              prefetches_skipped=0)}
-
-        with pytest.raises(ValueError, match="capture"):
-            merge_capture_segments([FakeResult()],
-                                   CaptureWriter(io.BytesIO()))
 
 
 class TestMultipass:

@@ -106,22 +106,6 @@ class TestReplayMatchesDirect:
                      "--from-capture", str(out)]) == 0
         assert capsys.readouterr().out == direct
 
-    def test_jobs_capture_out_prints_the_replay(self, app, tmp_path,
-                                                capsys):
-        # sharded capture tools record only: the printed report is the
-        # replay of the merged file, identical to the serial run's
-        assert main(["profile", str(app), "--interval", "500"]) == 0
-        direct = capsys.readouterr().out
-        out = tmp_path / "jobs.capture"
-        assert main(["profile", str(app), "--interval", "500",
-                     "--jobs", "2", "--capture-out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == direct
-        assert str(out) in captured.err
-        assert main(["profile", str(app), "--interval", "500",
-                     "--from-capture", str(out)]) == 0
-        assert capsys.readouterr().out == direct
-
     def test_json_export_from_capture(self, app, capture, tmp_path,
                                       capsys):
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -143,7 +127,7 @@ class TestUsageErrors:
         (["--tool", "quad", "--shadow", "legacy"], "legacy"),
         (["--tool", "quad", "--shadow", "paged"], "paged"),
         (["--capture-out", "d", "--jobs", "2", "--tool", "gprof"],
-         "--tool tquad"),
+         "--jobs"),
     ])
     def test_flag_combinations(self, app, capsys, argv, needle):
         rc = main(["profile", str(app), *argv])

@@ -2,8 +2,9 @@
 
 These tests keep docs/isa.md and docs/minic.md honest: every opcode the ISA
 defines appears in the ISA reference, every runtime function appears in the
-language reference, every telemetry counter and gauge appears in the
-observability reference, and the README's package table names real modules.
+language reference, the observability reference documents exactly the
+spans, counters and gauges the code emits, and the README's package table
+names real modules.
 """
 
 import importlib
@@ -145,53 +146,107 @@ def _span_rows(text: str) -> set[tuple[str, str]]:
     return pairs
 
 
+def _emitted_spans() -> set[tuple[str, str]]:
+    """Every ``.span(name, cat="…")`` call under ``src/`` as (name
+    expression, category): a quoted literal, an f-string, or a variable
+    name."""
+    emitted = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        text = path.read_text()
+        found = re.findall(
+            r'\.span\(\s*(f?"[^"]*"|[\w.]+)\s*,\s*cat="(\w+)"', text)
+        # a call this pattern cannot read must not slip through
+        assert len(found) == text.count(".span("), path
+        emitted.update(found)
+    assert ('"sweep.fold"', "sweep") in emitted
+    return emitted
+
+
+def _span_pattern(name: str) -> str:
+    """The documented names an emitted span name expression matches: an
+    f-string matches a ``<placeholder>`` in place of each ``{…}``; a name
+    held in a variable matches a row whose whole name is one."""
+    if name.startswith('"'):
+        return re.escape(name[1:-1])
+    if name.startswith('f"'):
+        return "<[\\w-]+>".join(re.escape(part)
+                                 for part in re.split(r"\{[^}]*\}",
+                                                      name[2:-1]))
+    return "<[\\w-]+>"
+
+
+def _emitted_metrics() -> set[str]:
+    """Every literal ``.count("…")``/``.gauge("…")`` name under ``src/``
+    plus every ``quad/<key>`` gauge the QUAD tool publishes from
+    ``PagedQuadSink.stats()``."""
+    from repro.core.callstack import CallStack
+    from repro.quad.shadow import PagedQuadSink
+
+    names = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        names.update(re.findall(r'\.(?:count|gauge)\(\s*"(\w+/[\w/]+)"',
+                                path.read_text()))
+    stats = PagedQuadSink(CallStack(), mem_size=1 << 16).stats()
+    names.update(f"quad/{key}" for key in stats)
+    assert "sweep/runs" in names and "quad/page_size" in names
+    return names
+
+
+def _metric_rows(text: str) -> set[str]:
+    """Every backticked name in the first cell of the counter and gauge
+    table in ``docs/observability.md``."""
+    table = text.split("### Counters and gauges")[1]
+    table = table.split("\n## ")[0]
+    names = set()
+    for cell in re.findall(r"^\|(.*?)\|", table, re.M):
+        names.update(re.findall(r"`([^`]+)`", cell))
+    names.discard("name")
+    return names
+
+
 class TestObservabilityDoc:
     def test_every_span_documented(self):
         """Every ``.span(name, cat="…")`` under ``src/`` is a documented
-        (name, category) pair.  An f-string name matches a row whose
-        name has a ``<placeholder>`` in place of each ``{…}``; a name
-        held in a variable matches a row whose whole name is one."""
+        (name, category) pair."""
         documented = _span_rows((DOCS / "observability.md").read_text())
-        emitted = set()
-        for path in (ROOT / "src").rglob("*.py"):
-            text = path.read_text()
-            found = re.findall(
-                r'\.span\(\s*(f?"[^"]*"|[\w.]+)\s*,\s*cat="(\w+)"', text)
-            # a call this pattern cannot read must not slip through
-            assert len(found) == text.count(".span("), path
-            emitted.update(found)
-        assert ('"sweep.fold"', "sweep") in emitted
         missing = []
-        for name, cat in sorted(emitted):
-            if name.startswith('"'):
-                pattern = re.escape(name[1:-1])
-            elif name.startswith('f"'):
-                pattern = "<[\\w-]+>".join(
-                    re.escape(part)
-                    for part in re.split(r"\{[^}]*\}", name[2:-1]))
-            else:
-                pattern = "<[\\w-]+>"
+        for name, cat in sorted(_emitted_spans()):
+            pattern = _span_pattern(name)
             if not any(c == cat and re.fullmatch(pattern, n)
                        for n, c in documented):
                 missing.append(f"{name} ({cat})")
         assert not missing, \
             f"spans undocumented in docs/observability.md: {missing}"
 
+    def test_every_documented_span_is_emitted(self):
+        """The converse: every (name, category) row of the span table is
+        matched by a span some code under ``src/`` emits, so a row for a
+        deleted span cannot linger."""
+        documented = _span_rows((DOCS / "observability.md").read_text())
+        emitted = [(_span_pattern(name), cat)
+                   for name, cat in _emitted_spans()]
+        stale = sorted(f"{n} ({c})" for n, c in documented
+                       if not any(cat == c and re.fullmatch(pattern, n)
+                                  for pattern, cat in emitted))
+        assert not stale, \
+            f"documented spans nothing emits: {stale}"
+
     def test_every_counter_and_gauge_documented(self):
         """Every literal ``.count("…")``/``.gauge("…")`` name under
         ``src/`` and every ``quad/<key>`` gauge the QUAD tool publishes
         from ``PagedQuadSink.stats()`` is in the docs' table."""
-        from repro.core.callstack import CallStack
-        from repro.quad.shadow import PagedQuadSink
-
-        names = set()
-        for path in (ROOT / "src").rglob("*.py"):
-            names.update(re.findall(r'\.(?:count|gauge)\(\s*"(\w+/[\w/]+)"',
-                                    path.read_text()))
-        stats = PagedQuadSink(CallStack(), mem_size=1 << 16).stats()
-        names.update(f"quad/{key}" for key in stats)
-        assert "sweep/runs" in names and "quad/page_size" in names
         text = (DOCS / "observability.md").read_text()
-        missing = sorted(n for n in names if f"`{n}`" not in text)
+        missing = sorted(n for n in _emitted_metrics()
+                         if f"`{n}`" not in text)
         assert not missing, \
             f"undocumented in docs/observability.md: {missing}"
+
+    def test_every_documented_counter_and_gauge_is_emitted(self):
+        """The converse: every name in the counter and gauge table is
+        emitted under ``src/`` (the ``quad/<key>`` gauges through
+        ``PagedQuadSink.stats()``)."""
+        documented = _metric_rows((DOCS / "observability.md").read_text())
+        assert "parallel/workers_spawned" in documented
+        stale = sorted(documented - _emitted_metrics())
+        assert not stale, \
+            f"documented counters or gauges nothing emits: {stale}"

@@ -25,6 +25,8 @@ class TestFaultSpec:
             FaultSpec(kind="meteor")
         with pytest.raises(ValueError, match="unknown pipeline stage"):
             FaultSpec(kind="exit", stage="teardown")
+        with pytest.raises(ValueError, match="unknown pipeline stage"):
+            FaultSpec(kind="exit", stage="merge")
 
     def test_matching_semantics(self):
         spec = FaultSpec(kind="exit", stage="replay", shard=2, worker=1,
@@ -59,7 +61,7 @@ class TestParsing:
     def test_stall_seconds_and_exit_code(self):
         spec = FaultSpec.parse("stall@replay:stall_seconds=0.5")
         assert spec.stall_seconds == 0.5
-        assert FaultSpec.parse("exit@merge:exit_code=3").exit_code == 3
+        assert FaultSpec.parse("exit@checkpoint:exit_code=3").exit_code == 3
 
     def test_star_is_wildcard(self):
         assert FaultSpec.parse("exit@replay:shard=*").shard is None
@@ -77,9 +79,9 @@ class TestParsing:
         assert not FaultPlan()
 
     def test_plan_from_env(self):
-        env = {ENV_VAR: "exception@merge"}
+        env = {ENV_VAR: "exception@checkpoint"}
         plan = FaultPlan.from_env(env)
-        assert plan.specs[0].stage == "merge"
+        assert plan.specs[0].stage == "checkpoint"
         assert not FaultPlan.from_env({})
         assert not FaultPlan.from_env({ENV_VAR: "   "})
 
@@ -113,10 +115,10 @@ class TestInjector:
         assert naps == [12.5]
 
     def test_exit_fault_in_parent_role_raises_worker_exit(self):
-        inj = FaultInjector(FaultPlan.parse("exit@merge:exit_code=7"),
+        inj = FaultInjector(FaultPlan.parse("exit@checkpoint:exit_code=7"),
                             role="parent")
         with pytest.raises(WorkerExit) as info:
-            inj.fire("merge")
+            inj.fire("checkpoint")
         assert info.value.code == 7
 
     def test_exit_fault_in_worker_role_calls_os_exit(self, monkeypatch):
