@@ -22,9 +22,9 @@ Typical use::
 #: drain re-batches captured record pages to this many packed records,
 #: and the streaming sweep/bucket passes compact their pending page
 #: chunks at the same row count.  Sourced from the paged shadow's drain
-#: cap because that is the binding constraint — ``_drain``'s packed
-#: ``excl << 21 | incl`` weight accumulators overflow past 2**18 records
-#: per drain — so no consumer may batch beyond it.
+#: cap because that is the binding constraint — ``_drain``'s sort keys
+#: hold a record's sequence number in a field sized for fewer than 2**18
+#: records per drain — so no consumer may batch beyond it.
 from ..quad.shadow import DEFAULT_RAW_CAP as PAGE_BATCH_ROWS
 
 from .format import (CAPTURE_VERSION, CaptureError, CaptureFormatError,

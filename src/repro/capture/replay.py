@@ -302,11 +302,17 @@ def replay_gprof(reader: CaptureReader, *, main_image_only: bool = True,
 
 
 # ------------------------------------------------------------------- QUAD
+#: The access widths the ISA records (indexed by a record's 5-bit size).
+_QUAD_SIZES = np.isin(np.arange(32), (1, 2, 4, 8))
+
+
 def _checked_quad_pages(pages, n_kernels: int, mem_size: int):
     """Yield ``quad.raw`` pages flattened, once the manifest can place
     every record: the kernel-id field (0 marks a dropped access) within
-    the ``n_kernels``-entry table, and ``ea + size`` within ``mem_size``
-    — the VM faults past it, and a faulting run writes no manifest."""
+    the ``n_kernels``-entry table, a size the ISA records (1, 2, 4 or 8
+    bytes; the drain's per-record fields assume it), and ``ea + size``
+    within ``mem_size`` — the VM faults past it, and a faulting run
+    writes no manifest."""
     from ..quad.shadow import ADDR_MASK, KID_SHIFT, TAIL_SHIFT
 
     for index, page in enumerate(pages):
@@ -321,8 +327,16 @@ def _checked_quad_pages(pages, n_kernels: int, mem_size: int):
                 f"corrupt capture page {STREAM_QUAD}[{index}]: kernel id "
                 f"{kid1 - 1} is outside the manifest's {n_kernels}-entry "
                 f"QUAD kernel table")
-        end = (vals & ADDR_MASK) + ((vals >> (TAIL_SHIFT + 1)) & 31)
-        last = int(np.max(end, where=vals >= 0, initial=0))
+        record = vals >= 0
+        size = (vals >> (TAIL_SHIFT + 1)) & 31
+        odd = ~_QUAD_SIZES[size]
+        if np.any(odd, where=record):
+            bad = int(size[np.flatnonzero(odd & record)[0]])
+            raise CaptureFormatError(
+                f"corrupt capture page {STREAM_QUAD}[{index}]: an access "
+                f"of {bad} bytes; the ISA records 1, 2, 4 or 8")
+        last = int(np.max((vals & ADDR_MASK) + size, where=record,
+                          initial=0))
         if last > mem_size:
             raise CaptureFormatError(
                 f"corrupt capture page {STREAM_QUAD}[{index}]: an access "
@@ -347,8 +361,8 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
     manifest = reader.manifest
     require_tool(manifest, "quad")
     mem_size = manifest["mem_size"]
-    # the shadow's page tables are sized from mem_size, and a record's
-    # address field is ADDR_MASK wide
+    # every access is checked against mem_size, and a record's address
+    # field is ADDR_MASK wide
     if (not isinstance(mem_size, int)
             or not 0 < mem_size <= ADDR_MASK + 1):
         raise CaptureFormatError(
@@ -357,16 +371,15 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
     callstack = CallStack()
     for name in manifest["quad_kernels"]:
         callstack.intern(name)
-    sink = PagedQuadSink(callstack, mem_size=mem_size,
-                         track_bindings=track_bindings)
+    sink = PagedQuadSink(callstack, track_bindings=track_bindings)
     budget = MemBudget(mem_limit) if mem_limit else None
     with telemetry.span("replay", cat="capture", tool="quad"):
         if reader.has_stream(STREAM_QUAD):
             # pages seal at the capture-time flush cadence, usually far
             # below the drain cap; per-drain fixed costs dominate small
             # drains, so batch pages up to the shared replay tunable
-            # (bounded by the cap _drain's packed-weight accumulators
-            # rely on) before draining
+            # (bounded by the cap the drain's sort keys rely on) before
+            # draining
             batch = PAGE_BATCH_ROWS
             if budget:
                 pages = StreamingCursor(reader, STREAM_QUAD,

@@ -62,8 +62,7 @@ class BandwidthLedger:
         """Start a fresh accounting run on the same ledger object.
 
         The table is *replaced*, not cleared in place, so views handed
-        out earlier (series arrays, a ledger :meth:`merge` took the
-        table from) stay valid and frozen.
+        out earlier (series arrays) stay valid and frozen.
         """
         self._chunks: list[tuple] = []
         self._names: tuple[str, ...] = ()
@@ -96,13 +95,6 @@ class BandwidthLedger:
         a one-row :meth:`add`."""
         self.add((name,), (0,), (slice_index,),
                  ((r_incl, r_excl, w_incl, w_excl),))
-
-    def merge(self, other: "BandwidthLedger") -> None:
-        """Add every row of ``other`` as one chunk.  The chunk holds
-        ``other``'s current table, which later writes to ``other``
-        replace rather than modify."""
-        other._fold()
-        self.add(*other._table_chunk())
 
     def _table_chunk(self) -> tuple:
         kid = np.repeat(np.arange(len(self._names), dtype=np.int64),

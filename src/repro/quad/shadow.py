@@ -7,15 +7,16 @@ as the differential tests' reference,
 structure production memory instrumenters (Examem, the Valgrind
 working-set tool) use:
 
-* :class:`ShadowPages` — a page table mapping ``addr >> PAGE_SHIFT`` to
-  ``int32`` arrays of interned writer ids (0 = never written).  Writes are
-  vectorized slice/fancy assignments, reads gather whole pages worth of
-  producers in one NumPy indexing operation.
+* :class:`ShadowPages` — 64 KiB pages of ``int32`` interned writer ids
+  (0 = never written).  Writes are vectorized slice/fancy assignments,
+  reads gather whole words of producers in one NumPy indexing operation.
 * :class:`PlaneBitmap` — UnMA (unique memory address) tracking as per-page
   byte flags, marked by bulk fancy assignment and popcounted only at
   report time, replacing the per-kernel Python sets.  All (kernel, view)
   bitmaps share one plane-keyed store so marking needs no per-kernel
   loop.
+* Both find their pages through a sorted key table, so their memory
+  follows the pages in use, never the guest's address space.
 * :class:`PagedQuadSink` — a buffered recording path mirroring
   :mod:`repro.core.recording`: the engine appends one packed ``int64`` per
   access into an ``array('q')`` buffer which is drained in bulk — binding
@@ -41,17 +42,37 @@ SP changes orders of magnitude less often than memory is accessed.
 Exactness
 ---------
 
-The drain is byte-identical to the per-byte walk.  Aligned 8-byte
-accesses (the overwhelming majority) flow through a word-granular
-vectorized pipeline: events are sorted by word with a *stable* (radix)
-``argsort`` — ties keep program order within each word — and a
-running-maximum scan finds the last write before each read.
-Words ever touched by a sub-word or misaligned access in the same buffer
-are routed, together with every colliding word access, through an exact
-in-order per-byte walk; the two partitions touch disjoint words, so their
-relative order cannot matter.  Stack classification is per *byte* for the
-byte-denominated columns (``a < sp`` each byte) and per access (``ea <
-sp``) for the access counters.
+The drain is byte-identical to the per-byte walk.  It decodes each record
+once — SP taken from the marker positions, dropped accesses removed —
+into a packed *payload* ``kernel << 5 | is_write << 4 | nb``: the
+kernel's index among those present in the drain (plus one), and ``nb``,
+the access's bytes below SP.  One integer ``bincount`` over (payload,
+size) yields all four access counters and both IN byte columns.
+
+Aligned 8-byte accesses (the overwhelming majority) are *word events*.
+Words touched by a sub-word or misaligned access in the same drain are
+expanded, together with every colliding word access, into one *byte
+event* per byte; the two partitions touch disjoint words, so their
+relative order cannot matter.  Each partition runs the same scan:
+
+1. one ``np.sort`` of ``unit << 21 | seq`` keys (the unit is the word, or
+   the byte address).  The keys are unique, so the sort keeps program
+   order within each unit;
+2. a read's producer is the last write at or before it in its unit, found
+   by one running-maximum scan; a unit opened by a read starts from its
+   persistent writer, gathered and tested for uniformity once per unit.
+   Only the reads of a word whose persistent bytes disagree expand to
+   bytes;
+3. OUT bytes and bindings come from one integer ``bincount`` over
+   (producer, payload), indexed by the kernels in the drain.  New pairs
+   enter the binding table in (producer, consumer) order within each
+   credit pass;
+4. UnMA marks each distinct (unit, kernel, kind, stack bytes) once;
+5. the last write of each unit is written back.
+
+Stack classification is per *byte* for the byte-denominated columns
+(``a < sp`` each byte) and per access (``ea < sp``) for the access
+counters.
 """
 
 from __future__ import annotations
@@ -61,9 +82,7 @@ from array import array
 import numpy as np
 
 from ..core.callstack import CallStack
-from ..core.npsort import stable_argsort
 from ..obs import TELEMETRY as _TELEMETRY
-from ..vm.layout import DEFAULT_MEM_SIZE
 from .report import KernelIO, QuadReport
 
 #: log2 of the shadow page size in bytes.
@@ -77,13 +96,41 @@ KID_SHIFT = 43
 TAIL_SHIFT = 37
 ADDR_MASK = (1 << TAIL_SHIFT) - 1
 
-#: Soft buffer capacity in records.  The drain packs per-buffer byte
-#: sums as ``excl << 21 | incl`` weights, so the records per drain must
-#: stay below 2^18 (each touches at most 8 bytes); the cap leaves slack
-#: for the records one superblock can append past the entry-time check.
+#: Soft buffer capacity in records.  A drain's sort keys hold each
+#: event's sequence number in their low ``_SEQ`` bits, so the records per
+#: drain must stay below 2^18 (each expands to at most 8 byte events);
+#: the cap leaves slack for the records one superblock can append past
+#: the entry-time check.
 DEFAULT_RAW_CAP = (1 << 17) - 512
 
+#: Sequence bits of a drain's sort keys.
+_SEQ = 21
+#: Page ids of ``ADDR_MASK``-wide addresses: the low bits of a UnMA
+#: page key, under the plane id.
+_PID_BITS = TAIL_SHIFT - PAGE_SHIFT
+#: Eight UnMA flag bytes, stored as one ``int64``: a marked word.
 _FULL_WORD = np.int64(0x0101010101010101)
+#: The values of a 4-bit payload field (size or stack bytes).
+_AR16 = np.arange(16)
+#: The values of a record's 6-bit ``size << 1 | is_write`` field.
+_TAILS = np.arange(64)
+#: Table key that ends every page table (above any real key).
+_END = np.iinfo(np.int64).max
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of non-negative integer ``keys`` —
+    ``np.unique`` by one ``np.sort`` (NumPy's own hashes integer arrays,
+    10-50x slower than the sort on a drain's keys), in 32 bits when the
+    keys fit, which sorts twice as fast."""
+    keys = keys.ravel()
+    if keys.size and keys.max() < 1 << 31:
+        keys = keys.astype(np.int32)
+    s = np.sort(keys)
+    first = np.empty(s.size, bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
 
 
 def _concat_aranges(counts: np.ndarray) -> np.ndarray:
@@ -93,154 +140,130 @@ def _concat_aranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(ends - counts, counts)
 
 
-class ShadowPages:
-    """Byte-granular last-writer map as paged ``int32`` arrays.
+class _Pages:
+    """Fixed-size pages of one dtype found through a sorted key table.
 
-    Values are ``interned_id + 1``; 0 means the byte was never written.
-    Pages live as rows of one 2-D backing array so gathers and scatters
-    that span pages stay fully vectorized; row 0 is a permanent zero page
-    that unallocated page-table entries resolve to on reads.
+    Lookups are a ``searchsorted`` over the keys in use, so memory
+    follows the pages touched, never the key space.  Row 0 of the
+    backing array is a permanent zero page that reads of unallocated
+    keys resolve to; an ``_END`` key closes the table so every search
+    lands inside it.
     """
 
-    __slots__ = ("lut", "_data", "n_pages")
+    __slots__ = ("_keys", "_rows", "_data")
 
-    def __init__(self, mem_size: int = DEFAULT_MEM_SIZE):
-        npids = max(1, -(-mem_size // PAGE))
-        self.lut = np.full(npids, -1, np.int64)
-        self._data = np.zeros((1, PAGE), np.int32)
-        self.n_pages = 0
+    def __init__(self, dtype) -> None:
+        self._keys = np.array([_END], np.int64)
+        self._rows = np.zeros(1, np.int64)
+        self._data = np.zeros((1, PAGE), dtype)
 
-    def _need(self, max_pid: int) -> None:
-        if max_pid >= self.lut.size:
-            lut = np.full(max_pid + 1, -1, np.int64)
-            lut[:self.lut.size] = self.lut
-            self.lut = lut
+    @property
+    def n_pages(self) -> int:
+        return self._keys.size - 1
 
-    def _alloc(self, pid: int) -> int:
-        slot = self.n_pages + 1
-        if slot >= self._data.shape[0]:
-            cap = max(4, self._data.shape[0] * 2)
-            data = np.zeros((cap, PAGE), np.int32)
-            data[:self._data.shape[0]] = self._data
+    def _find(self, keys: np.ndarray, create: bool) -> np.ndarray:
+        """Backing rows of ``keys``; missing pages are allocated when
+        ``create``, else read as the zero page."""
+        at = np.searchsorted(self._keys, keys)
+        miss = self._keys[at] != keys
+        if not miss.any():
+            return self._rows[at]
+        if not create:
+            rows = self._rows[at]
+            rows[miss] = 0
+            return rows
+        new = _distinct(keys[miss])
+        lo = self._keys.size                 # rows in use, zero page included
+        hi = lo + new.size
+        if hi > self._data.shape[0]:
+            data = np.zeros((max(hi, 2 * self._data.shape[0]), PAGE),
+                            self._data.dtype)
+            data[:lo] = self._data[:lo]
             self._data = data
-        self.lut[pid] = slot
-        self.n_pages += 1
-        return slot
-
-    def _slots_rw(self, pids: np.ndarray) -> np.ndarray:
-        self._need(int(pids.max()))
-        s = self.lut[pids]
-        if (s < 0).any():
-            for pid in np.unique(pids[s < 0]):
-                self._alloc(int(pid))
-            s = self.lut[pids]
-        return s
-
-    def _slots_ro(self, pids: np.ndarray) -> np.ndarray:
-        self._need(int(pids.max()))
-        s = self.lut[pids]
-        return np.where(s < 0, 0, s)
-
-    # ------------------------------------------------------ bulk accessors
-    def gather_words(self, words: np.ndarray) -> np.ndarray:
-        """(n, 8) matrix of writer ids for each aligned 8-byte word."""
-        s = self._slots_ro(words >> (PAGE_SHIFT - 3))
-        base = (words & (WORDS - 1)) << 3
-        return self._data[s[:, None], base[:, None] + np.arange(8)]
-
-    def gather_bytes(self, addrs: np.ndarray) -> np.ndarray:
-        s = self._slots_ro(addrs >> PAGE_SHIFT)
-        return self._data[s, addrs & (PAGE - 1)]
-
-    def set_words(self, words: np.ndarray, writer1: np.ndarray) -> None:
-        """Store ``writer1[i]`` (already +1 encoded) over all 8 bytes of
-        each word — the whole-word slice assign of the fast path."""
-        s = self._slots_rw(words >> (PAGE_SHIFT - 3))
-        v3 = self._data.reshape(self._data.shape[0], WORDS, 8)
-        v3[s, words & (WORDS - 1)] = writer1[:, None]
-
-    def set_bytes(self, addrs: np.ndarray, writer1: np.ndarray) -> None:
-        """Scatter-store per-byte writers (addresses must be distinct)."""
-        s = self._slots_rw(addrs >> PAGE_SHIFT)
-        self._data[s, addrs & (PAGE - 1)] = writer1
+        keys_all = np.concatenate([self._keys[:-1], new])
+        order = np.argsort(keys_all)
+        self._keys = np.append(keys_all[order], _END)
+        self._rows = np.append(np.concatenate(
+            [self._rows[:-1], np.arange(lo, hi)])[order], 0)
+        return self._rows[np.searchsorted(self._keys, keys)]
 
     @property
     def resident_bytes(self) -> int:
-        return self._data.nbytes + self.lut.nbytes
+        return self._data.nbytes + self._keys.nbytes + self._rows.nbytes
 
 
-class PlaneBitmap:
-    """Every UnMA bitmap of one sink in a single paged ``uint8`` store.
+class ShadowPages(_Pages):
+    """Byte-granular last-writer map as pages of ``int32`` writer ids.
 
-    A *plane* is one (kernel, view) bitmap, keyed ``kid * 4 + view``.
-    Pages of all planes share one 2-D backing array, so the drain marks
-    bytes across every kernel and view in a single fancy scatter — no
-    per-kernel Python loop, no second sort by kernel id.  Marking is
-    idempotent (flag stores), hence duplicate-safe.
+    Values are ``interned_id + 1``; 0 means the byte was never written.
+    A page's key is ``addr >> PAGE_SHIFT``.
     """
 
-    __slots__ = ("_npids", "lut", "_data", "_slot_virt", "n_pages")
+    __slots__ = ()
 
-    def __init__(self, mem_size: int = DEFAULT_MEM_SIZE):
-        self._npids = max(1, -(-mem_size // PAGE))
-        self.lut = np.full(4 * self._npids, -1, np.int64)
-        self._data = np.zeros((0, PAGE), np.uint8)
-        self._slot_virt: list[int] = []   # slot -> plane * npids + pid
-        self.n_pages = 0
+    def __init__(self) -> None:
+        super().__init__(np.int32)
 
-    def _slots(self, planes: np.ndarray, pids: np.ndarray) -> np.ndarray:
-        virt = planes * self._npids + pids
-        vmax = int(virt.max())
-        if vmax >= self.lut.size:
-            lut = np.full(vmax + 1, -1, np.int64)
-            lut[:self.lut.size] = self.lut
-            self.lut = lut
-        s = self.lut[virt]
-        if (s < 0).any():
-            for v in np.unique(virt[s < 0]).tolist():
-                slot = self.n_pages
-                if slot >= self._data.shape[0]:
-                    cap = max(8, self._data.shape[0] * 2)
-                    data = np.zeros((cap, PAGE), np.uint8)
-                    data[:self._data.shape[0]] = self._data
-                    self._data = data
-                self.lut[v] = slot
-                self._slot_virt.append(int(v))
-                self.n_pages += 1
-            s = self.lut[virt]
-        return s
+    def gather_words(self, words: np.ndarray) -> np.ndarray:
+        """(n, 8) matrix of writer ids for each aligned 8-byte word."""
+        rows = self._find(words >> (PAGE_SHIFT - 3), create=False)
+        return self._data.reshape(-1, WORDS, 8)[rows, words & (WORDS - 1)]
+
+    def gather_bytes(self, addrs: np.ndarray) -> np.ndarray:
+        rows = self._find(addrs >> PAGE_SHIFT, create=False)
+        return self._data[rows, addrs & (PAGE - 1)]
+
+    def set_words(self, words: np.ndarray, writer1: np.ndarray) -> None:
+        """Store ``writer1[i]`` (already +1 encoded) over all 8 bytes of
+        each word (words must be distinct)."""
+        rows = self._find(words >> (PAGE_SHIFT - 3), create=True)
+        self._data.reshape(-1, WORDS, 8)[rows, words & (WORDS - 1)] = \
+            writer1[:, None]
+
+    def set_bytes(self, addrs: np.ndarray, writer1: np.ndarray) -> None:
+        """Scatter-store per-byte writers (addresses must be distinct)."""
+        rows = self._find(addrs >> PAGE_SHIFT, create=True)
+        self._data[rows, addrs & (PAGE - 1)] = writer1
+
+
+class PlaneBitmap(_Pages):
+    """Every UnMA bitmap of one sink in a single paged ``uint8`` store.
+
+    A *plane* is one (kernel, view) bitmap, keyed ``kid * 4 + view``; a
+    page's key is ``plane << _PID_BITS | addr >> PAGE_SHIFT``.  Pages of
+    all planes share one backing array, so the drain marks bytes across
+    every kernel and view in a single fancy scatter — no per-kernel
+    Python loop.  Marking is idempotent (flag stores), hence
+    duplicate-safe.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(np.uint8)
 
     def mark_words(self, planes: np.ndarray, words: np.ndarray) -> None:
         """Mark all 8 bytes of each aligned word in each event's plane."""
         if not words.size:
             return
-        s = self._slots(planes, words >> (PAGE_SHIFT - 3))
-        v64 = self._data.view(np.int64)
-        v64[s, words & (WORDS - 1)] = _FULL_WORD
+        rows = self._find((planes << _PID_BITS)
+                          | (words >> (PAGE_SHIFT - 3)), create=True)
+        self._data.view(np.int64)[rows, words & (WORDS - 1)] = _FULL_WORD
 
     def mark_bytes(self, planes: np.ndarray, addrs: np.ndarray) -> None:
         if not addrs.size:
             return
-        s = self._slots(planes, addrs >> PAGE_SHIFT)
-        self._data[s, addrs & (PAGE - 1)] = 1
-
-    def _plane_slots(self, plane: int) -> list[tuple[int, int]]:
-        """(pid, slot) pairs of one plane, in pid order."""
-        lo, hi = plane * self._npids, (plane + 1) * self._npids
-        return sorted((v - lo, slot)
-                      for slot, v in enumerate(self._slot_virt)
-                      if lo <= v < hi)
+        rows = self._find((planes << _PID_BITS) | (addrs >> PAGE_SHIFT),
+                          create=True)
+        self._data[rows, addrs & (PAGE - 1)] = 1
 
     def count(self, plane: int) -> int:
         """Cardinality of one plane (popcount over its pages)."""
-        rows = [slot for _, slot in self._plane_slots(plane)]
-        if not rows:
+        lo, hi = np.searchsorted(self._keys, [plane << _PID_BITS,
+                                              (plane + 1) << _PID_BITS])
+        if lo == hi:
             return 0
-        return int(self._data[rows].sum(dtype=np.int64))
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._data.nbytes + self.lut.nbytes
+        return int(self._data[self._rows[lo:hi]].sum(dtype=np.int64))
 
 
 # counter row indices of PagedQuadSink._counts
@@ -262,6 +285,19 @@ def _kernel_io(c: np.ndarray, unma: list[int]) -> KernelIO:
         reads=int(c[_READS]), writes=int(c[_WRITES]),
         reads_nonstack=int(c[_READS_NS]),
         writes_nonstack=int(c[_WRITES_NS]))
+
+
+def _producer_table(kids: np.ndarray, held: np.ndarray):
+    """A drain's producer table — its kernels (``kids``, global ids),
+    then every other persistent writer in ``held`` — and ``held``
+    (interned id + 1; 0 never written) as 1-based indices into it."""
+    ids = _distinct(held)
+    ids = ids[ids > 0] - 1
+    table = np.concatenate([kids, np.setdiff1d(ids, kids,
+                                               assume_unique=True)])
+    order = np.argsort(table)
+    at = order[np.searchsorted(table, held - 1, sorter=order)]
+    return table, np.where(held > 0, at + 1, 0)
 
 
 class RawRecordBuffer:
@@ -301,19 +337,16 @@ class PagedQuadSink(RawRecordBuffer):
     ``flush`` drains the sealed buffer into the shadow."""
 
     def __init__(self, callstack: CallStack, *,
-                 mem_size: int = DEFAULT_MEM_SIZE,
                  track_bindings: bool = True,
                  cap: int = DEFAULT_RAW_CAP):
         super().__init__(callstack, cap=cap)
-        self.mem_size = mem_size
         self.track_bindings = track_bindings
         self._sp0 = 0
-        self.shadow = ShadowPages(mem_size)
+        self.shadow = ShadowPages()
         self._counts = np.zeros((8, 8), np.int64)
-        self._nk = 0
         #: all per-kernel [in_incl, in_excl, out_incl, out_excl] UnMA
         #: bitmaps in one plane-keyed store (plane = kid * 4 + view).
-        self._unma = PlaneBitmap(mem_size)
+        self._unma = PlaneBitmap()
         #: (producer_kid, consumer_kid) -> [bytes incl, bytes excl]
         self.kid_bindings: dict[tuple[int, int], list[int]] = {}
 
@@ -325,7 +358,6 @@ class PagedQuadSink(RawRecordBuffer):
             counts = np.zeros((8, cap), np.int64)
             counts[:, :self._counts.shape[1]] = self._counts
             self._counts = counts
-        self._nk = nk
 
     def stats(self) -> dict[str, int]:
         """Shadow footprint: pages, resident bytes, interned kernels."""
@@ -341,11 +373,7 @@ class PagedQuadSink(RawRecordBuffer):
 
     # ------------------------------------------------------------- drain
     def flush(self) -> None:
-        n = len(self.buf)
-        if not n:
-            return
-        _TELEMETRY.count("quad/records_drained", n)
-        with _TELEMETRY.span("drain", cat="quad", records=n):
+        if self.buf:
             vals = np.frombuffer(self.buf, dtype=np.int64).copy()
             del self.buf[:]
             self._drain(vals)
@@ -355,10 +383,10 @@ class PagedQuadSink(RawRecordBuffer):
 
         The chunk-friendly face of :meth:`_drain` for streaming replays:
         ``chunks`` yields 1-D packed-record arrays of any length, which
-        are re-cut to ``batch_rows`` (clamped to the drain cap — the
-        packed weight accumulators overflow past 2**18 records per
-        drain) with tail carry between chunks, so callers never
-        concatenate the full stream.
+        are re-cut to ``batch_rows`` (clamped to the drain cap — the sort
+        keys' sequence field holds fewer than 2**18 records per drain)
+        with tail carry between chunks, so callers never concatenate the
+        full stream.
         """
         cap = (self.cap if batch_rows is None
                else max(min(int(batch_rows), self.cap), 1))
@@ -377,263 +405,252 @@ class PagedQuadSink(RawRecordBuffer):
             self._drain(tail)
 
     def _drain(self, vals: np.ndarray) -> None:
-        neg = vals < 0
-        if neg.any():
-            markers = -vals[neg] - 1
-            sp_stream = np.empty(markers.size + 1, np.int64)
-            sp_stream[0] = self._sp0
-            sp_stream[1:] = markers
-            sp_all = sp_stream[np.cumsum(neg)]
-            self._sp0 = int(sp_stream[-1])
-            r = vals[~neg]
-            sp = sp_all[~neg]
-        else:
-            r = vals
-            sp = np.full(vals.size, self._sp0, np.int64)
-        kid1 = r >> KID_SHIFT
-        keep = kid1 != 0
-        if not keep.all():
-            r, sp, kid1 = r[keep], sp[keep], kid1[keep]
+        """Drain one sealed buffer of packed rows (records and SP
+        markers) into the shadow, counters, bindings and UnMA planes."""
+        _TELEMETRY.count("quad/records_drained", vals.size)
+        with _TELEMETRY.span("drain", cat="quad", records=vals.size):
+            with _TELEMETRY.span("drain.decode", cat="quad"):
+                decoded = self._decode(vals)
+            if decoded is None:
+                return
+            a, pl, size, kids = decoded
+            with _TELEMETRY.span("drain.count", cat="quad"):
+                self._count(pl, size, kids)
+            if size is None:                    # every record a full word
+                self._scan(a << (_SEQ - 3), pl, kids, 8)
+                return
+            # words ever touched sub-word/misaligned this buffer, plus
+            # every full-word access colliding with them, take the byte
+            # scan; the partitions touch disjoint words, so ordering
+            # across them cannot be observed.
+            full = (size == 8) & ((a & 7) == 0)
+            pa, ps = a[~full], size[~full]
+            slow_words = _distinct(np.concatenate([pa >> 3,
+                                                   (pa + ps - 1) >> 3]))
+            word = a >> 3
+            # membership via binary search in the sorted unique slow set
+            # — np.isin would re-sort the (much larger) word array instead
+            at = np.searchsorted(slow_words, word)
+            at[at == slow_words.size] = 0
+            fast = full & (slow_words[at] != word)
+            self._scan(a[fast] << (_SEQ - 3), pl[fast], kids, 8)
+            slow = ~fast
+            size = size[slow]
+            off = _concat_aranges(size)
+            pl = np.repeat(pl[slow], size)
+            # one event per byte: below SP when its offset is under the
+            # access's below-SP byte count
+            pl = (pl & ~15) | (off < (pl & 15))
+            self._scan((np.repeat(a[slow], size) + off) << _SEQ, pl, kids, 1)
+
+    def _decode(self, vals: np.ndarray):
+        """One drain's records, decoded once: addresses, payloads, sizes
+        (None when every record is a full word) and the global ids of
+        the kernels present, ascending — or None if no record survives
+        the SP markers and dropped accesses."""
+        mpos = np.flatnonzero(vals < 0)
+        sp = self._sp0
+        r = vals
+        if mpos.size:
+            sps = np.empty(mpos.size + 1, np.int64)
+            sps[0] = sp
+            np.subtract(-1, vals[mpos], out=sps[1:])
+            self._sp0 = int(sps[-1])
+            # the records after each marker run under its SP
+            sp = np.repeat(sps, np.diff(mpos, prepend=-1,
+                                        append=vals.size) - 1)
+            r = np.delete(vals, mpos)
         if not r.size:
-            return
-        kid = kid1 - 1
-        a = r & ADDR_MASK
-        size = (r >> (TAIL_SHIFT + 1)) & 31
-        iwi = (r >> TAIL_SHIFT) & 1
-
+            return None
+        # one histogram of (kernel, size, is_write) finds the kernels
+        # present, the dropped accesses and whether every record has
+        # size 8; its key gathers each record's payload head
+        t = r >> TAIL_SHIFT
+        hist = np.bincount(t)
+        hist = np.concatenate([hist, np.zeros(-hist.size % 64, np.int64)])
+        hist = hist.reshape(-1, 64)
+        if hist[0].any():                        # no kernel entered
+            keep = t >= 64
+            r, t = r[keep], t[keep]
+            if mpos.size:
+                sp = sp[keep]
+            if not r.size:
+                return None
+            hist[0] = 0
+        kids1 = np.flatnonzero(hist.any(axis=1))
+        local = np.zeros(hist.shape[0], np.int64)
+        local[kids1] = np.arange(1, kids1.size + 1)
+        head = ((local[:, None] << 5) | ((_TAILS & 1) << 4)).ravel()
         self._ensure_kernels()
-        nk = self._nk
+        a = r & ADDR_MASK
+        nb = sp - a                              # bytes below SP
+        if hist[:, (_TAILS >> 1) != 8].any() or np.bitwise_or.reduce(a) & 7:
+            size = (t >> 1) & 31
+            np.clip(nb, 0, size, out=nb)
+        else:                                    # every record a full word
+            size = None
+            np.clip(nb, 0, 8, out=nb)
+        pl = head[t]
+        pl |= nb
+        return a, pl, size, kids1 - 1
+
+    def _count(self, pl: np.ndarray, size: np.ndarray | None,
+               kids: np.ndarray) -> None:
+        """All four access counters and both IN byte columns from one
+        integer bincount over (payload, size)."""
+        c = np.bincount((pl << 4) | (8 if size is None else size),
+                        minlength=(kids.size + 1) << 9)
+        # (kernel, is_write, bytes below SP, size); a nonstack access
+        # (ea < sp) is one with a byte below SP
+        c = c.reshape(-1, 2, 16, 16)[1:]
+        rd, wr = c[:, 0], c[:, 1]
         counts = self._counts
-        # all four dynamic access counters from one bincount: index
-        # kid + nk * (is_write + 2 * nonstack), nonstack per *access*
-        c = np.bincount(kid + nk * (iwi + 2 * (a < sp)), minlength=4 * nk)
-        counts[_READS, :nk] += c[0:nk] + c[2 * nk:3 * nk]
-        counts[_WRITES, :nk] += c[nk:2 * nk] + c[3 * nk:4 * nk]
-        counts[_READS_NS, :nk] += c[2 * nk:3 * nk]
-        counts[_WRITES_NS, :nk] += c[3 * nk:4 * nk]
-        nb_rec = np.clip(sp - a, 0, size)     # per-byte stack split
-        isw = iwi.astype(bool)
-        rd = ~isw
-        rk = kid[rd]
-        # packed weights (excl << 21 | incl): per-drain byte sums stay
-        # under 2^21 (record cap 2^17 x 8 bytes), so the float64 bincount
-        # accumulator is exact and one pass yields both columns
-        wsum = np.bincount(rk, weights=size[rd] + (nb_rec[rd] << 21),
-                           minlength=nk)[:nk].astype(np.int64)
-        counts[_IN_INCL, :nk] += wsum & ((1 << 21) - 1)
-        counts[_IN_EXCL, :nk] += wsum >> 21
+        counts[_READS, kids] += rd.sum((1, 2))
+        counts[_WRITES, kids] += wr.sum((1, 2))
+        counts[_READS_NS, kids] += rd[:, 1:].sum((1, 2))
+        counts[_WRITES_NS, kids] += wr[:, 1:].sum((1, 2))
+        counts[_IN_INCL, kids] += rd.sum(1) @ _AR16
+        counts[_IN_EXCL, kids] += rd.sum(2) @ _AR16
 
-        full = (size == 8) & ((a & 7) == 0)
-        if full.all():
-            self._drain_fast(a >> 3, kid, isw, sp)
-            return
-        # words ever touched sub-word/misaligned this buffer, plus every
-        # full-word access colliding with them, take the exact slow walk;
-        # the partitions touch disjoint words, so ordering across them
-        # cannot be observed.
-        pa, ps = a[~full], size[~full]
-        slow_words = np.unique(np.concatenate([pa >> 3, (pa + ps - 1) >> 3]))
-        word = a >> 3
-        # membership via binary search in the sorted unique slow set —
-        # np.isin would re-sort the (much larger) word array instead
-        at = np.searchsorted(slow_words, word)
-        at[at == slow_words.size] = 0
-        collide = full & (slow_words[at] == word)
-        fast = full & ~collide
-        self._drain_fast(word[fast], kid[fast], isw[fast], sp[fast])
-        slow = ~fast
-        self._drain_slow(a[slow], size[slow], kid[slow], isw[slow],
-                         sp[slow])
-
-    # ------------------------------------------------- fast (word) path
-    def _drain_fast(self, word: np.ndarray, kid: np.ndarray,
-                    isw: np.ndarray, sp: np.ndarray) -> None:
-        nf = word.size
-        if not nf:
-            return
-        assert nf < (1 << 18), "raw cap exceeded the packed-weight bound"
-        nb = np.clip(sp - (word << 3), 0, 8)
-        # stable radix sort: ties keep program order, same ordering the
-        # packed (word << 18) | seq key produced, without the key build
-        order = stable_argsort(word)
-        w = word[order]
-        k = kid[order]
-        iw = isw[order]
-        nbo = nb[order]
-        pos = np.arange(nf)
-        gs = np.empty(nf, bool)
-        gs[0] = True
-        gs[1:] = w[1:] != w[:-1]
-        gfirst = np.maximum.accumulate(np.where(gs, pos, 0))
-        lastw = np.maximum.accumulate(np.where(iw, pos, -1))
-        rd = ~iw
-
-        # producer of each read: last in-buffer write to the same word,
-        # else the persistent shadow (whole-word gather + uniformity test)
-        prod = np.zeros(nf, np.int64)
-        inbuf = rd & (lastw >= gfirst)
-        prod[inbuf] = k[lastw[inbuf]] + 1
-        pers = rd & ~inbuf
-        if pers.any():
-            pw = w[pers]
-            mat = self.shadow.gather_words(pw)
-            unif = (mat == mat[:, :1]).all(axis=1)
-            prod[pers] = np.where(unif, mat[:, 0].astype(np.int64), -1)
-            if not unif.all():
-                nu = ~unif
-                self._persistent_mixed(mat[nu], k[pers][nu], nbo[pers][nu])
-
-        res = rd & (prod > 0)
-        if res.any():
-            self._accumulate_out(prod[res] - 1, k[res], np.full(res.sum(),
-                                 8, np.int64), nbo[res])
-
-        self._mark_fast(w, k, iw, nbo)
-
-        # final shadow state: last write of each word group, whole word
-        ends = np.nonzero(np.append(gs[1:], True))[0]
-        fw = lastw[ends]
-        ok = fw >= gfirst[ends]
-        if ok.any():
-            self.shadow.set_words(w[ends][ok], k[fw[ok]] + 1)
-
-    def _accumulate_out(self, p: np.ndarray, c: np.ndarray,
-                        n_incl: np.ndarray, n_excl: np.ndarray) -> None:
-        """Credit producers with consumed bytes and record bindings.
-
-        The (producer, consumer) key space is dense and tiny (interned
-        kernels squared), so a direct ``bincount`` over flattened pair ids
-        replaces a sort-based ``np.unique``."""
-        nk = self._nk
-        counts = self._counts
-        # packed weights (excl << 21 | incl): exact in the float64
-        # accumulator, one bincount pass for both columns
-        w = n_incl + (n_excl << 21)
-        if not self.track_bindings:
-            ws = np.bincount(p, weights=w,
-                             minlength=nk)[:nk].astype(np.int64)
-            counts[_OUT_INCL, :nk] += ws & ((1 << 21) - 1)
-            counts[_OUT_EXCL, :nk] += ws >> 21
-            return
-        pair = p * nk + c
-        ws = np.bincount(pair, weights=w,
-                         minlength=nk * nk).astype(np.int64)
-        bi = ws & ((1 << 21) - 1)
-        be = ws >> 21
-        counts[_OUT_INCL, :nk] += bi.reshape(nk, nk).sum(axis=1)
-        counts[_OUT_EXCL, :nk] += be.reshape(nk, nk).sum(axis=1)
-        bindings = self.kid_bindings
-        # every consumed byte has n_incl >= 1, so bi's support covers be's
-        for j in np.nonzero(bi)[0].tolist():
-            key = divmod(j, nk)
-            b = bindings.get(key)
-            if b is None:
-                bindings[key] = [int(bi[j]), int(be[j])]
-            else:
-                b[0] += int(bi[j])
-                b[1] += int(be[j])
-
-    def _persistent_mixed(self, mat: np.ndarray, cons: np.ndarray,
-                          nb: np.ndarray) -> None:
-        """Reads whose word has more than one persistent producer: expand
-        to bytes (rare — only products of sub-word writes survive as mixed
-        words)."""
-        n = mat.shape[0]
-        flat = mat.astype(np.int64).ravel()
-        byteix = np.tile(np.arange(8), n)
-        below = byteix < np.repeat(nb, 8)
-        cflat = np.repeat(cons, 8)
-        known = flat > 0
-        if known.any():
-            self._accumulate_out(flat[known] - 1, cflat[known],
-                                 np.ones(int(known.sum()), np.int64),
-                                 below[known].astype(np.int64))
-
-    def _mark_fast(self, w: np.ndarray, k: np.ndarray, iw: np.ndarray,
-                   nbo: np.ndarray) -> None:
-        """UnMA marking for full-word events.  The incl views take whole
-        words; the excl views take whole words when all 8 bytes sit under
-        SP and fall back to byte marks for SP-straddling words.
-
-        All kernels and views mark through one plane-keyed scatter each —
-        the plane id ``kid * 4 + view`` moves the per-kernel dispatch into
-        the index arithmetic."""
-        planes = (k << 2) + np.where(iw, _V_OUT_INCL, _V_IN_INCL)
-        if w.size > 1:
-            # marking is idempotent and ``w`` arrives sorted, so hot
-            # words repeat in adjacent runs: collapse duplicates before
-            # paying the scatters (nbo joins the key — the excl view
-            # depends on it)
-            keep = np.empty(w.size, bool)
-            keep[0] = True
-            keep[1:] = ((w[1:] != w[:-1]) | (planes[1:] != planes[:-1])
-                        | (nbo[1:] != nbo[:-1]))
-            if not keep.all():
-                w, planes, nbo = w[keep], planes[keep], nbo[keep]
-        self._unma.mark_words(planes, w)
-        ex = nbo == 8
-        if ex.any():
-            self._unma.mark_words(planes[ex] + 1, w[ex])
-        straddle = (nbo > 0) & ~ex
-        if straddle.any():
-            nn = nbo[straddle]
-            addrs = np.repeat(w[straddle] << 3, nn) + _concat_aranges(nn)
-            self._unma.mark_bytes(np.repeat(planes[straddle] + 1, nn),
-                                  addrs)
-
-    # ---------------------------------------------------- slow (byte) path
-    def _drain_slow(self, a: np.ndarray, size: np.ndarray, kid: np.ndarray,
-                    isw: np.ndarray, sp: np.ndarray) -> None:
-        """Exact per-byte pipeline for sub-word/misaligned accesses and the
-        word accesses colliding with them.
-
-        The same sorted group-scan as :meth:`_drain_fast`, but with one
-        event per *byte* instead of per word — byte-granular persistent
-        lookups need no uniformity test, so this handles mixed-producer
-        words exactly."""
-        n = a.size
+    # ------------------------------------------------------ the unit scan
+    def _scan(self, key: np.ndarray, pl: np.ndarray, kids: np.ndarray,
+              width: int) -> None:
+        """Producers, OUT bytes, bindings, UnMA marks and write-back of
+        one partition: ``width``-byte events (8: words, 1: bytes) with
+        sort keys ``unit << _SEQ`` in program order."""
+        n = key.size
         if not n:
             return
-        ad = np.repeat(a, size) + _concat_aranges(size)
-        sq = np.repeat(np.arange(n), size)
-        kd = np.repeat(kid, size)
-        iw = np.repeat(isw, size)
-        bl = ad < np.repeat(sp, size)
-        order = stable_argsort(ad)              # ties: bytes in seq order
-        ad, kd, iw, bl = ad[order], kd[order], iw[order], bl[order]
-        ne = ad.size
-        pos = np.arange(ne)
-        gs = np.empty(ne, bool)
-        gs[0] = True
-        gs[1:] = ad[1:] != ad[:-1]
-        gfirst = np.maximum.accumulate(np.where(gs, pos, 0))
-        lastw = np.maximum.accumulate(np.where(iw, pos, -1))
-        rd = ~iw
+        assert n < (1 << _SEQ), "raw cap exceeded the sort-key bound"
+        with _TELEMETRY.span("drain.bind", cat="quad", events=n):
+            key |= np.arange(n)
+            key.sort()
+            unit = key >> _SEQ
+            key &= (1 << _SEQ) - 1
+            pl = pl[key]
+            iw = (pl & 16).astype(bool)
+            gs = np.empty(n, bool)
+            gs[0] = True
+            np.not_equal(unit[1:], unit[:-1], out=gs[1:])
+            # sources: the writes and the first event of each unit; every
+            # event takes its producer from the last source at or before
+            # it — a write's own kernel, or for a unit a read opens, its
+            # persistent writer (one gather and uniformity test per unit;
+            # past the table: bytes of several writers)
+            mk = np.flatnonzero(iw | gs)
+            run = np.diff(mk, append=n)
+            src = pl[mk] >> 5
+            table, mixed = kids, np.empty(0, np.int64)
+            opened = np.flatnonzero(~iw[mk])
+            if opened.size:
+                lead = unit[mk[opened]]
+                held = (self.shadow.gather_words(lead) if width == 8
+                        else self.shadow.gather_bytes(lead)[:, None])
+                uniform = (held == held[:, :1]).all(axis=1)
+                mixed = np.flatnonzero(~uniform)
+                # table indices of each unit's first byte's writer, and of
+                # every byte's writer in the mixed words
+                table, writer = _producer_table(
+                    kids, np.concatenate([held[:, 0], held[mixed].ravel()]))
+                src[opened] = np.where(uniform, writer[:lead.size],
+                                       table.size + 1)
+            prod = np.repeat(src, run)
+            if mixed.size:
+                # reads of a word whose persistent bytes disagree: each
+                # byte credits its own writer
+                m = opened[mixed]
+                q = np.repeat(mk[m], run[m]) + _concat_aranges(run[m])
+                cons = pl[q, None]
+                self._credit(np.repeat(writer[lead.size:].reshape(m.size, 8),
+                                       run[m], axis=0).ravel(),
+                             ((cons & ~15) | (_AR16[:8] < (cons & 15)))
+                             .ravel(), table, kids, 1)
+            self._credit(prod, pl, table, kids, width)
+        first = np.flatnonzero(gs[mk])         # sources that open a unit
+        with _TELEMETRY.span("drain.mark", cat="quad"):
+            self._mark(unit, mk[first], pl, kids, width)
+        with _TELEMETRY.span("drain.writeback", cat="quad"):
+            # the last source of each unit, when it is a write
+            j = mk[np.append(first[1:] - 1, mk.size - 1)]
+            j = j[iw[j]]
+            store = (self.shadow.set_words if width == 8
+                     else self.shadow.set_bytes)
+            store(unit[j], kids[(pl[j] >> 5) - 1] + 1)
 
-        prod = np.zeros(ne, np.int64)
-        inbuf = rd & (lastw >= gfirst)
-        prod[inbuf] = kd[lastw[inbuf]] + 1
-        pers = rd & ~inbuf
-        if pers.any():
-            prod[pers] = self.shadow.gather_bytes(ad[pers])
+    def _credit(self, prod: np.ndarray, pl: np.ndarray, table: np.ndarray,
+                kids: np.ndarray, width: int) -> None:
+        """Credit each read event's ``width`` bytes to its producer — a
+        1-based index into ``table`` (0: never written; past the table:
+        credited byte by byte instead) — and record the bindings.
+        ``prod`` is consumed.
 
-        res = rd & (prod > 0)
-        if res.any():
-            self._accumulate_out(prod[res] - 1, kd[res],
-                                 np.ones(int(res.sum()), np.int64),
-                                 bl[res].astype(np.int64))
+        The (producer, payload) bins are dense while they number no more
+        than the events (or 4096); a drain with more kernels bins only
+        the pairs present, so scratch never grows with the kernels
+        squared."""
+        nk = kids.size + 1
+        if (table.size + 2) * nk * 32 <= max(prod.size, 4096):
+            prod *= nk << 5
+            prod += pl
+            c = np.bincount(prod, minlength=(table.size + 2) * nk << 5)
+            pair = None
+        else:
+            code = prod * nk + (pl >> 5)
+            pair = _distinct(code)
+            c = np.bincount((np.searchsorted(pair, code) << 5) | (pl & 31),
+                            minlength=pair.size << 5)
+        rd = c.reshape(-1, 32)[:, :16]            # reads, by bytes below SP
+        used = np.flatnonzero(rd.any(axis=1))
+        rd = rd[used]
+        p, k = np.divmod(used if pair is None else pair[used], nk)
+        ok = (p > 0) & (p <= table.size)
+        p, k, rd = table[p[ok] - 1], kids[k[ok] - 1], rd[ok]
+        incl = width * rd.sum(axis=1)
+        excl = rd @ _AR16
+        counts = self._counts
+        np.add.at(counts[_OUT_INCL], p, incl)
+        np.add.at(counts[_OUT_EXCL], p, excl)
+        if not self.track_bindings:
+            return
+        bindings = self.kid_bindings
+        # new pairs enter in (producer, consumer) order
+        order = np.lexsort((k, p))
+        for key, bi, be in zip(zip(p[order].tolist(), k[order].tolist()),
+                               incl[order].tolist(), excl[order].tolist()):
+            b = bindings.get(key)
+            if b is None:
+                bindings[key] = [bi, be]
+            else:
+                b[0] += bi
+                b[1] += be
 
-        planes = (kd << 2) + np.where(iw, _V_OUT_INCL, _V_IN_INCL)
-        self._unma.mark_bytes(planes, ad)
-        if bl.any():
-            self._unma.mark_bytes(planes[bl] + 1, ad[bl])
-
-        ends = np.nonzero(np.append(gs[1:], True))[0]
-        fw = lastw[ends]
-        ok = fw >= gfirst[ends]
-        if ok.any():
-            self.shadow.set_bytes(ad[ends][ok], (kd[fw[ok]] + 1)
-                                  .astype(np.int32))
+    def _mark(self, unit: np.ndarray, starts: np.ndarray, pl: np.ndarray,
+              kids: np.ndarray, width: int) -> None:
+        """UnMA marks, once per distinct (unit, kernel, kind, stack
+        bytes).  The incl views take the whole unit; the excl views take
+        it when all its bytes sit under SP and its below-SP bytes when it
+        straddles SP.  The plane id ``kid * 4 + view`` moves the
+        per-kernel dispatch into the index arithmetic."""
+        bits = int(kids.size + 1).bit_length() + 5
+        group = np.repeat(np.arange(starts.size),
+                          np.diff(starts, append=unit.size))
+        group <<= bits
+        group |= pl
+        t = _distinct(group)
+        u = unit[starts[t >> bits]]
+        p = t & ((1 << bits) - 1)
+        planes = (kids[(p >> 5) - 1] << 2) + ((p >> 3) & 2)
+        nb = p & 15
+        whole = nb == width
+        (self._unma.mark_words if width == 8 else self._unma.mark_bytes)(
+            np.concatenate([planes, planes[whole] + 1]),
+            np.concatenate([u, u[whole]]))
+        straddle = (nb > 0) & ~whole
+        if straddle.any():
+            nn = nb[straddle]
+            self._unma.mark_bytes(np.repeat(planes[straddle] + 1, nn),
+                                  np.repeat(u[straddle] << 3, nn)
+                                  + _concat_aranges(nn))
 
     # ---------------------------------------------------- materialization
     def report(self, *, images: dict[str, str],

@@ -64,9 +64,8 @@ class QuadTool:
         if self.capture is not None:
             self.sink = CapturingPagedQuadSink(self.callstack, self.capture)
         else:
-            self.sink = PagedQuadSink(
-                self.callstack, mem_size=engine.machine.mem_size,
-                track_bindings=self.track_bindings)
+            self.sink = PagedQuadSink(self.callstack,
+                                      track_bindings=self.track_bindings)
         self._rec_read = make_raw_recorder(self.sink, write=False)
         self._rec_write = make_raw_recorder(self.sink, write=True)
         engine.INS_AddInstrumentFunction(self._instrument_instruction)

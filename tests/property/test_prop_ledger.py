@@ -174,14 +174,3 @@ class TestChunking:
                      s.write_excl)).tolist() == [list(c) for c in
                                                  slices.values()]
 
-    @settings(max_examples=50, deadline=None)
-    @given(ledgers(), ledgers())
-    def test_merge_adds_every_row(self, a, b):
-        """The shard merge: one ledger's table joins another's as one
-        chunk."""
-        (ka, ra), (kb, rb) = a, b
-        merged = _one_add(ka, ra)
-        merged.merge(_one_add(kb, rb))
-        both = ([(k, s, c) for k, s, c in ra]
-                + [(k + 5, s, c) for k, s, c in rb])
-        assert merged.history == _sums(ka + kb, both)

@@ -8,6 +8,7 @@ policies and stream layouts.
 
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.capture import (CaptureFormatError, CaptureMismatchError,
                            make_manifest, program_digest, replay_gprof,
                            replay_many, replay_quad, replay_tquad,
                            sidecar_path)
-from repro.capture.format import decode_page, encode_page
+from repro.capture.format import decode_page, encode_page, page_name
 from repro.core import (MultiPassResult, TQuadOptions, TQuadTool,
                         profile_passes, run_tquad)
 from repro.core.options import StackPolicy
@@ -30,7 +31,8 @@ from repro.gprofsim import run_gprof
 from repro.minic import build_program
 from repro.pin import PinEngine
 from repro.quad import QuadTool, run_quad
-from repro.quad.shadow import ADDR_MASK, KID_SHIFT, PagedQuadSink
+from repro.quad.shadow import (ADDR_MASK, KID_SHIFT, TAIL_SHIFT,
+                               PagedQuadSink)
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 
 APP = """
@@ -467,13 +469,116 @@ class TestHostileManifest:
 
     @pytest.mark.parametrize("mem_size", [0, (1 << 37) + 8])
     def test_mem_size_outside_address_width(self, raw, mem_size):
-        """The shadow's page tables are sized from ``mem_size``: a value
-        the record's address field cannot reach is rejected before any
-        allocation."""
+        """Every access is checked against ``mem_size``: a value the
+        record's address field cannot reach is rejected before any page
+        is read."""
         bad = _edit_manifest(raw, lambda m: m.update(mem_size=mem_size))
         with CaptureReader(io.BytesIO(bad)) as reader:
             with pytest.raises(CaptureFormatError, match="mem_size"):
                 replay_quad(reader)
+
+
+def _edit_quad_page(raw: bytes, edit) -> bytes:
+    """The capture ``raw`` with the rows of its first ``quad.raw`` page
+    passed through ``edit`` (in place); everything else is copied
+    untouched."""
+    src = zipfile.ZipFile(io.BytesIO(raw))
+    stride = json.loads(src.read("manifest.json"))["streams"][
+        STREAM_QUAD]["stride"]
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == page_name(STREAM_QUAD, 0):
+                rows = decode_page(data, stride).ravel().copy()
+                edit(rows)
+                data = encode_page(rows.tobytes(), stride)
+            dst.writestr(info, data)
+    return out.getvalue()
+
+
+def _first_read(rows) -> int:
+    """Index of the first access record (not an SP marker) that reads."""
+    return int(np.flatnonzero((rows >= 0)
+                              & ((rows >> TAIL_SHIFT) & 1 == 0))[0])
+
+
+@pytest.fixture(scope="module")
+def quad_raw():
+    buf = io.BytesIO()
+    capture_run(build_program(APP), buf, tools=("quad",))
+    return buf.getvalue()
+
+
+class TestHostileQuadPage:
+    """A ``quad.raw`` record the ISA cannot have written fails with
+    :class:`CaptureFormatError` (CLI exit 2) on every QUAD route, never a
+    report built from its fields."""
+
+    @pytest.mark.parametrize("size", [0, 3, 16, 31])
+    def test_access_size_outside_the_isa(self, quad_raw, size, tmp_path,
+                                         capsys):
+        from repro.cli import main
+
+        def edit(rows):
+            i = _first_read(rows)
+            rows[i] = (rows[i] & ~(31 << (TAIL_SHIFT + 1))
+                       | size << (TAIL_SHIFT + 1))
+
+        bad = _edit_quad_page(quad_raw, edit)
+        routes = (replay_quad,
+                  lambda r: replay_many(r, tools=("quad",)),
+                  lambda r: replay_many(r, tools=("quad",),
+                                        mem_limit=1 << 20))
+        for route in routes:
+            with CaptureReader(io.BytesIO(bad)) as reader:
+                with pytest.raises(CaptureFormatError,
+                                   match=f"access of {size} bytes"):
+                    route(reader)
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(bad)
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--tool", "quad"]) == 2
+        assert "corrupt capture page" in capsys.readouterr().err
+
+
+class TestReplayScratch:
+    """A QUAD replay's working memory follows each drain's records and
+    the kernels present in it, never the manifest's kernel table or
+    ``mem_size`` (both outside input)."""
+
+    #: What a hostile manifest may add to the tracemalloc peak of the
+    #: clean replay (about 3 MiB, nearly all of it the shadow pages).
+    SLACK = 1 << 20
+
+    @staticmethod
+    def _peak(raw: bytes) -> int:
+        with CaptureReader(io.BytesIO(raw)) as reader:
+            tracemalloc.start()
+            try:
+                replay_quad(reader)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_interned_kernels_do_not_size_the_bindings(self, quad_raw):
+        bad = _edit_manifest(quad_raw, lambda m: m["quad_kernels"].extend(
+            f"unused{i}" for i in range(3000)))
+        assert self._peak(bad) < self._peak(quad_raw) + self.SLACK
+
+    def test_mem_size_does_not_size_the_unma_table(self, quad_raw):
+        def manifest(m):
+            m.update(mem_size=1 << 31)
+            m["quad_kernels"].extend(f"k{i}" for i in range(100))
+
+        def page(rows):                # one read by kernel 99
+            i = _first_read(rows)
+            rows[i] = rows[i] & ((1 << KID_SHIFT) - 1) | 100 << KID_SHIFT
+
+        bad = _edit_quad_page(_edit_manifest(quad_raw, manifest), page)
+        assert self._peak(bad) < self._peak(quad_raw) + self.SLACK
 
 
 class TestToolGuards:

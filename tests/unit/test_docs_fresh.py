@@ -186,7 +186,7 @@ def _emitted_metrics() -> set[str]:
     for path in (ROOT / "src").rglob("*.py"):
         names.update(re.findall(r'\.(?:count|gauge)\(\s*"(\w+/[\w/]+)"',
                                 path.read_text()))
-    stats = PagedQuadSink(CallStack(), mem_size=1 << 16).stats()
+    stats = PagedQuadSink(CallStack()).stats()
     names.update(f"quad/{key}" for key in stats)
     assert "sweep/runs" in names and "quad/page_size" in names
     return names

@@ -1,5 +1,6 @@
 """QUAD tool tests: shadow memory, UnMA, bindings, overhead model."""
 
+import numpy as np
 import pytest
 
 from repro.asmkit import assemble
@@ -8,6 +9,7 @@ from repro.minic import build_program
 from repro.pin import PinEngine
 from repro.quad import (InstrumentationCostModel, QuadTool,
                         instrumented_profile, rank_shifts, run_quad)
+from repro.quad.shadow import _distinct
 from repro.serialize import quad_from_json, quad_to_json
 from repro.testing.oracles import PerByteQuadTool
 from repro.vm import DATA_BASE
@@ -177,6 +179,17 @@ class TestSpStraddle:
         assert (row.in_unma_incl, row.in_unma_excl) == (4, 2)
         assert (row.out_unma_incl, row.out_unma_excl) == (4, 2)
         assert rep.bindings[("main", "main")] == [4, 2]
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("high", [1 << 20, 1 << 40])
+    def test_matches_numpy_unique(self, high):
+        """The drain's sort-based distinct, for keys that fit 32 bits and
+        keys that do not."""
+        keys = np.random.default_rng(0).integers(0, high, 5000)
+        keys[::7] = keys[3]
+        assert np.array_equal(_distinct(keys), np.unique(keys))
+        assert _distinct(keys[:0]).size == 0
 
 
 class TestShadowStats:
