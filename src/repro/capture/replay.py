@@ -27,7 +27,7 @@ every QUAD access against the manifest's ``mem_size``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -426,10 +426,12 @@ def replay_many(reader: CaptureReader, *,
     The serial pattern — ``replay_tquad`` then ``sweep_tquad`` — decodes
     every tQUAD page twice.  Here the tQUAD report rides *inside* the
     sweep pass: the requested grid is widened with the cell the
-    ``options`` describe, the combined grid is filled in a single decode
-    pass, and the bundle's ``tquad``/``sweep`` are pulled out of it —
-    each remaining stream (``calls``, ``quad.raw``) has exactly one
-    consumer, so every page in the capture is served exactly once.  Per
+    ``options`` describe (whatever kernel filter either names: the
+    filter shapes a report's options, never its ledger), the combined
+    grid is filled in a single decode pass, and the bundle's
+    ``tquad``/``sweep`` are pulled out of it — each remaining stream
+    (``calls``, ``quad.raw``) has exactly one consumer, so every page in
+    the capture is served exactly once.  Per
     tool the result is byte-identical to the standalone ``replay_*`` /
     ``sweep_tquad`` call (the property suite and the corpus golden tree
     pin this).
@@ -459,31 +461,31 @@ def replay_many(reader: CaptureReader, *,
         opts = _resolve_tquad_options(manifest, options)
     with telemetry.span("replay_many", cat="capture",
                         tools=",".join(tools) or "sweep"):
-        if (grid is not None and opts is not None
-                and opts.kernels == grid.kernels):
-            combined = SweepGrid(
-                intervals=tuple(set(grid.intervals)
-                                | {opts.slice_interval}),
-                stacks=tuple(set(grid.stacks) | {opts.stack}),
-                library_modes=tuple(set(grid.library_modes)
-                                    | {opts.exclude_libraries}),
-                kernels=grid.kernels)
-            wide = sweep_tquad(reader, combined, telemetry=telemetry,
-                               mem_limit=mem_limit)
-            bundle.tquad = wide.report(opts.slice_interval, opts.stack,
-                                       opts.exclude_libraries)
-            bundle.sweep = restrict_sweep(wide, grid, manifest, reader)
-        else:
-            # no grid, or a kernel filter the grid does not share: the
-            # report takes its own one-cell pass
-            if grid is not None:
-                bundle.sweep = sweep_tquad(reader, grid,
-                                           telemetry=telemetry,
-                                           mem_limit=mem_limit)
+        if want_tquad or grid is not None:
+            wide = grid or SweepGrid(
+                intervals=(opts.slice_interval,), stacks=(opts.stack,),
+                library_modes=(opts.exclude_libraries,))
             if want_tquad:
-                bundle.tquad = replay_tquad(reader, opts,
-                                            telemetry=telemetry,
-                                            mem_limit=mem_limit)
+                # the kernel filter is part of a report's options, not of
+                # its ledger: the report rides the grid whatever filter
+                # either names
+                wide = SweepGrid(
+                    intervals=tuple(set(wide.intervals)
+                                    | {opts.slice_interval}),
+                    stacks=tuple(set(wide.stacks) | {opts.stack}),
+                    library_modes=tuple(set(wide.library_modes)
+                                        | {opts.exclude_libraries}),
+                    kernels=wide.kernels)
+            result = sweep_tquad(reader, wide, telemetry=telemetry,
+                                 mem_limit=mem_limit)
+            if want_tquad:
+                report = result.report(opts.slice_interval, opts.stack,
+                                       opts.exclude_libraries)
+                bundle.tquad = replace(report, options=opts,
+                                       images=dict(report.images))
+            if grid is not None:
+                bundle.sweep = restrict_sweep(result, grid, manifest,
+                                              reader)
         if "gprof" in tools:
             bundle.gprof = replay_gprof(reader, telemetry=telemetry,
                                         mem_limit=mem_limit)

@@ -9,8 +9,9 @@ is output, not working state).  Three pieces cooperate:
   surface as ``obs`` gauges (``stream/peak_resident_bytes``,
   ``stream/spill_bytes``).
 * :class:`SpillPool` + :class:`SortedTableAcc` — carry state that
-  outgrows its share of the ceiling compacts (sort + segment-sum) and
-  spills as sorted ``.npy`` runs; :func:`merge_sorted_runs` re-merges
+  outgrows its share of the ceiling compacts (one
+  :func:`~repro.core.npsort.group_sum`) and spills as sorted ``.npy``
+  runs; :func:`merge_sorted_runs` re-merges
   them blockwise, never holding more than one block per run plus the
   emitted output.  Spill directories embed the owning pid
   (``tquad-spill-<pid>-*``) so a supervisor can sweep up after workers
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.npsort import stable_argsort
+from ..core.npsort import group_sum
 from ..obs import TELEMETRY
 
 #: Spill directories are ``<tempdir>/tquad-spill-<pid>-<random>`` — the
@@ -209,19 +210,10 @@ def cleanup_spill_dirs(pids, tmp: str | None = None) -> list[str]:
 # ------------------------------------------------------ sorted-run merging
 def _compact(chunks: list[tuple[np.ndarray, ...]]
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort + segment-sum ``(keys, incl, excl)`` chunks into one table
-    with unique ascending keys — integer sums, so merging is exact and
-    associative: any compaction order yields the same final table."""
-    keys = np.concatenate([c[0] for c in chunks])
-    order = stable_argsort(keys)
-    sk = keys[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sk[1:] != sk[:-1])))
-    incl = np.add.reduceat(
-        np.concatenate([c[1] for c in chunks])[order], starts)
-    excl = np.add.reduceat(
-        np.concatenate([c[2] for c in chunks])[order], starts)
-    return sk[starts], incl, excl
+    """Group ``(keys, incl, excl)`` chunks into one table with unique
+    ascending keys — integer sums, so merging is exact and associative:
+    any compaction order yields the same final table."""
+    return group_sum(*map(np.concatenate, zip(*chunks)))
 
 
 def merge_sorted_runs(runs, block_rows: int = 1 << 16
@@ -263,8 +255,7 @@ def merge_sorted_runs(runs, block_rows: int = 1 << 16
         chunks = []
         for i, blk in blocks:
             cut = (blk.shape[0] if frontier is None
-                   else int(np.searchsorted(blk[:, 0], frontier,
-                                            side="right")))
+                   else int(np.count_nonzero(blk[:, 0] <= frontier)))
             if cut:
                 chunks.append((blk[:cut, 0], blk[:cut, 1], blk[:cut, 2]))
             heads[i] += cut

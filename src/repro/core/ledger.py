@@ -13,9 +13,12 @@ order, plus ``int64`` slice and counter columns sorted by (kernel, slice),
 one row per pair.  Writers append *grouped chunks* with :meth:`add` — the
 live recording flush and the sweep engine's cells both land their rows
 this way — and the first read folds the pending chunks
-into the table once.  Addition commutes, so chunks may arrive in any
-order and split any way; every reader (:meth:`kernels`, :meth:`series`,
-:attr:`history`) sees the same table.
+into the table once, with one :func:`~repro.core.npsort.group_sum` over
+packed (kernel, slice) keys.  Integer addition commutes, so chunks may
+arrive in any order and split any way; every reader (:meth:`kernels`,
+:meth:`series`, :attr:`history`) sees the same table.  A chunk already
+in the table's order (a sweep cell's, whose kernels are numbered in name
+order) folds without a sort.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .npsort import group_sum
 
 #: Counter indices.
 R_INCL, R_EXCL, W_INCL, W_EXCL = 0, 1, 2, 3
@@ -103,8 +108,8 @@ class BandwidthLedger:
 
     def _fold(self) -> None:
         """Fold the pending chunks into the table: map each chunk's
-        kernel ids onto the union name table, sort by (kernel, slice) and
-        sum rows that share a pair."""
+        kernel ids onto the union name table and sum rows that share a
+        (kernel, slice) pair."""
         if not self._chunks:
             return
         chunks, self._chunks = self._chunks, []
@@ -117,22 +122,20 @@ class BandwidthLedger:
             for c in chunks])
         sl = np.concatenate([c[2] for c in chunks])
         cnt = np.concatenate([c[3] for c in chunks])
-        order = np.lexsort((sl, kid))
-        kid, sl, cnt = kid[order], sl[order], cnt[order]
-        new = np.empty(kid.size, bool)
-        new[0] = True
-        new[1:] = (kid[1:] != kid[:-1]) | (sl[1:] != sl[:-1])
-        if not new.all():
-            starts = np.flatnonzero(new)
-            kid, sl = kid[starts], sl[starts]
-            cnt = np.add.reduceat(cnt, starts, axis=0)
+        # one (kernel, slice) key per row, kernel-major
+        lo = int(sl.min())
+        width = int(sl.max()) - lo + 1
+        if len(names) * width >> 63:
+            raise OverflowError("(kernel, slice) keys overflow int64")
+        keys, *sums = group_sum(kid * width + (sl - lo), *cnt.T)
+        kid = keys // width
         # the kernel table keeps only kernels that own rows
         first = np.flatnonzero(np.concatenate(([True],
                                                kid[1:] != kid[:-1])))
         self._names = tuple(names[k] for k in kid[first].tolist())
         self._bounds = _frozen(np.append(first, kid.size))
-        self._slices = _frozen(sl)
-        self._counters = _frozen(cnt)
+        self._slices = _frozen(keys % width + lo)
+        self._counters = _frozen(np.column_stack(sums))
 
     # -- readers --------------------------------------------------------------
     def kernels(self) -> list[str]:

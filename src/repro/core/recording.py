@@ -19,9 +19,11 @@ instrumenters such as Examem use:
 * **hand on** (cold): when a buffer passes its soft capacity (checked at
   superblock entry / in the recorder closures) or at fini, the sealed
   buffer goes to one of two places.  A live tool's :class:`RecordingSink`
-  aggregates it: it views the buffer as a NumPy matrix, groups by
-  ``(kernel, slice)`` and lands the byte sums in the ledger as one
-  grouped chunk (:meth:`BandwidthLedger.add`).  A capture-attached
+  aggregates it: it views the buffer as a NumPy matrix, groups it by
+  ``(kernel, slice)`` with :func:`~repro.core.npsort.group_sum` — the
+  group-by the sweep engine buckets capture pages with, keyed here on
+  the buffer's own slice range — and lands the byte sums in the ledger
+  as one grouped chunk (:meth:`BandwidthLedger.add`).  A capture-attached
   tool's :class:`CapturingRecordingSink` only spills it as a capture
   page; the analysis happens when the capture is replayed
   (:mod:`repro.capture.replay`), so a live run is the only path that
@@ -41,6 +43,7 @@ import numpy as np
 
 from .callstack import CallStack
 from .ledger import BandwidthLedger
+from .npsort import group_sum
 from .options import StackPolicy
 
 #: Soft buffer capacity in *elements* (4 per record): flushes trigger at the
@@ -117,18 +120,19 @@ class RecordingSink(RecordBuffers):
             lib = kid < -1
             if lib.any():
                 kid = np.where(lib, -2 - kid, kid)
-        ic, incl, excl = arr[:, 0], arr[:, 1], arr[:, 2]
-        sl = (ic - 1) // self.interval
-        base = int(sl.max()) + 1
-        uniq, inv = np.unique(kid * base + sl, return_inverse=True)
-        counters = np.zeros((uniq.size, 4), np.int64)
+        # key on the buffer's own slice range: a buffer covers a few
+        # slices, so the keys stay dense whatever the run length
+        sl = (arr[:, 0] - 1) // self.interval
+        first = int(sl.min())
+        width = int(sl.max()) - first + 1
+        keys, incl, excl = group_sum(kid * width + (sl - first),
+                                     arr[:, 1], arr[:, 2])
+        counters = np.zeros((keys.size, 4), np.int64)
         col = 2 if write else 0
-        counters[:, col] = np.bincount(inv, weights=incl,
-                                       minlength=uniq.size)
-        counters[:, col + 1] = np.bincount(inv, weights=excl,
-                                           minlength=uniq.size)
-        self.ledger.add(self.tag.interned_names, uniq // base, uniq % base,
-                        counters)
+        counters[:, col] = incl
+        counters[:, col + 1] = excl
+        self.ledger.add(self.tag.interned_names, keys // width,
+                        keys % width + first, counters)
 
 
 class CapturingRecordingSink(RecordBuffers):

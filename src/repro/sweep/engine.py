@@ -12,16 +12,22 @@ whole interval × stack-policy × library-mode grid from that single pass:
   masks, and every row is bucketed at the *gcd grain* of the requested
   intervals.  Only the distinct row-filter combinations the grid actually
   needs (library rows kept/dropped × exclusive-only) are accumulated.
-* **bucket** — the per-page partial sums merge into one sparse
-  ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo.
+* **bucket** — the per-page rows group into one sparse
+  ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo,
+  and each combo's read and write tables merge into one table of the
+  four ledger counters, kernels numbered in name order (the ledger's).
 * **fold** — each coarser interval ``m * grain`` is an exact segment-sum
-  of the fine table (``slice // m``); no re-read, no re-decode.
+  of the combo's fine table (``slice // m``); no re-read, no re-decode.
 * **report** — every cell's table lands in its own ledger as one grouped
   chunk (:meth:`~repro.core.ledger.BandwidthLedger.add`), so each cell
   is a normal :class:`~repro.core.report.TQuadReport`, byte-identical (at
   the ``tquad_to_json`` level) to a live run with the same options — the
   property suite in ``tests/property/test_prop_sweep.py`` asserts this
   cell by cell.
+
+Every grouping step, and the bounded accumulators' compaction under a
+memory ceiling, is one :func:`~repro.core.npsort.group_sum` call: integer
+sums throughout, so every route and every ceiling yields the same bytes.
 
 This is the only code that buckets tQUAD pages: a single
 :func:`~repro.capture.replay.replay_tquad` is a one-cell pass, and the
@@ -49,7 +55,7 @@ from ..capture.replay import _resolve_tquad_options
 from ..capture.streaming import (MemBudget, SortedTableAcc, SpillPool,
                                  sample_mask)
 from ..core.ledger import BandwidthLedger
-from ..core.npsort import stable_argsort
+from ..core.npsort import group_sum
 from ..core.options import StackPolicy, TQuadOptions
 from ..core.report import TQuadReport
 from ..obs import TELEMETRY
@@ -58,12 +64,6 @@ from .grid import SweepCell, SweepGrid
 _STREAMS = ((STREAM_TQUAD_READ, False), (STREAM_TQUAD_WRITE, True))
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-#: Largest (kernel, slice) key span the bucket phase groups by direct
-#: bincount; beyond this the dense accumulators would outweigh the
-#: sort they replace (three transient float64/int64 arrays of this size).
-_DENSE_SPAN = 1 << 23
 
 
 @dataclass
@@ -201,14 +201,16 @@ class _CellSample(NamedTuple):
 
 def _check_page(page: np.ndarray, stream: str, index: int,
                 n_kernels: int, fine: int, n_fine: int) -> int:
-    """Reject rows the manifest cannot place before they become keys;
-    returns the page's smallest raw kernel id (negative when it holds
+    """Reject rows the manifest cannot place before they become keys,
+    and rows no recording sink writes (a negative byte count); returns
+    the page's smallest raw kernel id (negative when it holds
     library-marked or dropped rows).
 
-    Keys are ``kernel * n_fine + slice``: a slice index of ``n_fine`` or
-    more would spill into the next kernel's keys, and a kernel id past
-    the table would index out of it.  Library-marked ids (``<= -2``)
-    decode to ``-2 - id``; ``-1`` rows are dropped, never keyed.
+    Keys are ``kernel * n_fine + slice`` (kernels numbered in name
+    order): a slice index of ``n_fine`` or more would spill into the next
+    kernel's keys, and a kernel id past the table would index out of it.
+    Library-marked ids (``<= -2``) decode to ``-2 - id``; ``-1`` rows
+    are dropped, never bucketed.
     """
     if page.shape[0] == 0:
         return 0
@@ -227,6 +229,11 @@ def _check_page(page: np.ndarray, stream: str, index: int,
             f"corrupt capture page {stream}[{index}]: instruction count "
             f"{bad} is outside the manifest's {n_fine} slices of {fine} "
             f"instructions")
+    least = min(int(page[:, 1].min()), int(page[:, 2].min()))
+    if least < 0:
+        raise CaptureFormatError(
+            f"corrupt capture page {stream}[{index}]: a row of {least} "
+            f"bytes (byte counts are never negative)")
     return min_kid
 
 
@@ -261,6 +268,12 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
     total = int(manifest["total_instructions"])
     n_fine = (max(total, 1) - 1) // fine + 1
     names = manifest["kernels"]
+    # keys number kernels in name order, so every table is in its
+    # ledger's order; dropped rows (id -1, masked out) key from the end
+    ordered = sorted(names)
+    pos = {name: i for i, name in enumerate(ordered)}
+    rank = np.array([pos[name] for name in names], np.int64)
+    kid_base = np.append(rank * n_fine, -n_fine)
     images = dict(manifest["images"])
     combos = {_cell_combo(c, captured, captured_excl_libs) for c in cells}
 
@@ -276,12 +289,13 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
             SpillPool(budget) as pool:
         # ------------------------------------------------ decode (one pass)
         # per (stream, combo): lists of per-page (keys, incl, excl)
-        # partials — or, under a memory budget, bounded accumulators
-        # that compact and spill instead of buffering every page
+        # partials, seeded empty — or, under a memory budget, bounded
+        # accumulators that compact and spill instead of buffering
+        # every page
         locs = [(stream, combo) for stream, _ in _STREAMS
                 for combo in combos]
         parts: dict[tuple[str, tuple[bool, bool]], list] = {
-            loc: [] for loc in locs}
+            loc: [(_EMPTY, _EMPTY, _EMPTY)] for loc in locs}
         accs = None
         if budget is not None:
             from ..capture import PAGE_BATCH_ROWS
@@ -338,11 +352,11 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                         has_lib = bool(lib.any())
                         kid = np.where(lib, -2 - kid_raw, kid_raw)
                     sl = (page[:, 0] - 1) // fine
-                    key = kid * n_fine + sl
+                    key = kid_base[kid] + sl
                     incl, excl = page[:, 1], page[:, 2]
                     # rows are already per-(slice, kernel) aggregates, so
                     # no per-page grouping happens here: each combo's row
-                    # filter just selects rows, and one global sort in the
+                    # filter just selects rows, and one group_sum in the
                     # bucket phase groups everything at once.  Combos whose
                     # filters coincide on this page (no library rows, no
                     # exclusive-free rows) share one selection
@@ -389,131 +403,60 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                         if budget.over:
                             for acc in accs.values():
                                 acc.spill(pool)
-        # ------------------------------- bucket (merge partials, fine grain)
-        fine_tables: dict[tuple[str, tuple[bool, bool]],
-                          tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        key_span = len(names) * n_fine
+        # ------------- bucket (group partials, merge read and write tables)
+        # per combo one sparse (kernel, fine slice) table of the four
+        # ledger counters
+        fine_tables: dict[tuple[bool, bool], tuple[np.ndarray, ...]] = {}
         with telemetry.span("sweep.bucket", cat="sweep"):
-            if accs is not None:
-                # streaming: each accumulator already carries its sorted
-                # unique-key table (merged back from spill runs if any);
-                # identical to the unbounded grouping below because
-                # integer segment sums are associative
-                for loc in locs:
-                    keys_f, incl_f, excl_f = accs[loc].finalize()
-                    fine_tables[loc] = ((_EMPTY, _EMPTY, _EMPTY)
-                                        if keys_f.size == 0
-                                        else (keys_f, incl_f, excl_f))
-                parts = {}
-            for loc, chunks in parts.items():
-                if not chunks:
-                    fine_tables[loc] = (_EMPTY, _EMPTY, _EMPTY)
-                    continue
-                keys = np.concatenate([c[0] for c in chunks])
-                if key_span <= _DENSE_SPAN:
-                    # the (kernel, slice) key space is dense enough to
-                    # group by direct bincount — no sort, no gathers; a
-                    # presence count keeps zero-byte rows in the table.
-                    # float64 weight sums stay exact (byte totals are
-                    # far below 2**53)
-                    pres = np.bincount(keys, minlength=key_span)
-                    sup = np.flatnonzero(pres)
-                    fine_tables[loc] = tuple([sup] + [
-                        np.bincount(
-                            keys,
-                            weights=np.concatenate(
-                                [c[j] for c in chunks]),
-                            minlength=key_span)[sup].astype(np.int64)
-                        for j in (1, 2)])
-                    continue
-                # one stable radix sort groups every row; the integer
-                # segment sums stay exact (no float bincount accumulator)
-                order = stable_argsort(keys)
-                sk = keys[order]
-                gs = np.empty(sk.size, bool)
-                gs[0] = True
-                gs[1:] = sk[1:] != sk[:-1]
-                starts = np.flatnonzero(gs)
-                incl_s = np.add.reduceat(
-                    np.concatenate([c[1] for c in chunks])[order], starts)
-                excl_s = np.add.reduceat(
-                    np.concatenate([c[2] for c in chunks])[order], starts)
-                fine_tables[loc] = (sk[starts], incl_s, excl_s)
+            for combo in combos:
+                # an accumulator's table is already grouped (and merged
+                # back from any spill runs)
+                (kr, ir, er), (kw, iw, ew) = (
+                    accs[stream, combo].finalize() if accs is not None
+                    else group_sum(*map(np.concatenate,
+                                        zip(*parts.pop((stream, combo)))))
+                    for stream, _ in _STREAMS)
+                zr, zw = np.zeros_like(kr), np.zeros_like(kw)
+                fine_tables[combo] = group_sum(*map(np.concatenate, (
+                    (kr, kw), (ir, zw), (er, zw), (zr, iw), (zr, ew))))
         # -------------------------------- fold (exact coarse segment sums)
-        folded: dict[tuple[str, tuple[bool, bool], int],
+        folded: dict[tuple[tuple[bool, bool], int],
                      tuple[np.ndarray, ...]] = {}
         with telemetry.span("sweep.fold", cat="sweep"):
             for cell in cells:
                 combo = _cell_combo(cell, captured, captured_excl_libs)
-                m = cell.interval // fine
-                for stream, _ in _STREAMS:
-                    loc = (stream, combo, cell.interval)
-                    if loc in folded:
-                        continue
-                    keys, incl_s, excl_s = fine_tables[stream, combo]
-                    if keys.size == 0:
-                        folded[loc] = (_EMPTY, _EMPTY, _EMPTY, _EMPTY)
-                        continue
-                    kid = keys // n_fine
-                    csl = (keys % n_fine) // m
-                    if m == 1:
-                        folded[loc] = (kid, csl, incl_s, excl_s)
-                        continue
-                    # fine keys are sorted kid-major, so the coarse keys
-                    # are nondecreasing: segment-sum with reduceat instead
-                    # of a sort-based regroup
-                    ckey = kid * n_fine + csl
-                    starts = np.flatnonzero(
-                        np.concatenate(([True], ckey[1:] != ckey[:-1])))
-                    uniq = ckey[starts]
-                    folded[loc] = (
-                        uniq // n_fine, uniq % n_fine,
-                        np.add.reduceat(incl_s, starts),
-                        np.add.reduceat(excl_s, starts))
+                if (combo, cell.interval) not in folded:
+                    # fine keys ascend kernel-major, so rounding slices
+                    # down to a multiple of m keeps them nondecreasing
+                    keys, *cols = fine_tables[combo]
+                    m = cell.interval // fine
+                    keys, *cols = group_sum(keys - keys % n_fine % m,
+                                            *cols)
+                    folded[combo, cell.interval] = (
+                        keys // n_fine, keys % n_fine // m, cols)
         # ----------------------------------- report (one ledger per cell)
         with telemetry.span("sweep.report", cat="sweep"):
             for cell in cells:
                 combo = _cell_combo(cell, captured, captured_excl_libs)
-                excl_only = combo[1]
                 zero_excl = (captured is StackPolicy.BOTH
                              and cell.stack is StackPolicy.INCLUDE)
-                # merge the read/write tables into one (group × 4-counter)
-                # matrix: the cell ledger's one chunk, folded on first read
-                stream_keys = []
-                for stream, _ in _STREAMS:
-                    kid_a, sl_a, _, _ = folded[stream, combo, cell.interval]
-                    stream_keys.append(kid_a * n_fine + sl_a)
-                # both per-stream key arrays are sorted, so timsort's
-                # galloping merge + adjacent dedup beats hash unique
-                keys = np.concatenate(stream_keys)
-                if keys.size:
-                    keys.sort(kind="stable")
-                    keep = np.empty(keys.size, bool)
-                    keep[0] = True
-                    keep[1:] = keys[1:] != keys[:-1]
-                    keys = keys[keep]
-                mat = np.zeros((keys.size, 4), dtype=np.int64)
-                for (stream, write), skeys in zip(_STREAMS, stream_keys):
-                    _, _, incl_a, excl_a = folded[
-                        stream, combo, cell.interval]
-                    if skeys.size == 0:
-                        continue
-                    idx = np.searchsorted(keys, skeys)
-                    col = 2 if write else 0
-                    if not excl_only:
-                        mat[idx, col] = incl_a
-                    if not zero_excl:
-                        mat[idx, col + 1] = excl_a
+                # the cell ledger's one chunk, folded on first read; the
+                # cell's stack view zeroes the counters it drops
+                kid, slices, cols = folded[combo, cell.interval]
+                drop = (combo[1], zero_excl) * 2
+                mat = np.zeros((kid.size, 4), dtype=np.int64)
+                for j, col in enumerate(cols):
+                    if not drop[j]:
+                        mat[:, j] = col
                 if rate is not None:
                     samples[cell] = _cell_sample(
-                        moments, combo, zero_excl, keys // n_fine, mat,
-                        len(names))
+                        moments, combo, zero_excl, kid, mat, rank)
                     # Horvitz-Thompson: one 1/rate rescale at the very
                     # end keeps every cell consistent with the same
                     # sampled row set
                     mat = np.rint(mat / rate).astype(np.int64)
                 ledger = BandwidthLedger(cell.interval)
-                ledger.add(names, keys // n_fine, keys % n_fine, mat)
+                ledger.add(ordered, kid, slices, mat)
                 reports[cell] = TQuadReport(
                     ledger=ledger,
                     options=cell.options(),
@@ -541,9 +484,10 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
 
 
 def _cell_sample(moments, combo, zero_excl: bool, kid: np.ndarray,
-                 mat: np.ndarray, n_kernels: int) -> _CellSample:
+                 mat: np.ndarray, rank: np.ndarray) -> _CellSample:
     """One cell's :class:`_CellSample`, zeroing the counters the cell's
-    stack view drops exactly as its (unscaled) ``mat`` does."""
+    stack view drops exactly as its (unscaled) ``mat`` does.  ``kid``
+    numbers kernels in name order; ``rank`` maps manifest ids to it."""
     sums, sumsqs = np.zeros(4), np.zeros(4)
     for (stream, write) in _STREAMS:
         m = moments[stream, combo]
@@ -552,9 +496,10 @@ def _cell_sample(moments, combo, zero_excl: bool, kid: np.ndarray,
             sums[col], sumsqs[col] = m[0], m[1]
         if not zero_excl:
             sums[col + 1], sumsqs[col + 1] = m[2], m[3]
-    kernel_bytes = np.zeros(n_kernels, np.int64)
-    np.add.at(kernel_bytes, kid, mat.sum(axis=1))
-    return _CellSample(sums, sumsqs, kernel_bytes)
+    owners, owned = group_sum(kid, mat.sum(axis=1))
+    kernel_bytes = np.zeros(rank.size, np.int64)
+    kernel_bytes[owners] = owned
+    return _CellSample(sums, sumsqs, kernel_bytes[rank])
 
 
 def _one_cell(reader: CaptureReader, options: TQuadOptions, telemetry,

@@ -12,6 +12,11 @@
   :meth:`~repro.core.ledger.BandwidthLedger.add` chunks, through one
   ``add`` and through per-row ``accumulate`` gives the same table, and
   the table holds the exact integer sums of the rows.
+* **Grouping.**  :func:`~repro.core.npsort.group_sum`, the group-by under
+  every tQUAD table, equals a Python-int dict reference on keys shaped to
+  reach each of its routes (already grouped, nondecreasing, dense span,
+  a few sorted runs, sparse span, empty, one row), with column values
+  beyond 2**53 and below zero.
 """
 
 import json
@@ -21,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture.approx import ApproxTQuadReplay
 from repro.core.ledger import BandwidthLedger
+from repro.core.npsort import group_sum
 from repro.core.options import StackPolicy, TQuadOptions
 from repro.core.report import TQuadReport
 from repro.serialize import (approx_to_dict, approx_to_json, sweep_to_dict,
@@ -174,3 +180,66 @@ class TestChunking:
                      s.write_excl)).tolist() == [list(c) for c in
                                                  slices.values()]
 
+
+
+#: Key shapes, one per route of ``group_sum``.
+SHAPES = ("empty", "one", "grouped", "sorted", "dense", "runs", "sparse")
+
+#: Column values a float64 accumulator would round, or that sit at the
+#: edge of its exact range.
+WIDE = np.array([(1 << 53) - 1, (1 << 53) + 1, (1 << 53) + 3,
+                 (1 << 54) + 1, -(1 << 53) - 1], np.int64)
+
+
+@st.composite
+def keyed_columns(draw):
+    """``(shape, keys, columns)``: int64 keys of one shape, offset
+    anywhere in the int64 range, and up to three columns."""
+    shape = draw(st.sampled_from(SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = {"empty": 0, "one": 1}.get(shape) or draw(st.one_of(
+        st.integers(2, 300), st.integers(4096, 5000)))
+    lo = draw(st.sampled_from([0, 7, -(1 << 40), 1 << 40]))
+    if shape == "grouped":
+        keys = np.cumsum(rng.integers(1, 1 << 20, n))
+    elif shape == "sorted":
+        keys = np.sort(rng.integers(0, n // 2 + 1, n))
+    elif shape == "dense":
+        keys = rng.integers(0, n, n)
+    elif shape == "runs":
+        k = draw(st.integers(2, 4))
+        n = max(n, 32 * k)
+        keys = np.concatenate([np.sort(rng.integers(0, 1 << 40, n // k))
+                               for _ in range(k)])
+    else:
+        keys = rng.integers(0, 1 << draw(st.sampled_from([20, 32, 40])),
+                            n)
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        col = rng.integers(-(1 << 20), 1 << 20, keys.size)
+        wide = rng.choice(keys.size, min(keys.size, 8), replace=False)
+        col[wide] = rng.choice(WIDE, wide.size)
+        cols.append(col)
+    return shape, (keys + lo).astype(np.int64), cols
+
+
+class TestGroupSum:
+    @settings(max_examples=300, deadline=None)
+    @given(keyed_columns())
+    def test_matches_python_int_sums(self, drawn):
+        shape, keys, cols = drawn
+        expect: dict[int, list[int]] = {}
+        for i, key in enumerate(keys.tolist()):
+            sums = expect.setdefault(key, [0] * len(cols))
+            for j, col in enumerate(cols):
+                sums[j] += int(col[i])
+
+        got = group_sum(keys, *cols)
+
+        assert len(got) == 1 + len(cols)
+        assert all(a.dtype == np.int64 for a in got)
+        assert got[0].tolist() == sorted(expect)
+        for j, col in enumerate(got[1:]):
+            assert col.tolist() == [expect[k][j] for k in sorted(expect)]
+        if shape == "grouped":
+            assert got[0] is keys        # already grouped: as is

@@ -478,23 +478,29 @@ class TestHostileManifest:
                 replay_quad(reader)
 
 
-def _edit_quad_page(raw: bytes, edit) -> bytes:
-    """The capture ``raw`` with the rows of its first ``quad.raw`` page
-    passed through ``edit`` (in place); everything else is copied
-    untouched."""
+def _edit_page(raw: bytes, stream: str, edit) -> bytes:
+    """The capture ``raw`` with the rows of the first page of ``stream``
+    passed through ``edit`` (in place, as a ``(rows, stride)`` array);
+    everything else is copied untouched."""
     src = zipfile.ZipFile(io.BytesIO(raw))
     stride = json.loads(src.read("manifest.json"))["streams"][
-        STREAM_QUAD]["stride"]
+        stream]["stride"]
     out = io.BytesIO()
     with zipfile.ZipFile(out, "w") as dst:
         for info in src.infolist():
             data = src.read(info)
-            if info.filename == page_name(STREAM_QUAD, 0):
-                rows = decode_page(data, stride).ravel().copy()
+            if info.filename == page_name(stream, 0):
+                rows = decode_page(data, stride).copy()
                 edit(rows)
                 data = encode_page(rows.tobytes(), stride)
             dst.writestr(info, data)
     return out.getvalue()
+
+
+def _edit_quad_page(raw: bytes, edit) -> bytes:
+    """:func:`_edit_page` of the first ``quad.raw`` page, as one flat
+    array of packed records."""
+    return _edit_page(raw, STREAM_QUAD, lambda rows: edit(rows.ravel()))
 
 
 def _first_read(rows) -> int:
@@ -542,6 +548,75 @@ class TestHostileQuadPage:
         assert main(["profile", str(app), "--from-capture", str(cap),
                      "--tool", "quad"]) == 2
         assert "corrupt capture page" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tquad_raw():
+    buf = io.BytesIO()
+    capture_run(build_program(APP), buf, tools=("tquad",),
+                options=TQuadOptions(slice_interval=50))
+    return buf.getvalue()
+
+
+class TestHostileTQuadPage:
+    """A ``tquad.read`` row no recording sink writes fails with
+    :class:`CaptureFormatError` (CLI exit 2) on every tQUAD route, never
+    a report that charges a kernel negative bytes."""
+
+    @pytest.mark.parametrize("column", [1, 2], ids=["incl", "excl"])
+    def test_negative_byte_count(self, tquad_raw, column, tmp_path,
+                                 capsys):
+        from repro.cli import main
+
+        def edit(rows):
+            rows[int(np.flatnonzero(rows[:, 3] >= 0)[0]), column] = -4096
+
+        bad = _edit_page(tquad_raw, STREAM_TQUAD_READ, edit)
+        for route in TestHostileManifest._routes("tquad").values():
+            with CaptureReader(io.BytesIO(bad)) as reader:
+                with pytest.raises(CaptureFormatError,
+                                   match=r"tquad.read\[0\]: a row of "
+                                         r"-4096 bytes"):
+                    route(reader)
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(bad)
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--interval", "50"]) == 2
+        assert "corrupt capture page" in capsys.readouterr().err
+
+
+class TestWideByteCounts:
+    """Byte counts past float64's 2**53 integer range sum exactly on
+    every tQUAD route: each one groups in integers, so none can round a
+    count the others keep."""
+
+    def test_every_route_sums_exactly(self, tquad_raw):
+        from repro.sweep import SweepGrid, sweep_tquad
+
+        def edit(rows):
+            odd = (1 << 53) + 2 * np.arange(len(rows)) + 1
+            rows[:, 1] = odd
+            rows[:, 2] = odd - 2
+        wide = _edit_page(tquad_raw, STREAM_TQUAD_READ, edit)
+
+        texts = []
+        for route in (lambda r: replay_tquad(r),
+                      lambda r: replay_tquad(r, mem_limit=1 << 20),
+                      lambda r: sweep_tquad(
+                          r, SweepGrid(intervals=(50, 100))).report(50),
+                      lambda r: replay_many(r, tools=("tquad",)).tquad):
+            with CaptureReader(io.BytesIO(wide), page_cache=False) as r:
+                texts.append(tquad_to_json(route(r)))
+                rows = r.column(STREAM_TQUAD_READ).tolist()
+        assert len(set(texts)) == 1
+        # ... and that table holds the exact integer sums of the rows
+        history = json.loads(texts[0])["history"]
+        for j, column in ((0, 1), (1, 2)):
+            assert sum(c[j] for slices in history.values()
+                       for c in slices.values()) \
+                == sum(row[column] for row in rows if row[3] != -1)
 
 
 class TestReplayScratch:

@@ -13,8 +13,9 @@ import io
 
 import pytest
 
-from repro.capture import (CaptureReader, capture_run, replay_gprof,
-                           replay_many, replay_quad)
+from repro.capture import (CaptureReader, STREAM_TQUAD_READ,
+                           STREAM_TQUAD_WRITE, capture_run, replay_gprof,
+                           replay_many, replay_quad, replay_tquad)
 from repro.core import TQuadOptions, TQuadTool
 from repro.core.options import StackPolicy
 from repro.minic import build_program
@@ -40,8 +41,8 @@ def capture():
                 options=TQuadOptions(slice_interval=50))
     raw = buf.getvalue()
 
-    def open_reader():
-        return CaptureReader(io.BytesIO(raw))
+    def open_reader(**kw):
+        return CaptureReader(io.BytesIO(raw), **kw)
 
     return open_reader
 
@@ -109,14 +110,22 @@ class TestFusedEquality:
         assert 200 not in bundle.sweep.grid.intervals
         assert [tquad_to_json(bundle.tquad)] == live_json(opts)
 
-    def test_kernel_filter_mismatch_falls_back(self, capture):
-        """A tquad kernel filter different from the grid's cannot share
-        one sweep — both results must still match standalone."""
+    def test_kernel_filter_mismatch_rides_the_grid(self, capture):
+        """A tquad kernel filter different from the grid's shapes only
+        the report's options, so the report still rides the one sweep
+        pass: every tQUAD page is decoded once, and both results match
+        standalone."""
         opts = TQuadOptions(slice_interval=50, kernels=("fill",))
-        with capture() as reader:
+        with capture(page_cache=False) as reader:
             bundle = replay_many(reader, options=opts, grid=GRID,
                                  tools=("tquad",))
+            assert reader.stats["decoded_pages"] == sum(
+                reader.streams[s]["pages"]
+                for s in (STREAM_TQUAD_READ, STREAM_TQUAD_WRITE))
         assert [tquad_to_json(bundle.tquad)] == live_json(opts)
+        with capture() as reader:
+            assert tquad_to_json(bundle.tquad) == tquad_to_json(
+                replay_tquad(reader, opts))
         with capture() as reader:
             standalone = sweep_tquad(reader, GRID)
         for (cell, report), (_, report2) in zip(bundle.sweep, standalone):
