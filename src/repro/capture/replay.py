@@ -111,19 +111,42 @@ def replay_tquad(reader: CaptureReader,
 
 
 # -------------------------------------------------------------- gprof-sim
-def _checked_call_pages(pages, n_routines: int):
+def _checked_call_pages(pages, n_routines: int, total: int):
     """Yield ``calls`` pages whose routine ids index the manifest's
-    ``n_routines``-entry table (-1 marks a return)."""
+    ``n_routines``-entry table (-1 marks a return) and whose icounts lie
+    in ``[0, total]`` and never decrease, within a page or across pages:
+    the recorder appends the raw ``machine.icount`` as the guest runs."""
+    prev = 0
     for index, page in enumerate(pages):
         if page.shape[0]:
+            where = f"corrupt capture page {STREAM_CALLS}[{index}]: "
             rid = page[:, 1]
             lo, hi = int(rid.min()), int(rid.max())
             if lo < -1 or hi >= n_routines:
                 raise CaptureFormatError(
-                    f"corrupt capture page {STREAM_CALLS}[{index}]: "
-                    f"routine id {lo if lo < -1 else hi} is outside the "
-                    f"manifest's {n_routines}-entry routine table")
+                    f"{where}routine id {lo if lo < -1 else hi} is outside "
+                    f"the manifest's {n_routines}-entry routine table")
+            ic = page[:, 0]
+            lo, hi = int(ic.min()), int(ic.max())
+            if lo < 0 or hi > total:
+                raise CaptureFormatError(
+                    f"{where}icount {lo if lo < 0 else hi} is outside the "
+                    f"run's [0, {total}]")
+            if int(ic[0]) < prev or bool((ic[1:] < ic[:-1]).any()):
+                raise CaptureFormatError(f"{where}icounts decrease")
+            prev = int(ic[-1])
         yield page
+
+
+def _first_seen(keys):
+    """``np.unique(keys, return_index=True, return_counts=True)`` by one
+    stable sort: the distinct keys ascending, the index of each one's
+    first occurrence, and its count."""
+    order = stable_argsort(keys)
+    s = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1]))
+                            if s.size else np.empty(0, bool))
+    return s[starts], order[starts], np.diff(np.append(starts, s.size))
 
 
 def _gprof_charges(raw, rid, nrid, icv, total):
@@ -169,9 +192,7 @@ def _gprof_charges(raw, rid, nrid, icv, total):
     charged = np.flatnonzero(charge >= 0)         # in event order
     ch_nid = nrid[rid[charge[charged]]]
     self_by = np.zeros(n_names, np.int64)
-    if charged.size:
-        self_by += np.bincount(ch_nid, weights=gaps[charged],
-                               minlength=n_names).astype(np.int64)
+    np.add.at(self_by, ch_nid, gaps[charged])
     open_ev = ent_all[match[ent_all] == n]        # final stack, bottom up
     if open_ev.size:                              # tail attribution
         top_nid = int(nrid[rid[open_ev[-1]]])
@@ -197,32 +218,24 @@ def _gprof_charges(raw, rid, nrid, icv, total):
     cum_by = np.zeros(n_names, np.int64)
     cum_seen = np.zeros(n_names, bool)
     closed = outer[fj[outer] < n]
-    if closed.size:
-        cum_by += np.bincount(
-            fn[closed], weights=(icv[fj[closed]] - icv[fi[closed]]),
-            minlength=n_names).astype(np.int64)
-        cum_seen[fn[closed]] = True
+    np.add.at(cum_by, fn[closed], icv[fj[closed]] - icv[fi[closed]])
+    cum_seen[fn[closed]] = True
     if open_ev.size:                              # tail cumulative
         open_nid = nrid[rid[open_ev]]
         sole = open_ev[np.bincount(open_nid, minlength=n_names)
                        [open_nid] == 1]
-        if sole.size:
-            cum_by += np.bincount(
-                nrid[rid[sole]], weights=(total - icv[sole]),
-                minlength=n_names).astype(np.int64)
-            cum_seen[nrid[rid[sole]]] = True
+        np.add.at(cum_by, nrid[rid[sole]], total - icv[sole])
+        cum_seen[nrid[rid[sole]]] = True
 
     # reconstruct dict-insertion orders: self_instr inserts a name the
     # first time it is charged; edges insert on first caller->callee hit
-    _, first = np.unique(ch_nid, return_index=True)
-    ins = ch_nid[np.sort(first)].tolist()
+    ins = ch_nid[np.sort(_first_seen(ch_nid)[1])].tolist()
     if top_nid >= 0 and top_nid not in set(ins):
         ins.append(top_nid)
     ent2 = ent_all[charge[ent_all] >= 0]
     ekey = (nrid[rid[charge[ent2]]].astype(np.int64) * n_names
             + nrid[rid[ent2]])
-    uk, first_e, counts = np.unique(ekey, return_index=True,
-                                    return_counts=True)
+    uk, first_e, counts = _first_seen(ekey)
     eorder = np.argsort(first_e, kind="stable")
     edge_items = [(int(uk[j]) // n_names, int(uk[j]) % n_names,
                    int(counts[j])) for j in eorder]
@@ -257,7 +270,7 @@ def replay_gprof(reader: CaptureReader, *, main_image_only: bool = True,
         if reader.has_stream(STREAM_CALLS):
             pages = (StreamingCursor(reader, STREAM_CALLS, budget=budget)
                      if budget else reader.pages(STREAM_CALLS))
-            parts = list(_checked_call_pages(pages, len(routines)))
+            parts = list(_checked_call_pages(pages, len(routines), total))
         col = (np.concatenate(parts, axis=0) if parts
                else np.empty((0, 2), np.int64))
         if budget:

@@ -71,6 +71,7 @@ class Machine:
         "code", "pc_index", "icount", "halted", "exit_code", "brk",
         "syscall", "instrument_hook", "compile_count", "jit",
         "block_instrumenter", "code_len", "_compiled", "_tail_cache",
+        "_views",
     )
 
     def __init__(self, program: Program, *, mem_size: int = DEFAULT_MEM_SIZE,
@@ -109,6 +110,8 @@ class Machine:
         # between fused and unfused runs.
         self._compiled = bytearray(len(program.instrs))
         self._tail_cache: dict[int, StepFn] = {}
+        #: int64/float64 views of ``mem`` for superblocks, made on demand
+        self._views = None
         # ABI entry state: sp 16-byte aligned just below the stack top.
         self.x[SP] = mem_size - 64
 

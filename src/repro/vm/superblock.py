@@ -100,7 +100,8 @@ into a local, at the segment's first access.
 * **Event mode** is the per-access path.  It runs wherever agg mode
   cannot: on every trace a raw sink shares (or whose sinks' intervals
   differ or are shorter than the trace), and on the rare execution that
-  straddles a slice boundary.  Each access keeps what only it knows in a local (its
+  straddles a slice boundary (a separate variant of the trace).  Each
+  access keeps what only it knows in a local (its
   excl bytes, or an exclude-only sink's conditional quad), and the
   segment's quads, with exact icounts, go out in one bulk write per
   buffer at the close: packed by a ``struct`` of their count and copied in
@@ -111,9 +112,59 @@ into a local, at the segment's first access.
   straddles a boundary, i.e. almost always), and each (sink, kind) pair
   writes **one** quad per segment.  Its incl bytes are a sum computed at
   compile time; only the excl bytes, which depend on the stack pointer,
-  accumulate at run time.
+  are computed at run time, once per group of accesses (below).
 
 Both modes are exact, not approximate.
+
+Register locals and the entry check
+-----------------------------------
+
+Between trace formation and source emission the compiler optimises the
+trace the way Pin's own JIT does (per-trace register reallocation and
+check elimination):
+
+* **Registers in locals.**  Every integer and float register the trace
+  touches is loaded into a local (``r<n>``, ``g<n>``) right after
+  ``ic = m.icount``; a read of x0 is the literal ``0``.  The registers
+  written so far are stored back before every exit ``return``, before
+  every analysis thunk (IARG extractors read ``machine.x``), before
+  ``ecall`` (syscalls read and write ``x``) and in ``jalr``/``ret`` before
+  the target check can raise.  The trace's one ``except`` handler stores
+  every written register before the fault is re-raised.  This is exact:
+  every touched register was loaded at entry, so at any fault point each
+  local holds the architectural value.  Thunks never write guest
+  registers, so nothing is reloaded after one.
+* **One bounds check at entry.**  An access whose base register has not
+  been written earlier in the trace folds its ``[imm, imm + size)`` into
+  that register's range, and the trace tests each such base once, at
+  entry: ``NULL_GUARD - lo <= rB <= mem_size - hi``.  Absolute addresses
+  are checked at compile time; an access through a base written inside
+  the trace keeps its own check.  A trace has no side exits, so every
+  checked access executes unless an earlier instruction faults: only an
+  execution that is going to fault can fail the test.  Such an execution
+  runs the trace's instructions on the per-instruction tier
+  (``Machine._run_tail``), which faults exactly where the unfused machine
+  does (``vm/entry_fallbacks`` counts them).  Every non-faulting
+  execution keeps its records, agg quads and flush points, so capture
+  rows and pages cannot move.
+* **Memory views.**  Aligned 8-byte ``ld``/``sd``/``fld``/``fsd`` through
+  a checked base index ``memoryview(mem).cast("q")`` (or ``"d"``) at
+  ``(rB >> 3) + imm // 8``, computed once per trace.  Whether the base is
+  8-aligned is a flag set at entry, and a misaligned base takes the
+  ``struct`` path inside the same code, so it never changes tiers.  The
+  views cover the 8-byte words below ``mem_size``, which need not be a
+  multiple of 8.
+* **Grouped excl bytes in agg mode.**  Within a (sink, kind, base) group
+  an access lies below SP exactly when its offset lies below
+  ``d = sp - base``; for sp-relative accesses that is a compile-time
+  constant.  A group is closed (its excl bytes computed from ``d``)
+  before any instruction that writes SP or its base, and at the segment
+  close; the fault handler's writes include the groups still open.  No
+  agg access computes its address unless a bounds check reads it.
+* **Straddle bodies on demand.**  An agg trace tests its slice at entry
+  and hands a straddling execution to its event-mode variant, compiled
+  on first use (``vm/straddle_variants``); the fault handler derives the
+  mode from ``ic``.
 
 Fault branches
 --------------
@@ -136,6 +187,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from typing import Callable
 
 from ..isa import opcodes as oc
@@ -268,11 +320,11 @@ class _Records:
     ``fault_writes``.
     """
 
-    def __init__(self, E: _Emitter, mode: str, x: str, *,
+    def __init__(self, body: "_Body", mode: str, *,
                  handled: bool = False, fault_site: int | None = None):
-        self.E = E
+        self.body = body
+        self.E = body.E
         self.mode = mode
-        self.x = x
         self.handled = handled
         self.fault_site = fault_site
         self.fault_writes: list[str] = []
@@ -280,11 +332,15 @@ class _Records:
         #: (rec_id is stable between analysis thunks)
         self._kid: dict[int, str] = {}
         #: agg mode: (sink id, kind) -> [buffer, sink, incl bytes so far
-        #: (a compile-time sum), local holding the excl bytes or None]
+        #: (a compile-time sum), excl bytes known at compile time, local
+        #: accumulating the closed groups' excl bytes or None]
         self._sums: dict[tuple[int, str], list] = {}
+        #: agg mode: ((sink id, kind), base register) -> the open group's
+        #: (offset, size) pairs; its excl bytes depend only on sp - base
+        self._groups: dict[tuple, list[tuple[int, int]]] = {}
         #: event mode: (sink id, kind) -> (buffer, sink, pending values:
-        #: four expressions per quad, or one conditional-tuple local per
-        #: access of an exclude-only sink)
+        #: four expressions per quad, or one conditional-tuple expression
+        #: per access of an exclude-only sink)
         self._quads: dict[tuple[int, str], tuple] = {}
         #: raw sinks: sink id -> hoisted kernel-head local, valid for the
         #: current segment
@@ -344,10 +400,13 @@ class _Records:
             self.E.add(f"{K} = {self.E.bind('tag', tag)}.rec_id")
         return K
 
-    def access(self, sink, kind: str, size: int, k: int) -> None:
-        """Emit the record for one memory access (``a`` holds the EA)."""
-        E, x = self.E, self.x
+    def access(self, sink, kind: str, size: int, k: int, ea: str,
+               base: int, imm: int) -> None:
+        """Emit the record for one memory access at ``ea`` (an expression
+        of ``base`` and ``imm``, or the per-access local ``a``)."""
+        E = self.E
         if getattr(sink, "raw", False):
+            sp = self.body.rx(2)
             sid = id(sink)
             if sid not in self._sp_ok:
                 self._sp_ok.add(sid)
@@ -356,16 +415,15 @@ class _Records:
                     # mid-segment SP write: capture SP now and thread the
                     # marker through the pending stream, which keeps it
                     # ordered without flushing the records gathered so far
-                    v = f"a{self._na}"
-                    self._na += 1
-                    E.add(f"{v} = {x}[2]")
+                    v = self._local("a")
+                    E.add(f"{v} = {sp}")
                     E.add(f"{S}.last_sp = {v}")
                     self._pend[sid].append(f"-1 - {v}")
                 else:
                     ap = self._buf_fns(sink.buf)[0]
-                    E.add(f"if {S}.last_sp != {x}[2]:")
-                    E.add(f"    {S}.last_sp = {x}[2]")
-                    E.add(f"    {ap}(-1 - {x}[2])")
+                    E.add(f"if {S}.last_sp != {sp}:")
+                    E.add(f"    {S}.last_sp = {sp}")
+                    E.add(f"    {ap}(-1 - {sp})")
             kh = self._kh.get(sid)
             if kh is None:
                 name = self._kh_names.get(sid)
@@ -381,9 +439,8 @@ class _Records:
                 E.add(f"{kq} = {kh} | {tail << sink.tail_shift}")
             # the EA is *not* masked here: a wild address faults at this
             # instruction's bounds check, before the pending write runs
-            v = f"a{self._na}"
-            self._na += 1
-            E.add(f"{v} = a")
+            v = self._local("a")
+            E.add(f"{v} = {ea}")
             self._pend.setdefault(sid, []).append(f"{kq} | {v}")
             self._pend_sinks[sid] = sink
             return
@@ -391,47 +448,95 @@ class _Records:
         K = self._kid_local(sink.tag)
         key = (id(sink), kind)
         if self.mode == "agg":
-            acc = self._sums.setdefault(key, [buf, sink, 0, None])
+            acc = self._sums.setdefault(key, [buf, sink, 0, 0, None])
             acc[2] += size
             if sink.track_excl:
-                if acc[3] is None:
-                    acc[3] = self._local("e")
-                    E.add(f"{acc[3]} = {size} if a < {x}[2] else 0")
+                if base == 2:
+                    # sp-relative: below SP exactly when its offset is
+                    # negative
+                    acc[3] += size if imm < 0 else 0
                 else:
-                    E.add(f"if a < {x}[2]: {acc[3]} += {size}")
+                    self._groups.setdefault((key, base), []).append(
+                        (imm, size))
             return
+        # below SP: known at compile time for sp-relative accesses
+        below = (imm < 0) if base == 2 else f"{ea} < {self.body.rx(2)}"
         pend = self._quads.setdefault(key, (buf, sink, []))[2]
         if sink.track_incl and sink.track_excl:
-            e = self._local("e")
-            E.add(f"{e} = {size} if a < {x}[2] else 0")
+            if isinstance(below, bool):
+                e = str(size) if below else "0"
+            else:
+                e = self._local("e")
+                E.add(f"{e} = {size} if {below} else 0")
             pend += (f"ic + {k + 1}", str(size), e, K)
         elif sink.track_incl:
             pend += (f"ic + {k + 1}", str(size), "0", K)
-        else:
+        elif below is True:
+            pend.append(f"(ic + {k + 1}, 0, {size}, {K})")
+        elif below is not False:
             # an above-SP access records nothing: a conditional tuple
-            r = self._local("r")
-            E.add(f"{r} = (ic + {k + 1}, 0, {size}, {K}) "
-                  f"if a < {x}[2] else ()")
-            pend.append(r)
+            c = self._local("c")
+            E.add(f"{c} = (ic + {k + 1}, 0, {size}, {K}) "
+                  f"if {below} else ()")
+            pend.append(c)
+
+    def _group(self, base: int, offs) -> str:
+        """The excl bytes of one agg group: its accesses lie below SP
+        exactly when their offset is below ``d = sp - base``.  The usual
+        cases are all of them (globals and heap lie below the stack) or
+        none (a frame pointer's locals); only an offset range that
+        straddles ``d`` sums them one by one."""
+        sp = self.body.rx(2)
+        d = f"({sp} - {self.body.rx(base)})" if base else sp
+        lo = min(o for o, _ in offs)
+        hi = max(o for o, _ in offs)
+        total = sum(size for _, size in offs)
+        if lo == hi:
+            return f"({total} if {d} > {lo} else 0)"
+        EX = self.E.bind("EX", _excl)
+        return (f"({total} if {d} > {hi} else "
+                f"{EX}({d}, {tuple(offs)}) if {d} > {lo} else 0)")
+
+    def on_write(self, reg: int) -> None:
+        """The next statement writes ``reg``: close the agg groups whose
+        excl bytes depend on it (every group but sp-relative ones when
+        ``reg`` is SP), adding their run-time excl bytes to the sums."""
+        for gk in [gk for gk in self._groups
+                   if gk[1] == reg or (reg == 2 and gk[1] != 2)]:
+            excl = self._group(gk[1], self._groups.pop(gk))
+            acc = self._sums[gk[0]]
+            if acc[4] is None:
+                acc[4] = self._local("e")
+                self.E.add(f"{acc[4]} = {excl}")
+            else:
+                self.E.add(f"{acc[4]} += {excl}")
 
     def _writes(self) -> list[str]:
         """The statements writing the open segment's tQUAD records: one
         bulk write per buffer.  Agg mode: ``K == -1`` drops; ``K <= -2``
         is a library-marked kernel id and must be recorded (the flush /
-        capture replay folds it back)."""
+        capture replay folds it back).  Groups still open (only at a
+        fault) add their excl bytes inline."""
         out = []
-        for buf, sink, incl, excl in self._sums.values():
+        for key, (buf, sink, incl, const, local) in self._sums.items():
             K = self._kid[id(sink.tag)]
+            parts = [local] if local else []
+            parts += [self._group(base, offs)
+                      for (gk, base), offs in self._groups.items()
+                      if gk == key]
+            if const or not parts:
+                parts.append(str(const))
+            excl = " + ".join(parts)
             write = self._bulk(buf, ["ic + 1", str(incl) if sink.track_incl
-                                     else "0", excl or "0", K])
+                                     else "0", excl, K])
             if sink.track_incl:
                 out.append(f"if {K} != -1: {write}")
-            else:
+            elif excl != "0":
                 out.append(f"if {excl} and {K} != -1: {write}")
         for buf, sink, pend in self._quads.values():
             if sink.track_incl:
                 out.append(self._bulk(buf, pend))
-            else:
+            elif pend:
                 out.append(f"{self._buf_fns(buf)[1]}"
                            f"([{', '.join('*' + r for r in pend)}])")
         return out
@@ -462,9 +567,11 @@ class _Records:
         """Write the segment's records and start a new one.  Emitted
         before analysis thunks (which may change ``tag.rec_id``) and before
         the trace's final exit."""
+        self.on_write(2)
         for line in self._writes():
             self.E.add(line)
         self._sums.clear()
+        self._groups.clear()
         self._quads.clear()
         self._kid.clear()
         for sid in self._pend:
@@ -478,6 +585,12 @@ class _Records:
         records stay pending — ``access`` threads the marker through the
         pending stream itself, so order is preserved without a flush."""
         self._sp_ok.clear()
+
+
+def _excl(d: int, offs: tuple) -> int:
+    """Excl bytes of an agg group: the sizes of its accesses whose offset
+    from the group's base lies below ``d = sp - base``."""
+    return sum(size for off, size in offs if off < d)
 
 
 def build_block(machine, start: int):
@@ -549,6 +662,44 @@ def _fallback_singleton(machine, index: int):
     return step
 
 
+def _entry_fallback(machine, pc: int, n: int) -> int:
+    """A trace whose entry bounds check failed: run its ``n`` instructions
+    through the per-instruction tier, which faults exactly where the
+    unfused machine does (a failing check proves this execution faults)."""
+    _TELEMETRY.count("vm/entry_fallbacks")
+    return machine._run_tail(pc, machine.icount + n)
+
+
+class _Straddle:
+    """The event-mode variant of an agg trace, compiled on first use: only
+    an execution that straddles a slice boundary runs it."""
+
+    __slots__ = ("machine", "items", "fn")
+
+    def __init__(self, machine, items):
+        self.machine = machine
+        self.items = items
+        self.fn = None
+
+    def __call__(self, pc: int) -> int:
+        fn = self.fn
+        if fn is None:
+            fn = self.fn = _compile_block(self.machine, self.items, False,
+                                          "event")
+            _TELEMETRY.count("vm/straddle_variants")
+        return fn(pc)
+
+
+def _mem_views(machine):
+    """Int64 and float64 views of the machine's memory (``None`` on a
+    big-endian host, whose native order is not the guest's).  They cover
+    the 8-byte words below ``mem_size``, which need not be a multiple of 8."""
+    if machine._views is None and sys.byteorder == "little":
+        mv = memoryview(machine.mem)[:machine.mem_size & ~7]
+        machine._views = (mv.cast("q"), mv.cast("d"))
+    return machine._views
+
+
 def _record_pairs(items) -> list:
     """All (sink, kind) pairs used anywhere in the trace, in first-use
     order, deduplicated by sink identity."""
@@ -568,73 +719,76 @@ def _record_pairs(items) -> list:
     return pairs
 
 
-def _compile_block(machine, items, guarded: bool):
-    n = len(items)
-    E = _Emitter()
-    m = E.bind("m", machine)
-    x = E.bind("x", machine.x)
+def _compile_block(machine, items, guarded: bool, mode: str | None = None):
+    """Compile one trace.  ``mode`` defaults to agg when the trace's sinks
+    allow it (a straddling execution then runs the event-mode variant,
+    compiled on demand), else event, or none without record sinks."""
+    with _TELEMETRY.span("superblock", cat="vm", start=items[0][0]):
+        n = len(items)
+        pairs = _record_pairs(items)
+        I = _agg_interval(pairs, n)
+        if mode is None:
+            mode = "agg" if I else ("event" if pairs else "none")
+        # a tQUAD sink's open segment is written by one fault handler per
+        # trace, not by every fault branch: the branches mark the faulting
+        # icount in ``f`` and the handler regenerates the writes on demand
+        handled = any(not getattr(sink, "raw", False) for sink, _ in pairs)
+        E = _Emitter()
+        body = _Body(E, machine, items, mode, checked=not guarded,
+                     handled=handled)
+        m, x = body.m, body.x
+        body.emit()
+        lines, E.lines = E.lines, []
 
-    pairs = _record_pairs(items)
-    # soft capacity check once, at trace entry: covers loops whose only
-    # exits are side exits (the buffers the trace appends to are bounded by
-    # cap + a few quads per execution)
-    checked: set[int] = set()
-    for sink, kind in pairs:
-        b = sink.read_buf if kind == "read" else sink.write_buf
-        if id(b) in checked:        # raw sinks share one buf for both kinds
-            continue
-        checked.add(id(b))
-        buf = E.bind("b", b)
-        fl = E.bind("fl", sink.flush_read if kind == "read"
-                    else sink.flush_write)
-        E.add(f"if len({buf}) > {int(sink.cap)}: {fl}()")
+        E.add(f"ic = {m}.icount")
+        if mode == "agg":
+            # The whole trace spans one slice unless a boundary falls
+            # inside it (possible only every `interval` instructions):
+            # the rare straddling execution runs the event-mode variant.
+            sv = E.bind("sv", _Straddle(machine, items))
+            E.add(f"if ic // {I} != (ic + {n - 1}) // {I}: return {sv}(pc)")
+        # soft capacity check once, at trace entry: covers loops whose
+        # only exits are side exits (the buffers the trace appends to are
+        # bounded by cap + a few quads per execution)
+        checked: set[int] = set()
+        for sink, kind in pairs:
+            b = sink.read_buf if kind == "read" else sink.write_buf
+            if id(b) in checked:     # raw sinks share one buf for both kinds
+                continue
+            checked.add(id(b))
+            fl = E.bind("fl", sink.flush_read if kind == "read"
+                        else sink.flush_write)
+            E.add(f"if len({E.bind('b', b)}) > {int(sink.cap)}: {fl}()")
+        if guarded:
+            # a predicated instruction retires whether or not its guard is
+            # set, so the bump happens before the guard test
+            E.add(f"{m}.icount = ic + 1")
+            E.add(f"if not {x}[{items[0][1].pred}]: return {items[0][0] + 1}")
+        body.emit_entry()
+        if body.faults:
+            wb = body.write_back(body.written)
+            if handled:
+                E.add("f = 0")
+            E.add("try:")
+            E.lines += [" " + line for line in lines]
+            F = E.bind("F", (MemoryFault, ArithmeticFault))
+            E.add(f"except {F}:")
+            if wb:
+                E.add(f"    {wb}")
+            if handled:
+                W = E.bind("FW", _write_faulted_segment)
+                E.add(f"    if f: {W}({m}, {items[0][0]}, locals())")
+            E.add("    raise")
+        else:
+            E.lines += lines
 
-    E.add(f"ic = {m}.icount")
-    if guarded:
-        # a predicated instruction retires whether or not its guard is set,
-        # so the bump happens before the guard test
-        E.add(f"{m}.icount = ic + 1")
-        E.add(f"if not {x}[{items[0][1].pred}]: return {items[0][0] + 1}")
-
-    I = _agg_interval(pairs, n)
-    # a tQUAD sink's open segment is written by one fault handler per
-    # trace, not by every fault branch: the branches mark the faulting
-    # icount in ``f`` and the handler regenerates the writes on demand
-    handled = any(not getattr(sink, "raw", False) for sink, _ in pairs)
-    if handled:
-        E.add("f = 0")
-        E.add("try:")
-        E.push()
-    if I:
-        # The whole trace spans one slice unless a boundary falls inside it
-        # (possible only every `interval` instructions): aggregate per
-        # segment on the fast path, fall back to exact per-access quads on
-        # the rare straddling execution.
-        E.add(f"if ic // {I} == (ic + {n - 1}) // {I}:")
-        E.push()
-        _emit_body(E, machine, items, "agg", m, x, handled=handled)
-        E.pop()
-        E.add("else:")
-        E.push()
-        _emit_body(E, machine, items, "event", m, x, handled=handled)
-        E.pop()
-    else:
-        _emit_body(E, machine, items, "event" if pairs else "none", m, x,
-                   handled=handled)
-    if handled:
-        E.pop()
-        F = E.bind("F", (MemoryFault, ArithmeticFault))
-        W = E.bind("FW", _write_faulted_segment)
-        E.add(f"except {F}:")
-        E.add(f"    if f: {W}({m}, {items[0][0]}, locals())")
-        E.add("    raise")
-
-    src = "def step(pc, {args}):\n{body}\n".format(
-        args=", ".join(f"{k}={k}" for k in E.env),
-        body="\n".join(E.lines))
-    ns = dict(E.env)
-    exec(compile(src, f"<superblock@{items[0][0]}>", "exec"), ns)  # noqa: S102
-    return ns["step"]
+        src = "def step(pc, {args}):\n{body}\n".format(
+            args=", ".join(f"{k}={k}" for k in E.env),
+            body="\n".join(E.lines))
+        _TELEMETRY.count("vm/source_bytes", len(src))
+        ns = dict(E.env)
+        exec(compile(src, f"<superblock@{items[0][0]}>", "exec"), ns)  # noqa: S102
+        return ns["step"]
 
 
 def _agg_interval(pairs, n: int) -> int | None:
@@ -651,304 +805,433 @@ def _write_faulted_segment(machine, start: int, frame: dict) -> None:
     """The fault handler of the trace at ``start``: write the records of
     the segment a fault branch cut short.
 
-    ``frame`` holds the faulting step's locals (``ic``, ``f`` and the
-    segment's record locals).  The trace is re-walked and its body
-    regenerated up to the faulting instruction, whose pending writes then
-    run against those locals — the exact statements a fault branch would
-    carry inline, built only when a guest actually faults.
+    ``frame`` holds the faulting step's locals (``ic``, ``f``, the
+    register locals and the segment's record locals).  The trace is
+    re-walked and its body regenerated up to the faulting instruction,
+    whose pending writes then run against those locals — the exact
+    statements a fault branch would carry inline, built only when a guest
+    actually faults.  The mode follows from ``ic``: the agg body runs
+    unless the execution straddles a slice boundary.
     """
-    items, _ = _form_trace(machine, start)
+    items, guarded = _form_trace(machine, start)
     n, ic = len(items), frame["ic"]
     I = _agg_interval(_record_pairs(items), n)
     mode = "agg" if I and ic // I == (ic + n - 1) // I else "event"
     E = _Emitter()
-    rec = _emit_body(E, machine, items, mode, E.bind("m", machine),
-                     E.bind("x", machine.x), handled=True,
-                     fault_site=frame["f"] - ic - 1)
+    body = _Body(E, machine, items, mode, checked=not guarded, handled=True,
+                 fault_site=frame["f"] - ic - 1)
+    body.emit()
     env = dict(frame)
     env.update(E.env)
-    exec("\n".join(rec.fault_writes), env)  # noqa: S102
+    exec("\n".join(body.rec.fault_writes), env)  # noqa: S102
 
 
-def _emit_body(E: _Emitter, machine, items, mode: str, m: str, x: str, *,
-               handled: bool = False,
-               fault_site: int | None = None) -> _Records:
-    n = len(items)
-    rec = _Records(E, mode, x, handled=handled, fault_site=fault_site)
-    terminated = False
-    for k, (index, ins, plan) in enumerate(items):
-        if plan is not None and plan.pre:
+class _Body:
+    """One trace body, emitted by the optimiser.
+
+    Guest registers live in locals (``r<n>``, ``g<n>`` for floats); the
+    entry check covers every access whose base still holds its entry
+    value (``ranges``), and aligned 8-byte accesses through such a base
+    index the memory views from ``q<n> = r<n> >> 3`` when the entry flag
+    ``A<n>`` says the base is 8-aligned.
+    """
+
+    def __init__(self, E: _Emitter, machine, items, mode: str, *,
+                 checked: bool, handled: bool = False,
+                 fault_site: int | None = None):
+        self.E = E
+        self.machine = machine
+        self.items = items
+        self.m = E.bind("m", machine)
+        self.x = E.bind("x", machine.x)
+        self.f = E.bind("f", machine.f)
+        self.checked = checked
+        #: registers the trace touches (loaded at entry) and writes (so
+        #: far, while emitting), in first-use order
+        self.xs: dict[int, None] = {}
+        self.fs: dict[int, None] = {}
+        self.xw: dict[int, None] = {}
+        self.fw: dict[int, None] = {}
+        #: every register the trace writes, for the fault handler
+        self.written: tuple = ((), ())
+        #: base register -> [lowest offset, highest offset + size] of the
+        #: accesses checked at entry through it
+        self.ranges: dict[int, list[int]] = {}
+        #: bases whose aligned 8-byte accesses index the memory views
+        self.view_bases: dict[int, None] = {}
+        self.faults = False
+        self.rec = _Records(self, mode, handled=handled,
+                            fault_site=fault_site)
+
+    # ------------------------------------------------------- registers
+    def rx(self, n: int) -> str:
+        if n == 0:
+            return "0"
+        self.xs[n] = None
+        return f"r{n}"
+
+    def wx(self, n: int) -> str:
+        """The local written by an instruction with ``rd == n`` (n != 0);
+        closes the agg groups that depend on the register first."""
+        self.rec.on_write(n)
+        self.xs[n] = None
+        self.xw[n] = None
+        return f"r{n}"
+
+    def rf(self, n: int) -> str:
+        self.fs[n] = None
+        return f"g{n}"
+
+    def wf(self, n: int) -> str:
+        self.fs[n] = None
+        self.fw[n] = None
+        return f"g{n}"
+
+    def write_back(self, regs=None) -> str:
+        """One line storing the registers written so far (or ``regs``) to
+        the machine: before exits, analysis thunks and syscalls."""
+        xw, fw = regs if regs is not None else (self.xw, self.fw)
+        return "; ".join([f"{self.x}[{n}] = r{n}" for n in xw]
+                         + [f"{self.f}[{n}] = g{n}" for n in fw])
+
+    def _sync(self) -> None:
+        wb = self.write_back()
+        if wb:
+            self.E.add(wb)
+
+    # ----------------------------------------------------------- trace
+    def emit(self) -> None:
+        items, rec, E, m = self.items, self.rec, self.E, self.m
+        n = len(items)
+        terminated = False
+        for k, (index, ins, plan) in enumerate(items):
+            if plan is not None and plan.pre:
+                rec.close_segment()
+                # restore the exact per-instruction count and registers
+                # for analysis thunks (they may read machine.icount, e.g.
+                # gprof-sim and IARG.ICOUNT, and machine.x, e.g. the EA)
+                E.add(f"{m}.icount = ic + {k + 1}")
+                self._sync()
+                for thunk in plan.pre:
+                    E.add(f"{E.bind('t', thunk)}()")
+            if k == n - 1 and ins.op in _TERMINATORS:
+                rec.close_segment()
+            terminated = self._instr(index, ins, plan, k, n)
+            if ins.rd == 2:
+                # conservatively treat any rd==2 as a possible SP write
+                # (for stores rd is the source register — re-checking is
+                # a no-op)
+                rec.sp_unsync()
+        if not terminated:
             rec.close_segment()
-            # restore the exact per-instruction count for analysis thunks
-            # (they may read machine.icount, e.g. gprof-sim and IARG.ICOUNT)
-            E.add(f"{m}.icount = ic + {k + 1}")
-            for thunk in plan.pre:
-                E.add(f"{E.bind('t', thunk)}()")
-        if k == n - 1 and ins.op in _TERMINATORS:
-            rec.close_segment()
-        terminated = _emit_instr(E, machine, index, ins, plan, k, n, rec,
-                                 m, x)
-        if ins.rd == 2:
-            # conservatively treat any rd==2 as a possible SP write (for
-            # stores rd is the source register — re-checking is a no-op)
-            rec.sp_unsync()
-    if not terminated:
-        rec.close_segment()
-        E.add(f"{m}.icount = ic + {n}")
-        E.add(f"return {items[-1][0] + 1}")
-    return rec
+            E.add(f"{m}.icount = ic + {n}")
+            self._sync()
+            E.add(f"return {items[-1][0] + 1}")
+        self.written = (tuple(self.xw), tuple(self.fw))
 
+    def emit_entry(self) -> None:
+        """The trace's entry: load the registers it touches, test every
+        entry-checked base once, and set up the view indices."""
+        E = self.E
+        loads = ([f"r{n} = {self.x}[{n}]" for n in self.xs]
+                 + [f"g{n} = {self.f}[{n}]" for n in self.fs])
+        if loads:
+            E.add("; ".join(loads))
+        if self.ranges:
+            ms = self.machine.mem_size
+            test = " and ".join(f"{NULL_GUARD - lo} <= r{b} <= {ms - hi}"
+                                for b, (lo, hi) in self.ranges.items())
+            fb = E.bind("fb", _entry_fallback)
+            E.add(f"if not ({test}): return {fb}({self.m}, pc, "
+                  f"{len(self.items)})")
+        for b in self.view_bases:
+            E.add(f"q{b} = r{b} >> 3; A{b} = not r{b} & 7")
 
-def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,
-                plan, k: int, n: int, rec: _Records, m: str,
-                x: str) -> bool:
-    """Emit one instruction's body.  Returns True when it emitted the
-    trace's final ``return``."""
-    op = ins.op
-    rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
-    pc_byte = index_to_pc(index)
-    last = k == n - 1
-
-    if op == oc.NOP:
-        return False
-
-    def fault(exc: str, msg: str) -> None:
+    def _fault(self, k: int, exc: str, msg: str, pc_byte: int) -> None:
         """The body of a fault branch: the exact per-instruction icount
         (marked for the trace's fault handler), then the raise."""
+        E = self.E
+        self.faults = True
         E.push()
-        mark = "f = " if rec.handled else ""
-        E.add(f"{m}.icount = {mark}ic + {k + 1}")
-        rec.at_fault(k)
+        mark = "f = " if self.rec.handled else ""
+        E.add(f"{self.m}.icount = {mark}ic + {k + 1}")
+        self.rec.at_fault(k)
         E.add(f"raise {exc}({msg}, pc={pc_byte})")
         E.pop()
 
-    # --- memory (loads/stores share the address + bounds preamble) --------
-    if op in _UNPACK or op in _PACK or op == oc.PREFETCH:
+    def _mem(self, ins: Instr, plan, k: int, pc_byte: int) -> None:
+        """A load, store or prefetch.  Its bounds are checked at entry
+        when its base still holds its entry value (or it is absolute and
+        in bounds), else by a check of its own."""
+        E, op, machine = self.E, ins.op, self.machine
         size = ins.info.mem_read or ins.info.mem_write
-        if rs1 == 0:
-            E.add(f"a = {imm}")
-        elif imm:
-            E.add(f"a = {x}[{rs1}] + {imm}")
+        rd, base, imm = ins.rd, ins.rs1, ins.imm
+        if base == 0:
+            ea = str(imm)
+            checked = NULL_GUARD <= imm <= machine.mem_size - size
         else:
-            E.add(f"a = {x}[{rs1}]")
+            ea = f"{self.rx(base)} + {imm}" if imm else self.rx(base)
+            checked = self.checked and base not in self.xw
+        if op != oc.PREFETCH and not checked:
+            E.add(f"a = {ea}")
+            ea = "a"
         if plan is not None:
             if ins.info.mem_read and not ins.info.is_prefetch:
                 for sink in plan.read_sinks:
-                    rec.access(sink, "read", size, k)
+                    self.rec.access(sink, "read", size, k, ea, base, imm)
             if ins.info.mem_write:
                 for sink in plan.write_sinks:
-                    rec.access(sink, "write", size, k)
+                    self.rec.access(sink, "write", size, k, ea, base, imm)
         if op == oc.PREFETCH:
             # a hint: no architectural effect, no bounds check (the baseline
             # tier never dereferences it either)
-            return False
-        MF = E.bind("MF", MemoryFault)
-        E.add(f"if not {NULL_GUARD} <= a <= {machine.mem_size - size}:")
-        fault(MF, f"'bad access [%#x, +{size})' % a")
+            return
+        if checked and base:
+            r = self.ranges.setdefault(base, [imm, imm + size])
+            r[0] = min(r[0], imm)
+            r[1] = max(r[1], imm + size)
+        elif not checked:
+            MF = E.bind("MF", MemoryFault)
+            E.add(f"if not {NULL_GUARD} <= a <= {machine.mem_size - size}:")
+            self._fault(k, MF, f"'bad access [%#x, +{size})' % a", pc_byte)
         mem = E.bind("mem", machine.mem)
-        if op in _UNPACK:
-            up = E.bind("u", _UNPACK[op])
-            if op == oc.FLD:
-                fr = E.bind("f", machine.f)
-                E.add(f"{fr}[{rd}] = {up}({mem}, a)[0]")
-            elif rd:
-                E.add(f"{x}[{rd}] = {up}({mem}, a)[0]")
-        else:
-            pk, mask = _PACK[op]
-            pk_n = E.bind("p", pk)
-            if op == oc.FSD:
-                fr = E.bind("f", machine.f)
-                E.add(f"{pk_n}({mem}, a, {fr}[{rd}])")
-            elif mask is None:
-                E.add(f"{pk_n}({mem}, a, {x}[{rd}])")
+        views = _mem_views(machine)
+        view = flag = None
+        if (views is not None and checked and size == 8 and imm % 8 == 0
+                and op in (oc.LD, oc.SD, oc.FLD, oc.FSD)):
+            view = E.bind("D" if op in (oc.FLD, oc.FSD) else "Q",
+                          views[op in (oc.FLD, oc.FSD)])
+            if base:
+                self.view_bases[base] = None
+                idx = f"q{base} + {imm >> 3}" if imm else f"q{base}"
+                flag = f"A{base}"
             else:
-                E.add(f"{pk_n}({mem}, a, {x}[{rd}] & {mask})")
-        return False
-
-    # --- integer ALU -------------------------------------------------------
-    _RR = {oc.ADD: "+", oc.SUB: "-", oc.MUL: "*"}
-    if op in _RR:
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]",
-                         f"{x}[{rs1}] {_RR[op]} {x}[{rs2}]")
-        return False
-    if op in (oc.DIV, oc.REM):
-        AF = E.bind("AF", ArithmeticFault)
-        E.add(f"va = {x}[{rs1}]; vb = {x}[{rs2}]")
-        E.add("if vb == 0:")
-        fault(AF, "'division by zero'")
-        if rd:
-            E.add("q = abs(va) // abs(vb)")
-            E.add("if (va < 0) != (vb < 0): q = -q")
-            _wrap_assign(E, f"{x}[{rd}]",
-                         "q" if op == oc.DIV else "va - vb * q")
-        return False
-    _BITS = {oc.AND: "&", oc.OR: "|", oc.XOR: "^"}
-    if op in _BITS:
-        if rd:
-            E.add(f"{x}[{rd}] = {x}[{rs1}] {_BITS[op]} {x}[{rs2}]")
-        return False
-    if op == oc.SLL:
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]",
-                         f"{x}[{rs1}] << ({x}[{rs2}] & 63)")
-        return False
-    if op == oc.SRL:
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]",
-                         f"({x}[{rs1}] & {_MASK64}) >> ({x}[{rs2}] & 63)")
-        return False
-    if op == oc.SRA:
-        if rd:
-            E.add(f"{x}[{rd}] = {x}[{rs1}] >> ({x}[{rs2}] & 63)")
-        return False
-    _CMP = {oc.SLT: "<", oc.SLE: "<=", oc.SEQ: "==", oc.SNE: "!="}
-    if op in _CMP:
-        if rd:
-            E.add(f"{x}[{rd}] = 1 if {x}[{rs1}] {_CMP[op]} {x}[{rs2}] "
-                  "else 0")
-        return False
-    if op in (oc.ADDI, oc.MULI):
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]",
-                         f"{x}[{rs1}] {'+' if op == oc.ADDI else '*'} "
-                         f"({imm})")
-        return False
-    _BITI = {oc.ANDI: "&", oc.ORI: "|", oc.XORI: "^"}
-    if op in _BITI:
-        if rd:
-            E.add(f"{x}[{rd}] = {x}[{rs1}] {_BITI[op]} ({imm})")
-        return False
-    if op == oc.SLLI:
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]", f"{x}[{rs1}] << {imm & 63}")
-        return False
-    if op == oc.SRLI:
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]",
-                         f"({x}[{rs1}] & {_MASK64}) >> {imm & 63}")
-        return False
-    if op == oc.SRAI:
-        if rd:
-            E.add(f"{x}[{rd}] = {x}[{rs1}] >> {imm & 63}")
-        return False
-    if op == oc.SLTI:
-        if rd:
-            E.add(f"{x}[{rd}] = 1 if {x}[{rs1}] < ({imm}) else 0")
-        return False
-    if op == oc.LI:
-        if rd:
-            E.add(f"{x}[{rd}] = {imm}")
-        return False
-
-    # --- floating point ----------------------------------------------------
-    f = E.bind("f", machine.f)
-    _FRR = {oc.FADD: "+", oc.FSUB: "-", oc.FMUL: "*"}
-    if op in _FRR:
-        E.add(f"{f}[{rd}] = {f}[{rs1}] {_FRR[op]} {f}[{rs2}]")
-        return False
-    if op == oc.FDIV:
-        inf = E.bind("inf", math.inf)
-        nan = E.bind("nan", math.nan)
-        E.add(f"vb = {f}[{rs2}]")
-        E.add("if vb == 0.0:")
-        E.add(f"    va = {f}[{rs1}]")
-        E.add(f"    {f}[{rd}] = {inf} if va > 0 else "
-              f"(-{inf} if va < 0 else {nan})")
-        E.add("else:")
-        E.add(f"    {f}[{rd}] = {f}[{rs1}] / vb")
-        return False
-    if op in (oc.FMIN, oc.FMAX):
-        fn = E.bind("mm", min if op == oc.FMIN else max)
-        E.add(f"{f}[{rd}] = {fn}({f}[{rs1}], {f}[{rs2}])")
-        return False
-    if op == oc.FNEG:
-        E.add(f"{f}[{rd}] = -{f}[{rs1}]")
-        return False
-    if op == oc.FABS:
-        ab = E.bind("abs", abs)
-        E.add(f"{f}[{rd}] = {ab}({f}[{rs1}])")
-        return False
-    if op == oc.FSQRT:
-        sq = E.bind("sqrt", math.sqrt)
-        nan = E.bind("nan", math.nan)
-        E.add(f"va = {f}[{rs1}]")
-        E.add(f"{f}[{rd}] = {sq}(va) if va >= 0.0 else {nan}")
-        return False
-    if op in (oc.FSIN, oc.FCOS):
-        fn = E.bind("trig", math.sin if op == oc.FSIN else math.cos)
-        E.add(f"{f}[{rd}] = {fn}({f}[{rs1}])")
-        return False
-    if op == oc.FMV:
-        E.add(f"{f}[{rd}] = {f}[{rs1}]")
-        return False
-    if op == oc.FLI:
-        c = E.bind("c", float(imm))
-        E.add(f"{f}[{rd}] = {c}")
-        return False
-    _FCMP = {oc.FEQ: "==", oc.FLT: "<", oc.FLE: "<="}
-    if op in _FCMP:
-        if rd:
-            E.add(f"{x}[{rd}] = 1 if {f}[{rs1}] {_FCMP[op]} {f}[{rs2}] "
-                  "else 0")
-        return False
-    if op == oc.FCVTFI:
-        E.add(f"{f}[{rd}] = float({x}[{rs1}])")
-        return False
-    if op == oc.FCVTIF:
-        AF = E.bind("AF", ArithmeticFault)
-        isfin = E.bind("fin", math.isfinite)
-        E.add(f"va = {f}[{rs1}]")
-        E.add(f"if not {isfin}(va):")
-        fault(AF, "'float->int of non-finite value'")
-        if rd:
-            _wrap_assign(E, f"{x}[{rd}]", "int(va)")
-        return False
-
-    # --- control flow ------------------------------------------------------
-    nxt = index + 1
-    if op in _BRANCHES:
-        assert last, "conditional branches always end a trace"
-        tgt = machine._target_index(imm, index)
-        E.add(f"{m}.icount = ic + {n}")
-        E.add(f"return {tgt} if {x}[{rs1}] {_BRANCHES[op]} {x}[{rs2}] "
-              f"else {nxt}")
-        return True
-    if op in (oc.J, oc.JAL):
-        if op == oc.JAL and rd:
-            E.add(f"{x}[{rd}] = {index_to_pc(nxt)}")
-        if last:
-            E.add(f"{m}.icount = ic + {n}")
-            E.add(f"return {machine._target_index(imm, index)}")
-            return True
-        # mid-trace: the walk already continued at the static target
-        return False
-    if op in (oc.JALR, oc.RET):
-        E.add(f"{m}.icount = ic + {n}")
-        II = E.bind("II", IllegalInstruction)
-        ninstr = len(machine.instrs)
-        if op == oc.JALR:
-            base = f"{x}[{rs1}] + {imm}" if imm else f"{x}[{rs1}]"
-            what = "jalr to invalid target"
+                idx = str(imm >> 3)
+            view = f"{view}[{idx}]"
+        if op in _UNPACK:
+            if op == oc.FLD:
+                dst = self.wf(rd)
+            elif rd:
+                dst = self.wx(rd)
+            else:
+                return
+            up = f"{E.bind('u', _UNPACK[op])}({mem}, {ea})[0]"
+            if flag:
+                E.add(f"{dst} = {view} if {flag} else {up}")
+            else:
+                E.add(f"{dst} = {view or up}")
+            return
+        pk, mask = _PACK[op]
+        src = self.rf(rd) if op == oc.FSD else self.rx(rd)
+        if mask is not None:
+            src = f"{src} & {mask}"
+        store = f"{E.bind('p', pk)}({mem}, {ea}, {src})"
+        if flag:
+            E.add(f"if {flag}: {view} = {src}")
+            E.add(f"else: {store}")
+        elif view:
+            E.add(f"{view} = {src}")
         else:
-            base = f"{x}[1]"
-            what = "ret to invalid address"
-        E.add(f"t = (({base}) - {CODE_BASE}) >> 4")
-        E.add(f"if not 0 <= t < {ninstr}:")
-        E.add(f"    raise {II}('{what} %#x' % ({base}), pc={pc_byte})")
-        if op == oc.JALR and rd:
-            E.add(f"{x}[{rd}] = {index_to_pc(nxt)}")
-        E.add("return t")
-        return True
-    if op == oc.ECALL:
-        E.add(f"{m}.icount = ic + {n}")
-        sc = E.bind("sc", machine.syscall.call)
-        E.add(f"return {nxt} if {sc}() else -1")
-        return True
-    if op == oc.HALT:
-        E.add(f"{m}.icount = ic + {n}")
-        E.add(f"if {m}.exit_code is None: {m}.exit_code = 0")
-        E.add("return -1")
-        return True
-    raise IllegalInstruction(f"unimplemented opcode {ins.info.name}",
-                             pc=pc_byte)
+            E.add(store)
+
+    def _instr(self, index: int, ins: Instr, plan, k: int, n: int) -> bool:
+        """Emit one instruction's body.  Returns True when it emitted the
+        trace's final ``return``."""
+        E, m, machine = self.E, self.m, self.machine
+        R, Wr, G, Wg = self.rx, self.wx, self.rf, self.wf
+        op = ins.op
+        rd, rs1, rs2, imm = ins.rd, ins.rs1, ins.rs2, ins.imm
+        pc_byte = index_to_pc(index)
+        last = k == n - 1
+
+        if op == oc.NOP:
+            return False
+
+        # --- memory ---------------------------------------------------------
+        if op in _UNPACK or op in _PACK or op == oc.PREFETCH:
+            self._mem(ins, plan, k, pc_byte)
+            return False
+
+        # --- integer ALU -----------------------------------------------------
+        _RR = {oc.ADD: "+", oc.SUB: "-", oc.MUL: "*"}
+        if op in _RR:
+            if rd:
+                _wrap_assign(E, Wr(rd), f"{R(rs1)} {_RR[op]} {R(rs2)}")
+            return False
+        if op in (oc.DIV, oc.REM):
+            AF = E.bind("AF", ArithmeticFault)
+            E.add(f"va = {R(rs1)}; vb = {R(rs2)}")
+            E.add("if vb == 0:")
+            self._fault(k, AF, "'division by zero'", pc_byte)
+            if rd:
+                E.add("q = abs(va) // abs(vb)")
+                E.add("if (va < 0) != (vb < 0): q = -q")
+                _wrap_assign(E, Wr(rd),
+                             "q" if op == oc.DIV else "va - vb * q")
+            return False
+        _BITS = {oc.AND: "&", oc.OR: "|", oc.XOR: "^"}
+        if op in _BITS:
+            if rd:
+                E.add(f"{Wr(rd)} = {R(rs1)} {_BITS[op]} {R(rs2)}")
+            return False
+        if op == oc.SLL:
+            if rd:
+                _wrap_assign(E, Wr(rd), f"{R(rs1)} << ({R(rs2)} & 63)")
+            return False
+        if op == oc.SRL:
+            if rd:
+                _wrap_assign(E, Wr(rd),
+                             f"({R(rs1)} & {_MASK64}) >> ({R(rs2)} & 63)")
+            return False
+        if op == oc.SRA:
+            if rd:
+                E.add(f"{Wr(rd)} = {R(rs1)} >> ({R(rs2)} & 63)")
+            return False
+        _CMP = {oc.SLT: "<", oc.SLE: "<=", oc.SEQ: "==", oc.SNE: "!="}
+        if op in _CMP:
+            if rd:
+                E.add(f"{Wr(rd)} = 1 if {R(rs1)} {_CMP[op]} {R(rs2)} else 0")
+            return False
+        if op in (oc.ADDI, oc.MULI):
+            if rd:
+                _wrap_assign(E, Wr(rd), f"{R(rs1)} "
+                             f"{'+' if op == oc.ADDI else '*'} ({imm})")
+            return False
+        _BITI = {oc.ANDI: "&", oc.ORI: "|", oc.XORI: "^"}
+        if op in _BITI:
+            if rd:
+                E.add(f"{Wr(rd)} = {R(rs1)} {_BITI[op]} ({imm})")
+            return False
+        if op == oc.SLLI:
+            if rd:
+                _wrap_assign(E, Wr(rd), f"{R(rs1)} << {imm & 63}")
+            return False
+        if op == oc.SRLI:
+            if rd:
+                _wrap_assign(E, Wr(rd),
+                             f"({R(rs1)} & {_MASK64}) >> {imm & 63}")
+            return False
+        if op == oc.SRAI:
+            if rd:
+                E.add(f"{Wr(rd)} = {R(rs1)} >> {imm & 63}")
+            return False
+        if op == oc.SLTI:
+            if rd:
+                E.add(f"{Wr(rd)} = 1 if {R(rs1)} < ({imm}) else 0")
+            return False
+        if op == oc.LI:
+            if rd:
+                E.add(f"{Wr(rd)} = {imm}")
+            return False
+
+        # --- floating point --------------------------------------------------
+        _FRR = {oc.FADD: "+", oc.FSUB: "-", oc.FMUL: "*"}
+        if op in _FRR:
+            E.add(f"{Wg(rd)} = {G(rs1)} {_FRR[op]} {G(rs2)}")
+            return False
+        if op == oc.FDIV:
+            inf = E.bind("inf", math.inf)
+            nan = E.bind("nan", math.nan)
+            E.add(f"va = {G(rs1)}; vb = {G(rs2)}")
+            E.add(f"{Wg(rd)} = va / vb if vb != 0.0 else ({inf} if va > 0 "
+                  f"else (-{inf} if va < 0 else {nan}))")
+            return False
+        if op in (oc.FMIN, oc.FMAX):
+            fn = E.bind("mm", min if op == oc.FMIN else max)
+            E.add(f"{Wg(rd)} = {fn}({G(rs1)}, {G(rs2)})")
+            return False
+        if op == oc.FNEG:
+            E.add(f"{Wg(rd)} = -{G(rs1)}")
+            return False
+        if op == oc.FABS:
+            E.add(f"{Wg(rd)} = {E.bind('abs', abs)}({G(rs1)})")
+            return False
+        if op == oc.FSQRT:
+            sq = E.bind("sqrt", math.sqrt)
+            nan = E.bind("nan", math.nan)
+            E.add(f"va = {G(rs1)}")
+            E.add(f"{Wg(rd)} = {sq}(va) if va >= 0.0 else {nan}")
+            return False
+        if op in (oc.FSIN, oc.FCOS):
+            fn = E.bind("trig", math.sin if op == oc.FSIN else math.cos)
+            E.add(f"{Wg(rd)} = {fn}({G(rs1)})")
+            return False
+        if op == oc.FMV:
+            E.add(f"{Wg(rd)} = {G(rs1)}")
+            return False
+        if op == oc.FLI:
+            c = E.bind("c", float(imm))
+            E.add(f"{Wg(rd)} = {c}")
+            return False
+        _FCMP = {oc.FEQ: "==", oc.FLT: "<", oc.FLE: "<="}
+        if op in _FCMP:
+            if rd:
+                E.add(f"{Wr(rd)} = 1 if {G(rs1)} {_FCMP[op]} {G(rs2)} else 0")
+            return False
+        if op == oc.FCVTFI:
+            E.add(f"{Wg(rd)} = float({R(rs1)})")
+            return False
+        if op == oc.FCVTIF:
+            AF = E.bind("AF", ArithmeticFault)
+            isfin = E.bind("fin", math.isfinite)
+            E.add(f"va = {G(rs1)}")
+            E.add(f"if not {isfin}(va):")
+            self._fault(k, AF, "'float->int of non-finite value'", pc_byte)
+            if rd:
+                _wrap_assign(E, Wr(rd), "int(va)")
+            return False
+
+        # --- control flow ----------------------------------------------------
+        nxt = index + 1
+        if op in _BRANCHES:
+            assert last, "conditional branches always end a trace"
+            tgt = machine._target_index(imm, index)
+            cond = f"{R(rs1)} {_BRANCHES[op]} {R(rs2)}"
+            E.add(f"{m}.icount = ic + {n}")
+            self._sync()
+            E.add(f"return {tgt} if {cond} else {nxt}")
+            return True
+        if op in (oc.J, oc.JAL):
+            if op == oc.JAL and rd:
+                E.add(f"{Wr(rd)} = {index_to_pc(nxt)}")
+            if last:
+                E.add(f"{m}.icount = ic + {n}")
+                self._sync()
+                E.add(f"return {machine._target_index(imm, index)}")
+                return True
+            # mid-trace: the walk already continued at the static target
+            return False
+        if op in (oc.JALR, oc.RET):
+            II = E.bind("II", IllegalInstruction)
+            ninstr = len(machine.instrs)
+            if op == oc.JALR:
+                base = f"{R(rs1)} + {imm}" if imm else R(rs1)
+                what = "jalr to invalid target"
+            else:
+                base = R(1)
+                what = "ret to invalid address"
+            # the target check may raise: registers are stored first
+            E.add(f"{m}.icount = ic + {n}")
+            self._sync()
+            E.add(f"t = (({base}) - {CODE_BASE}) >> 4")
+            E.add(f"if not 0 <= t < {ninstr}:")
+            E.add(f"    raise {II}('{what} %#x' % ({base}), pc={pc_byte})")
+            if op == oc.JALR and rd:
+                E.add(f"{self.x}[{rd}] = {index_to_pc(nxt)}")
+            E.add("return t")
+            return True
+        if op == oc.ECALL:
+            E.add(f"{m}.icount = ic + {n}")
+            # syscalls read and write machine.x (and f[0]) themselves
+            self._sync()
+            sc = E.bind("sc", machine.syscall.call)
+            E.add(f"return {nxt} if {sc}() else -1")
+            return True
+        if op == oc.HALT:
+            E.add(f"{m}.icount = ic + {n}")
+            self._sync()
+            E.add(f"if {m}.exit_code is None: {m}.exit_code = 0")
+            E.add("return -1")
+            return True
+        raise IllegalInstruction(f"unimplemented opcode {ins.info.name}",
+                                 pc=pc_byte)

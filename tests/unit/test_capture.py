@@ -587,6 +587,73 @@ class TestHostileTQuadPage:
         assert "corrupt capture page" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def gprof_raw():
+    """An ``APP`` capture whose ``calls`` stream spans several pages."""
+    from repro.capture import record
+    buf = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(record, "CALL_CAP", 8)
+        capture_run(build_program(APP), buf, tools=("gprof",))
+    return buf.getvalue()
+
+
+class TestHostileCallPage:
+    """A ``calls`` page whose icounts the recorder cannot have written
+    (it appends the raw ``machine.icount`` as the guest runs) fails with
+    :class:`CaptureFormatError` (CLI exit 2) on every gprof route, never
+    a profile charging negative instructions."""
+
+    @staticmethod
+    def _reverse(rows):
+        rows[:, 0] = rows[::-1, 0].copy()
+
+    @staticmethod
+    def _past_total(rows):
+        rows[-1, 0] = 1 << 40
+
+    @staticmethod
+    def _negative(rows):
+        rows[0, 0] = -5
+
+    @staticmethod
+    def _behind_next_page(rows):
+        # nondecreasing within the page, but past the next page's start
+        rows[-1, 0] += 2000
+
+    @pytest.mark.parametrize("edit, match", [
+        ("_reverse", "icounts decrease"),
+        ("_behind_next_page", "icounts decrease"),
+        ("_past_total", r"icount 1099511627776 is outside the run's"),
+        ("_negative", r"icount -5 is outside the run's \[0, "),
+    ])
+    def test_impossible_icounts(self, gprof_raw, edit, match, tmp_path,
+                                capsys):
+        from repro.cli import main
+
+        with CaptureReader(io.BytesIO(gprof_raw)) as reader:
+            assert reader.manifest["streams"][STREAM_CALLS]["pages"] > 1
+            clean = replay_gprof(reader)
+        assert min(r.self_instructions for r in clean.rows) >= 0
+        bad = _edit_page(gprof_raw, STREAM_CALLS, getattr(self, edit))
+        routes = (replay_gprof,
+                  lambda r: replay_many(r, tools=("gprof",)),
+                  lambda r: replay_many(r, tools=("gprof",),
+                                        mem_limit=1 << 20))
+        for route in routes:
+            with CaptureReader(io.BytesIO(bad)) as reader:
+                with pytest.raises(CaptureFormatError,
+                                   match=r"calls\[\d+\]: " + match):
+                    route(reader)
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(bad)
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--tool", "gprof"]) == 2
+        assert "corrupt capture page" in capsys.readouterr().err
+
+
 class TestWideByteCounts:
     """Byte counts past float64's 2**53 integer range sum exactly on
     every tQUAD route: each one groups in integers, so none can round a

@@ -29,6 +29,7 @@ from repro.testing.oracles import PerEventTQuadTool
 from repro.vm import (ArithmeticFault, InstructionBudgetExceeded, Machine,
                       MemoryFault)
 from repro.vm import superblock
+from repro.vm.layout import DEFAULT_MEM_SIZE
 from repro.vm.superblock import MAX_BLOCK, build_block
 
 
@@ -342,6 +343,61 @@ class TestRecordEmission:
         for i in raises:
             assert not re.search(r"_(fb|bx|ba)\d+\(", lines[i - 1])
         assert src.count("except ") == 1
+
+
+#: A trace whose live-in base ``s0`` sits 8 bytes below the top of
+#: memory: the entry check fails, so the execution runs on the
+#: per-instruction tier, which faults at the second access.
+ENTRY_FAULT = """
+.text
+.func main
+main:
+    li s0, %d
+    li t1, 7
+    bne s0, zero, body
+    halt
+body:
+    sd t1, 0(s0)
+    addi sp, sp, -16
+    sd t1, -8(sp)
+    ld t2, 8(s0)
+    halt
+.endfunc
+"""
+
+
+class TestEntryCheck:
+    """Accesses through a base that still holds its trace-entry value are
+    bounds-checked once, at entry; an execution failing the check faults,
+    and the per-instruction tier it falls back to faults exactly."""
+
+    @pytest.mark.parametrize("policy", list(StackPolicy))
+    def test_fault_at_entry_checked_access(self, policy):
+        from repro.obs import TELEMETRY
+
+        def run(jit):
+            program = assemble(ENTRY_FAULT % (DEFAULT_MEM_SIZE - 8))
+            engine = PinEngine(program, jit=jit)
+            tool = TQuadTool(TQuadOptions(slice_interval=1000, stack=policy))
+            tool.attach(engine)
+            with pytest.raises(MemoryFault) as ei:
+                engine.run()
+            m = engine.machine
+            return ((ei.value.pc, ei.value.icount), _state(m),
+                    tquad_to_json(tool.report(allow_partial=True)))
+
+        before = TELEMETRY.counters.get("vm/entry_fallbacks", 0)
+        fused = run(True)
+        assert TELEMETRY.counters.get("vm/entry_fallbacks", 0) == before + 1
+        assert fused == run(False)
+
+    def test_no_fallback_on_wfs(self):
+        from repro.obs import TELEMETRY
+
+        before = TELEMETRY.counters.get("vm/entry_fallbacks", 0)
+        run_tquad(build_wfs_program(TINY), fs=make_workspace(TINY),
+                  options=TQuadOptions(slice_interval=5000))
+        assert TELEMETRY.counters.get("vm/entry_fallbacks", 0) == before
 
 
 class TestTraceFormation:
