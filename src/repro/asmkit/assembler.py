@@ -227,7 +227,7 @@ class Assembler:
                          pred=pred, src=src)
         if fmt is Fmt.RI:
             return Instr(code, self._xreg(ops[0], line),
-                         imm=self._int_or_symbol(ops[1], line),
+                         imm=self._li_imm(ops[1], line),
                          pred=pred, src=src)
         if fmt is Fmt.FRI:
             return Instr(code, self._freg(ops[0], line),
@@ -328,6 +328,16 @@ class Assembler:
             return self.symbols[base] + sign * off
         raise AsmError(f"undefined symbol {base!r}", line=line.number,
                        text=line.text)
+
+    def _li_imm(self, text: str, line: Line) -> int:
+        """A ``li``/``la`` immediate as the int64 the register holds: a
+        value in ``[2**63, 2**64)`` is its 64-bit pattern and wraps to
+        negative; anything outside ``[-2**63, 2**64)`` is rejected."""
+        imm = self._int_or_symbol(text, line)
+        if not -(1 << 63) <= imm < (1 << 64):
+            raise AsmError(f"immediate {imm} does not fit in 64 bits",
+                           line=line.number, text=line.text)
+        return imm - (1 << 64) if imm >= (1 << 63) else imm
 
     def _mem_operand(self, text: str, line: Line) -> tuple[int, int]:
         """Parse ``offset(base)`` into (offset, base register)."""

@@ -489,7 +489,11 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
-    machine = run_program(program, max_instructions=args.budget)
+    trace = _start_trace(args)
+    try:
+        machine = run_program(program, max_instructions=args.budget)
+    finally:
+        _finish_trace(args, trace)
     sys.stdout.write(machine.stdout_text())
     print(f"[exit {machine.exit_code}, {machine.icount} instructions]",
           file=sys.stderr)
@@ -1006,6 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a program uninstrumented")
     p.add_argument("file")
     common(p)
+    observability(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("cluster", help="QDU-based task clustering")

@@ -18,6 +18,17 @@ dict stores and stay live even when tracing is off (they are the cheap,
 always-on part of the system — e.g. the ``--jobs`` clamp is recorded
 whether or not a trace is being collected).
 
+Memory
+------
+
+An enabled span also records where the process's memory stood: the
+resident set at its close (``rss_kib``, from ``/proc/self/statm``) and
+the process peak (``ru_maxrss``) at its open and at its close
+(``peak_open_kib``, ``peak_close_kib``), all in KiB.  A span whose
+``peak_close_kib`` exceeds its ``peak_open_kib`` raised the high-water
+mark itself.  Both reads happen outside the span's timed interval, and
+disabled telemetry makes neither.
+
 Clock
 -----
 
@@ -29,8 +40,36 @@ cross-process clock translation.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from typing import Callable
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not on every platform
+    resource = None
+
+#: KiB per page of ``/proc/self/statm``.
+_PAGE_KIB = (os.sysconf("SC_PAGE_SIZE") // 1024
+             if hasattr(os, "sysconf") else 4)
+#: ``ru_maxrss`` is in bytes on macOS and in KiB elsewhere.
+_MAXRSS_DIV = 1024 if sys.platform == "darwin" else 1
+
+
+def read_memory() -> tuple[int | None, int | None]:
+    """The process's resident set and peak resident set, in KiB; either
+    is ``None`` where the platform does not report it."""
+    peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            // _MAXRSS_DIV if resource is not None else None)
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    except OSError:
+        return None, peak
+    try:
+        return int(os.read(fd, 128).split()[1]) * _PAGE_KIB, peak
+    finally:
+        os.close(fd)
 
 
 class _NullSpan:
@@ -51,7 +90,7 @@ NULL_SPAN = _NullSpan()
 class _Span:
     """One live span; records itself into the owning telemetry on exit."""
 
-    __slots__ = ("_tele", "name", "cat", "tid", "args", "t0")
+    __slots__ = ("_tele", "name", "cat", "tid", "args", "t0", "peak0")
 
     def __init__(self, tele: "Telemetry", name: str, cat: str, tid: int,
                  args: dict):
@@ -62,13 +101,19 @@ class _Span:
         self.args = args
 
     def __enter__(self) -> "_Span":
-        self.t0 = self._tele.clock()
+        tele = self._tele
+        self.peak0 = tele.memory()[1]
+        self.t0 = tele.clock()
         return self
 
     def __exit__(self, *exc) -> bool:
         tele = self._tele
-        tele.events.append((self.name, self.cat, self.t0,
-                            tele.clock() - self.t0, self.tid, self.args))
+        dur = tele.clock() - self.t0
+        rss, peak = tele.memory()
+        self.args.update(rss_kib=rss, peak_open_kib=self.peak0,
+                         peak_close_kib=peak)
+        tele.events.append((self.name, self.cat, self.t0, dur, self.tid,
+                            self.args))
         return False
 
 
@@ -78,13 +123,16 @@ class Telemetry:
     ``events`` holds complete spans as plain tuples
     ``(name, cat, ts_ns, dur_ns, tid, args)`` — picklable, so worker
     processes ship their events back to the parent wholesale
-    (:meth:`take_events` / :meth:`adopt`).
+    (:meth:`take_events` / :meth:`adopt`).  ``memory`` returns the
+    (resident set, peak) pair an enabled span records, in KiB.
     """
 
     def __init__(self, enabled: bool = False,
-                 clock: Callable[[], int] = time.monotonic_ns):
+                 clock: Callable[[], int] = time.monotonic_ns,
+                 memory: Callable[[], tuple] = read_memory):
         self.enabled = enabled
         self.clock = clock
+        self.memory = memory
         self.events: list[tuple] = []
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
@@ -133,10 +181,16 @@ class Telemetry:
         self.gauges = {}
 
     # ------------------------------------------------------------ reporting
-    def span_stats(self) -> dict[str, tuple[int, int]]:
-        """Aggregate spans by name: ``{name: (count, total_ns)}``."""
-        stats: dict[str, tuple[int, int]] = {}
-        for name, _cat, _ts, dur, _tid, _args in self.events:
-            n, total = stats.get(name, (0, 0))
-            stats[name] = (n + 1, total + dur)
+    def span_stats(self) -> dict[tuple[str, str], tuple]:
+        """Aggregate spans by name and category:
+        ``{(name, cat): (count, total_ns, peak_rise_kib)}``.  The rise is
+        the largest ``peak_close_kib - peak_open_kib`` of any instance,
+        or ``None`` when no instance recorded both (instants do not)."""
+        stats: dict[tuple[str, str], tuple] = {}
+        for name, cat, _ts, dur, _tid, args in self.events:
+            n, total, rise = stats.get((name, cat), (0, 0, None))
+            hi, lo = args.get("peak_close_kib"), args.get("peak_open_kib")
+            if hi is not None and lo is not None:
+                rise = max(hi - lo, rise or 0)
+            stats[name, cat] = (n + 1, total + dur, rise)
         return stats

@@ -1,9 +1,10 @@
 """End-of-run telemetry summary: a plain-text table of where time went.
 
-Spans are aggregated by name (count, total and mean wall time), followed
-by the counters and gauges.  The table is what the CLI prints to stderr
-after a run with ``--trace-out`` — the ten-second view, with the full
-timeline in the exported Chrome trace.
+Spans are aggregated by name and category (count, total and mean wall
+time, and the most any one of them raised the process's peak resident
+set), followed by the counters and gauges.  The table is what the CLI
+prints to stderr after a run with ``--trace-out`` — the ten-second view,
+with the full timeline in the exported Chrome trace.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ def _fmt_ms(ns: int) -> str:
 def summary_table(tele: Telemetry) -> str:
     """Render the aggregated spans + counters + gauges as a table."""
     lines = ["== telemetry summary =="]
-    stats = tele.span_stats()
-    if stats:
-        lines.append(f"{'span':<28}{'count':>8}{'total ms':>12}"
-                     f"{'mean ms':>12}")
-        for name, (n, total) in sorted(stats.items(),
-                                       key=lambda kv: -kv[1][1]):
-            lines.append(f"{name:<28}{n:>8}{_fmt_ms(total):>12}"
-                         f"{_fmt_ms(total // n):>12}")
+    rows = tele.span_stats()
+    if rows:
+        lines.append(f"{'span':<28}{'cat':<10}{'count':>7}{'total ms':>11}"
+                     f"{'mean ms':>10}{'peak +MiB':>11}")
+        for (name, cat), (n, total, rise) in sorted(
+                rows.items(), key=lambda kv: -kv[1][1]):
+            peak = "-" if rise is None else f"{rise / 1024:,.1f}"
+            lines.append(f"{name:<28}{cat:<10}{n:>7}{_fmt_ms(total):>11}"
+                         f"{_fmt_ms(total // n):>10}{peak:>11}")
     if tele.counters:
         lines.append("")
         lines.append(f"{'counter':<40}{'value':>14}")

@@ -13,9 +13,11 @@ whole interval × stack-policy × library-mode grid from that single pass:
   intervals.  Only the distinct row-filter combinations the grid actually
   needs (library rows kept/dropped × exclusive-only) are accumulated.
 * **bucket** — the per-page rows group into one sparse
-  ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo,
-  and each combo's read and write tables merge into one table of the
-  four ledger counters, kernels numbered in name order (the ledger's).
+  ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo
+  (a :class:`~repro.capture.streaming.SortedTableAcc` groups them a batch
+  of pages at a time, during the decode), and each combo's read and
+  write tables merge into one table of the four ledger counters, kernels
+  numbered in name order (the ledger's).
 * **fold** — each coarser interval ``m * grain`` is an exact segment-sum
   of the combo's fine table (``slice // m``); no re-read, no re-decode.
 * **report** — every cell's table lands in its own ledger as one grouped
@@ -25,9 +27,9 @@ whole interval × stack-policy × library-mode grid from that single pass:
   property suite in ``tests/property/test_prop_sweep.py`` asserts this
   cell by cell.
 
-Every grouping step, and the bounded accumulators' compaction under a
-memory ceiling, is one :func:`~repro.core.npsort.group_sum` call: integer
-sums throughout, so every route and every ceiling yields the same bytes.
+Every grouping step, the accumulators' compaction included, is one
+:func:`~repro.core.npsort.group_sum` call: integer sums throughout, so
+every route and every ceiling yields the same bytes.
 
 This is the only code that buckets tQUAD pages: a single
 :func:`~repro.capture.replay.replay_tquad` is a one-cell pass, and the
@@ -62,8 +64,6 @@ from ..obs import TELEMETRY
 from .grid import SweepCell, SweepGrid
 
 _STREAMS = ((STREAM_TQUAD_READ, False), (STREAM_TQUAD_WRITE, True))
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -170,19 +170,19 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
     row the manifest cannot place (a kernel id outside its kernel table,
     an instruction count outside its slices).
 
-    ``mem_limit`` switches the bucket pass to bounded accumulation:
-    pages stream (mmap views when the sidecar is warm, bounded decode
-    otherwise), per-combo partials compact incrementally at the shared
-    :data:`~repro.capture.PAGE_BATCH_ROWS` cadence, and carry tables
-    that push past the ceiling spill to disk as sorted runs merged back
-    blockwise — integer segment sums are associative, so every cell is
-    byte-identical to the unbounded sweep (the streaming property suite
-    pins this).  ``sample=(rate, seed)`` Bernoulli-samples rows before
-    bucketing and Horvitz-Thompson rescales each cell's counters by
-    ``1/rate``; the stats block then reports the sampled row counts and
-    a 95%-confidence relative error bound on the total inclusive bytes.
-    Both add their stats keys only when active, keeping default sweeps
-    serialisation-identical.
+    Per-combo partials compact incrementally at the shared
+    :data:`~repro.capture.PAGE_BATCH_ROWS` cadence.  ``mem_limit``
+    switches the bucket pass to bounded accumulation: pages stream
+    (mmap views when the sidecar is warm, bounded decode otherwise),
+    and carry tables that push past the ceiling spill to disk as sorted
+    runs merged back blockwise — integer segment sums are associative,
+    so every cell is byte-identical to the unbounded sweep (the
+    streaming property suite pins this).  ``sample=(rate, seed)``
+    Bernoulli-samples rows before bucketing and Horvitz-Thompson
+    rescales each cell's counters by ``1/rate``; the stats block then
+    reports the sampled row counts and a 95%-confidence relative error
+    bound on the total inclusive bytes.  Both add their stats keys only
+    when active, keeping default sweeps serialisation-identical.
     """
     budget = MemBudget(mem_limit) if mem_limit else None
     return _sweep(reader, grid, telemetry, budget, sample)[0]
@@ -244,8 +244,10 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
     """The one pass behind :func:`sweep_tquad`,
     :func:`~repro.capture.replay.replay_tquad` and the approximate tier.
 
-    ``budget`` (unlimited or not) selects the streaming accumulators;
-    with ``sample`` set the second value maps every cell to its
+    ``budget`` (unlimited or not) selects the streaming page cursor,
+    charges the accumulators and publishes the stream stats; without
+    one they group under an unlimited budget of their own.  With
+    ``sample`` set the second value maps every cell to its
     :class:`_CellSample`, otherwise it is ``None``.
     """
     if sample is not None:
@@ -288,19 +290,16 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                         intervals=",".join(map(str, grid.intervals))), \
             SpillPool(budget) as pool:
         # ------------------------------------------------ decode (one pass)
-        # per (stream, combo): lists of per-page (keys, incl, excl)
-        # partials, seeded empty — or, under a memory budget, bounded
-        # accumulators that compact and spill instead of buffering
-        # every page
+        # per (stream, combo): an accumulator that groups the pages'
+        # (keys, incl, excl) partials every PAGE_BATCH_ROWS rows, so no
+        # sweep holds every page's partials at once; under a memory
+        # budget its carry also spills
+        from ..capture import PAGE_BATCH_ROWS
         locs = [(stream, combo) for stream, _ in _STREAMS
                 for combo in combos]
-        parts: dict[tuple[str, tuple[bool, bool]], list] = {
-            loc: [(_EMPTY, _EMPTY, _EMPTY)] for loc in locs}
-        accs = None
-        if budget is not None:
-            from ..capture import PAGE_BATCH_ROWS
-            accs = {loc: SortedTableAcc(budget, PAGE_BATCH_ROWS)
-                    for loc in locs}
+        charged = budget if budget is not None else MemBudget()
+        accs = {loc: SortedTableAcc(charged, PAGE_BATCH_ROWS)
+                for loc in locs}
         # sampled runs: per (stream, combo) float sums of the filtered
         # rows' (incl, incl², excl, excl²) — the approximate tier's
         # variance estimate needs row-level squares, not table sums
@@ -308,10 +307,7 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                    if rate is not None else None)
 
         def emit(loc, chunk, mom):
-            if accs is not None:
-                accs[loc].add(*chunk)
-            else:
-                parts[loc].append(chunk)
+            accs[loc].add(*chunk)
             if mom is not None:
                 moments[loc] += mom
 
@@ -356,8 +352,8 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     incl, excl = page[:, 1], page[:, 2]
                     # rows are already per-(slice, kernel) aggregates, so
                     # no per-page grouping happens here: each combo's row
-                    # filter just selects rows, and one group_sum in the
-                    # bucket phase groups everything at once.  Combos whose
+                    # filter just selects rows, and its accumulator groups
+                    # them a batch of pages at a time.  Combos whose
                     # filters coincide on this page (no library rows, no
                     # exclusive-free rows) share one selection
                     excl_pos = None
@@ -381,7 +377,12 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                             mask = excl_pos if mask is None \
                                 else mask & excl_pos
                         if mask is None or mask.all():
-                            chunk = (key, incl.copy(), excl.copy())
+                            # a pending chunk may view the page until its
+                            # batch compacts; a bounded pass copies, so
+                            # its budget charges all the chunk holds
+                            chunk = ((key, incl.copy(), excl.copy())
+                                     if budget is not None
+                                     else (key, incl, excl))
                         elif mask.any():
                             chunk = (key[mask], incl[mask], excl[mask])
                         else:
@@ -412,9 +413,7 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                 # an accumulator's table is already grouped (and merged
                 # back from any spill runs)
                 (kr, ir, er), (kw, iw, ew) = (
-                    accs[stream, combo].finalize() if accs is not None
-                    else group_sum(*map(np.concatenate,
-                                        zip(*parts.pop((stream, combo)))))
+                    accs.pop((stream, combo)).finalize()
                     for stream, _ in _STREAMS)
                 zr, zw = np.zeros_like(kr), np.zeros_like(kw)
                 fine_tables[combo] = group_sum(*map(np.concatenate, (

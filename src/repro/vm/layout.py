@@ -22,6 +22,11 @@ HEAP_BASE = 0x0080_0000
 #: Default size of the flat data memory (also the initial stack top).
 DEFAULT_MEM_SIZE = 1 << 25  # 32 MiB
 
+#: Largest accepted data memory: QUAD's packed records keep an address in
+#: 37 bits (``repro.quad.shadow.ADDR_MASK``), and capture replay rejects a
+#: manifest ``mem_size`` above it.
+MAX_MEM_SIZE = 1 << 37
+
 #: Gap kept between the heap break and the lowest expected stack extent.
 HEAP_STACK_GUARD = 1 << 16
 

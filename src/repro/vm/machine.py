@@ -32,17 +32,19 @@ tail, where the remaining allowance is smaller than the next block.
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from typing import Callable
 
 from ..isa import opcodes as oc
 from ..isa.instruction import NO_PRED, Instr
 from ..isa.registers import RA, SP
+from ..obs import TELEMETRY as _TELEMETRY
 from .errors import (ArithmeticFault, IllegalInstruction,
                      InstructionBudgetExceeded, MemoryFault, VMError)
 from .filesystem import GuestFS
 from .layout import (CODE_BASE, DATA_BASE, DEFAULT_MEM_SIZE, HEAP_BASE,
-                     HEAP_STACK_GUARD, NULL_GUARD, index_to_pc)
+                     HEAP_STACK_GUARD, MAX_MEM_SIZE, NULL_GUARD, index_to_pc)
 from .program import Program
 from .syscalls import SyscallHandler
 
@@ -56,6 +58,25 @@ _unpack_f64 = struct.Struct("<d").unpack_from
 _pack_f64 = struct.Struct("<d").pack_into
 
 
+#: A private mapping: a forked child (a corpus worker) gets copy-on-write
+#: pages and never shares guest memory with its parent.
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE")
+            else {})
+
+
+def _guest_memory(size: int) -> mmap.mmap:
+    """``size`` bytes of zeroed memory that the OS fills one page at a
+    time on first touch, so address space the guest never uses costs
+    nothing.  The mapping never grows: a slice write of another length
+    raises.  It compares by identity; compare ``bytes(...)`` of it."""
+    try:
+        return mmap.mmap(-1, size, **_PRIVATE)
+    except OSError as err:
+        raise MemoryError(
+            f"cannot map {size:,} bytes of guest memory: "
+            f"{err.strerror or err}") from err
+
+
 def _wrap(v: int) -> int:
     """Wrap a Python int to signed 64-bit two's complement."""
     if _I64_MIN <= v <= _I64_MAX:
@@ -64,7 +85,11 @@ def _wrap(v: int) -> int:
 
 
 class Machine:
-    """One guest machine instance executing a :class:`Program`."""
+    """One guest machine instance executing a :class:`Program`.
+
+    ``mem`` is the flat data memory, ``mem_size`` bytes of demand-zero
+    pages (:func:`_guest_memory`): a machine costs the pages its guest
+    touches."""
 
     __slots__ = (
         "program", "instrs", "x", "f", "mem", "mem_size", "fs", "stdout",
@@ -78,15 +103,19 @@ class Machine:
                  fs: GuestFS | None = None, jit: bool = True):
         if mem_size < HEAP_BASE + (1 << 20):
             raise ValueError("mem_size too small for the standard layout")
+        if mem_size > MAX_MEM_SIZE:
+            raise ValueError(
+                f"mem_size {mem_size:#x} is above {MAX_MEM_SIZE:#x}, the "
+                "width of QUAD's address field")
         self.program = program
         self.instrs = program.instrs
         self.x = [0] * 32
         self.f = [0.0] * 32
-        self.mem = bytearray(mem_size)
-        self.mem_size = mem_size
         data_end = DATA_BASE + len(program.data)
         if data_end > HEAP_BASE:
             raise ValueError("data segment overflows into the heap")
+        self.mem = _guest_memory(mem_size)
+        self.mem_size = mem_size
         self.mem[DATA_BASE:data_end] = program.data
         self.fs = fs if fs is not None else GuestFS()
         self.stdout = bytearray()
@@ -129,6 +158,10 @@ class Machine:
             raise VMError("machine already halted")
         if max_instructions is not None and max_instructions < 0:
             raise ValueError("max_instructions must be >= 0")
+        with _TELEMETRY.span("run", cat="vm"):
+            return self._run(max_instructions)
+
+    def _run(self, max_instructions: int | None) -> int:
         # Fused (superblock) execution is used whenever it can preserve
         # semantics: always for bare runs, and for instrumented runs when the
         # instrumenter exposes a block plan.  A raw instrument_hook without a

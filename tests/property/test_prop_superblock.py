@@ -99,7 +99,8 @@ def _instr(draw) -> str:
         return f"{draw(st.sampled_from(ALU))} {rd}, {rs}, " \
                f"{draw(st.sampled_from(DATA))}"
     if kind == "imm":
-        return f"li {rd}, {draw(st.integers(-(1 << 63), (1 << 63) - 1))}"
+        # [2**63, 2**64) is a 64-bit pattern that wraps to a negative int64
+        return f"li {rd}, {draw(st.integers(-(1 << 63), (1 << 64) - 1))}"
     if kind == "div":
         return f"{draw(st.sampled_from(['div', 'rem']))} {rd}, {rs}, " \
                f"{draw(st.sampled_from(DATA + ('zero',)))}"

@@ -95,6 +95,28 @@ class TestCli:
         assert rc == 0
         assert "hi" in capsys.readouterr().out
 
+    def test_run_command_trace_out(self, tmp_path, capsys):
+        import json
+
+        from repro import obs
+
+        src = tmp_path / "app.mc"
+        src.write_text('int main() { print_str("hi\\n"); return 0; }')
+        assert main(["run", str(src)]) == 0
+        plain = capsys.readouterr()
+        trace = tmp_path / "run.json"
+        assert main(["run", str(src), "--trace-out", str(trace)]) == 0
+        traced = capsys.readouterr()
+        assert traced.out == plain.out == "hi\n"
+        assert not obs.TELEMETRY.enabled
+        events = json.loads(trace.read_text())["traceEvents"]
+        runs = [e for e in events if e["name"] == "run"]
+        assert sorted(e["cat"] for e in runs) == ["cli", "vm"]
+        vm, = (e["args"] for e in runs if e["cat"] == "vm")
+        assert vm["peak_close_kib"] >= vm["peak_open_kib"] > 0
+        assert any(e["name"] == "superblock" for e in events)
+        assert "wrote" in traced.err and "peak +MiB" in traced.err
+
     def test_profile_gprof(self, tmp_path, capsys):
         src = tmp_path / "app.mc"
         src.write_text("""

@@ -1,13 +1,20 @@
 """Unit tests for the virtual machine (execution semantics)."""
 
+import errno
+import hashlib
+import mmap
+import os
+import pathlib
+
 import pytest
 
-from repro.asmkit import assemble
+from repro.asmkit import AsmError, assemble
 from repro.isa.registers import SP
+from repro.quad.shadow import ADDR_MASK
 from repro.vm import (ArithmeticFault, GuestFS, IllegalInstruction,
                       InstructionBudgetExceeded, Machine, MemoryFault,
                       O_RDONLY, O_WRONLY, VMError, run_program)
-from repro.vm.layout import DATA_BASE, HEAP_BASE
+from repro.vm.layout import DATA_BASE, HEAP_BASE, MAX_MEM_SIZE
 
 
 def run_asm(src, fs=None, **kw):
@@ -76,6 +83,34 @@ class TestIntegerALU:
     def test_x0_is_immutable(self):
         v = exit_value("li t0, 5\nadd zero, t0, t0\nmv t6, zero" + HALT)
         assert v == 0
+
+
+class TestLiImmediates:
+    """``li`` takes any 64-bit pattern: ``[2**63, 2**64)`` wraps to the
+    negative int64 it encodes, on both tiers."""
+
+    @pytest.mark.parametrize("jit", [True, False])
+    @pytest.mark.parametrize("imm,value", [
+        (2**64 - 1, -1), (2**63, -(2**63)), (2**63 - 1, 2**63 - 1),
+        (-(2**63), -(2**63))])
+    def test_64_bit_patterns_store_and_load(self, jit, imm, value):
+        m = Machine(assemble(f"""
+            .text
+            li t0, {DATA_BASE}
+            li t1, {imm}
+            sd t1, 0(t0)
+            ld t6, 0(t0)
+            li a0, 0
+            mv a1, t6
+            ecall
+        """), jit=jit)
+        assert m.run() == value
+        assert m.read_i64(DATA_BASE) == value
+
+    @pytest.mark.parametrize("imm", [2**64, -(2**63) - 1])
+    def test_out_of_range_rejected_naming_the_line(self, imm):
+        with pytest.raises(AsmError, match="line 3: immediate"):
+            assemble(f".text\nnop\nli t1, {imm}\nhalt\n")
 
 
 class TestFloat:
@@ -379,3 +414,139 @@ class TestMachineState:
         """)
         assert m.compile_count == 4
         assert m.icount == 1 + 2 * 100 + 1
+
+
+def _rss_bytes() -> int:
+    statm = pathlib.Path("/proc/self/statm").read_text()
+    return int(statm.split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestDemandZeroMemory:
+    """Guest memory is an anonymous private mapping the OS zero-fills a
+    page at a time on first touch."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm (Linux)")
+    def test_a_machine_costs_the_pages_its_guest_touches(self):
+        before = _rss_bytes()
+        m = Machine(assemble("""
+            .data
+        buf: .space 64
+            .text
+            la t0, buf
+            li t1, 7
+            sd t1, 8(t0)
+            addi sp, sp, -16
+            sd t1, 0(sp)
+            li a0, 5            # sbrk(4096)
+            li a1, 4096
+            ecall
+            sd t1, 0(a0)
+            halt
+        """), mem_size=64 << 20)
+        m.run()
+        assert m.read_i64(HEAP_BASE) == 7
+        assert _rss_bytes() - before < 16 << 20
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_childs_writes_never_reach_the_parent(self):
+        m = Machine(assemble("""
+            .data
+        v:  .i64 7
+            .text
+            la t0, v
+            li t1, 99
+            sd t1, 0(t0)
+            halt
+        """))
+        m.write_bytes(HEAP_BASE, b"parent")
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                inherited = (m.read_i64(DATA_BASE) == 7
+                             and m.read_bytes(HEAP_BASE, 6) == b"parent")
+                m.run()
+                m.write_bytes(HEAP_BASE, b"child!")
+                code = 0 if inherited and m.read_i64(DATA_BASE) == 99 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert m.read_i64(DATA_BASE) == 7
+        assert m.read_bytes(HEAP_BASE, 6) == b"parent"
+        assert not m.halted
+        m.run()
+        assert m.read_i64(DATA_BASE) == 99
+
+    def test_mem_size_bounded_by_the_quad_address_field(self):
+        prog = assemble(".text\nhalt\n")
+        with pytest.raises(ValueError, match="mem_size"):
+            Machine(prog, mem_size=MAX_MEM_SIZE + 1)
+        assert MAX_MEM_SIZE == ADDR_MASK + 1 == 2**37
+
+    def test_refused_mapping_is_a_memory_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        with pytest.raises(MemoryError, match="guest memory"):
+            Machine(assemble(".text\nhalt\n"))
+
+    def test_memory_never_resizes(self):
+        m = Machine(assemble(".text\nhalt\n"))
+        with pytest.raises(IndexError):
+            m.mem[DATA_BASE:DATA_BASE + 4] = b"ab"
+        assert len(m.mem) == m.mem_size
+        assert m.read_bytes(DATA_BASE, 4) == bytes(4)
+
+    @staticmethod
+    def _edge_syscalls(jit: bool) -> tuple:
+        """write, read and read_cstring on buffers that end at
+        ``mem_size``; the last one finds no NUL before the end."""
+        fs = GuestFS()
+        fs.put("in.dat", b"abcdef")
+        m = Machine(assemble(f"""
+            .data
+        name: .asciz "in.dat"
+            .text
+            li s0, {32 << 20}
+            li t0, 0x216968     # "hi!" and a NUL in the last 4 bytes
+            sw t0, -4(s0)
+            li a0, 8            # print_str(end - 4)
+            addi a1, s0, -4
+            ecall
+            li a0, 4            # write(stdout, end - 4, 4)
+            li a1, 1
+            addi a2, s0, -4
+            li a3, 4
+            ecall
+            li a0, 1            # open(in.dat)
+            la a1, name
+            li a2, {O_RDONLY}
+            ecall
+            mv a1, a0
+            li a0, 3            # read(fd, end - 6, 6)
+            addi a2, s0, -6
+            li a3, 6
+            ecall
+            li a0, 4            # write(stdout, end - 6, 6)
+            li a1, 1
+            addi a2, s0, -6
+            li a3, 6
+            ecall
+            li a0, 8            # print_str(end - 2): unterminated
+            addi a1, s0, -2
+            ecall
+            halt
+        """), fs=fs, mem_size=32 << 20, jit=jit)
+        with pytest.raises(VMError) as err:
+            m.run()
+        return (type(err.value).__name__, err.value.pc, err.value.icount,
+                bytes(m.stdout), hashlib.sha256(m.mem).digest())
+
+    def test_syscalls_on_buffers_ending_at_mem_size_agree(self):
+        fused = self._edge_syscalls(jit=True)
+        assert fused == self._edge_syscalls(jit=False)
+        assert fused[0] == "SyscallError"
+        assert fused[3] == b"hi!hi!\0abcdef"

@@ -1,7 +1,11 @@
 """Unit tests for the run-telemetry package (``repro.obs``)."""
 
 import json
+import mmap
+import os
+import sys
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -10,14 +14,19 @@ from repro.obs import (MAIN_TID, NULL_SPAN, Telemetry, summary_table,
 
 
 def make_tele(*, enabled=True, start=1_000_000):
-    """A Telemetry on a deterministic fake clock (1 µs per call)."""
-    state = {"now": start}
+    """A Telemetry on a deterministic fake clock (1 µs per call) and a
+    fake memory reader whose peak grows 4 KiB per call."""
+    state = {"now": start, "peak": 100}
 
     def clock():
         state["now"] += 1_000
         return state["now"]
 
-    return Telemetry(enabled=enabled, clock=clock)
+    def memory():
+        state["peak"] += 4
+        return 50, state["peak"]
+
+    return Telemetry(enabled=enabled, clock=clock, memory=memory)
 
 
 class TestSpans:
@@ -35,7 +44,8 @@ class TestSpans:
         assert len(tele.events) == 1
         name, cat, ts, dur, tid, args = tele.events[0]
         assert (name, cat, tid) == ("replay", "shard", 0)
-        assert args == {"shard": 3}
+        assert args == {"shard": 3, "rss_kib": 50, "peak_open_kib": 104,
+                        "peak_close_kib": 108}
         assert dur == 1_000                 # exactly one clock tick inside
 
     def test_span_records_even_when_body_raises(self):
@@ -59,6 +69,52 @@ class TestSpans:
         off = Telemetry(enabled=False)
         off.instant("mark")
         assert off.events == []
+
+
+class TestSpanMemory:
+    def test_disabled_telemetry_never_reads_memory(self):
+        calls = []
+
+        def memory():
+            calls.append(1)
+            return 0, 0
+
+        tele = Telemetry(enabled=False, memory=memory)
+        with tele.span("x", cat="c", arg=1):
+            pass
+        tele.instant("mark")
+        tele.count("n")
+        tele.gauge("g", 1)
+        assert calls == []
+        tele.enabled = True
+        with tele.span("x"):
+            pass
+        assert len(calls) == 2             # once at open, once at close
+
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "fork"),
+                        reason="a forked Linux child starts its peak at its "
+                               "resident set")
+    def test_span_touching_16_mib_raises_the_peak_that_much(self):
+        # in a forked child the process peak starts at the current
+        # resident set, whatever the suite's own peak reached before
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                tele = Telemetry(enabled=True)
+                with tele.span("touch", cat="test"):
+                    # 16 MiB of NumPy memory on a fresh mapping: pages
+                    # no allocator can serve from memory already resident
+                    block = np.frombuffer(mmap.mmap(-1, 16 << 20))
+                    block[:] = 1.0
+                args = tele.events[0][5]
+                rise = args["peak_close_kib"] - args["peak_open_kib"]
+                code = 0 if (rise >= 16 << 10 and block.sum() == 2 << 20
+                             and args["rss_kib"] >= 16 << 10) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestCountersAndGauges:
@@ -125,9 +181,15 @@ class TestLifecycle:
                 pass
         with tele.span("b"):
             pass
+        with tele.span("b", cat="vm"):
+            pass
+        tele.instant("mark")
         stats = tele.span_stats()
-        assert stats["a"] == (3, 3_000)
-        assert stats["b"] == (1, 1_000)
+        # the fake peak grows 4 KiB per read, so each span raised it 4
+        assert stats["a", "run"] == (3, 3_000, 4)
+        assert stats["b", "run"] == (1, 1_000, 4)
+        assert stats["b", "vm"] == (1, 1_000, 4)
+        assert stats["mark", "run"] == (1, 0, None)
 
     def test_module_singleton_enable_disable(self):
         obs.reset()
@@ -200,6 +262,24 @@ class TestSummaryTable:
 
     def test_empty_fallback(self):
         assert "no telemetry recorded" in summary_table(Telemetry())
+
+    def test_peak_column_is_the_largest_rise_per_name_and_category(self):
+        tele = Telemetry()
+        tele.adopt([
+            ("replay", "capture", 0, 5_000_000, 0,
+             {"peak_open_kib": 1024, "peak_close_kib": 1024 + (16 << 10)}),
+            ("replay", "capture", 0, 5_000_000, 0,
+             {"peak_open_kib": 0, "peak_close_kib": 2048}),
+            ("run", "cli", 0, 20_000_000, 0, {}),
+            ("run", "vm", 0, 18_000_000, 0,
+             {"peak_open_kib": 5, "peak_close_kib": 5}),
+        ], tid=0)
+        rows = {tuple(ln.split()[:2]): ln.split()
+                for ln in summary_table(tele).splitlines()[2:] if ln}
+        assert rows["replay", "capture"][2:] == ["2", "10.00", "5.00",
+                                                 "16.0"]
+        assert rows["run", "cli"][-1] == "-"
+        assert rows["run", "vm"][-1] == "0.0"
 
     @staticmethod
     def _loaded():
