@@ -273,9 +273,13 @@ def merge_sorted_runs(runs, block_rows: int = 1 << 16
 class SortedTableAcc:
     """Bounded accumulator for one sparse ``key -> (incl, excl)`` table.
 
-    Chunks buffer until ``compact_rows`` are pending, then fold into the
-    sorted carry table; a carry that pushes the budget over the ceiling
-    spills to ``pool`` as a sorted run.  :meth:`finalize` merges carry +
+    Chunks buffer until ``compact_rows`` are pending, and at least as
+    many rows as the carry holds, then fold into the sorted carry table;
+    a carry that pushes the budget over the ceiling spills to ``pool``
+    as a sorted run.  Waiting for the carry's size keeps compaction
+    amortised ``O(n log n)`` when keys rarely repeat (a sweep's
+    per-slice rows), where a fixed cadence would regroup an ever larger
+    carry every ``compact_rows`` rows.  :meth:`finalize` merges carry +
     runs back into the exact table the unbounded path would have built
     (integer segment sums are associative, so compaction order cannot
     change the result).
@@ -303,7 +307,8 @@ class SortedTableAcc:
         self.pending_rows += keys.size
         self.pending_bytes += nbytes
         self.budget.charge(nbytes)
-        if self.pending_rows >= self.compact_rows:
+        carry_rows = self.carry[0].size if self.carry is not None else 0
+        if self.pending_rows >= max(self.compact_rows, carry_rows):
             self.compact()
 
     def compact(self) -> None:

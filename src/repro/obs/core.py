@@ -26,8 +26,9 @@ resident set at its close (``rss_kib``, from ``/proc/self/statm``) and
 the process peak (``ru_maxrss``) at its open and at its close
 (``peak_open_kib``, ``peak_close_kib``), all in KiB.  A span whose
 ``peak_close_kib`` exceeds its ``peak_open_kib`` raised the high-water
-mark itself.  Both reads happen outside the span's timed interval, and
-disabled telemetry makes neither.
+mark itself.  The reads (:func:`read_peak` at the open, it and
+:func:`read_rss` at the close) happen outside the span's timed interval,
+and disabled telemetry makes none.
 
 Clock
 -----
@@ -57,17 +58,23 @@ _PAGE_KIB = (os.sysconf("SC_PAGE_SIZE") // 1024
 _MAXRSS_DIV = 1024 if sys.platform == "darwin" else 1
 
 
-def read_memory() -> tuple[int | None, int | None]:
-    """The process's resident set and peak resident set, in KiB; either
-    is ``None`` where the platform does not report it."""
-    peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            // _MAXRSS_DIV if resource is not None else None)
+def read_peak() -> int | None:
+    """The process's peak resident set (``ru_maxrss``) in KiB, or
+    ``None`` where the platform does not report it."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // _MAXRSS_DIV
+
+
+def read_rss() -> int | None:
+    """The process's resident set in KiB (``/proc/self/statm``), or
+    ``None`` where the platform has no such file."""
     try:
         fd = os.open("/proc/self/statm", os.O_RDONLY)
     except OSError:
-        return None, peak
+        return None
     try:
-        return int(os.read(fd, 128).split()[1]) * _PAGE_KIB, peak
+        return int(os.read(fd, 128).split()[1]) * _PAGE_KIB
     finally:
         os.close(fd)
 
@@ -101,17 +108,15 @@ class _Span:
         self.args = args
 
     def __enter__(self) -> "_Span":
-        tele = self._tele
-        self.peak0 = tele.memory()[1]
-        self.t0 = tele.clock()
+        self.peak0 = read_peak()
+        self.t0 = self._tele.clock()
         return self
 
     def __exit__(self, *exc) -> bool:
         tele = self._tele
         dur = tele.clock() - self.t0
-        rss, peak = tele.memory()
-        self.args.update(rss_kib=rss, peak_open_kib=self.peak0,
-                         peak_close_kib=peak)
+        self.args.update(rss_kib=read_rss(), peak_open_kib=self.peak0,
+                         peak_close_kib=read_peak())
         tele.events.append((self.name, self.cat, self.t0, dur, self.tid,
                             self.args))
         return False
@@ -123,16 +128,13 @@ class Telemetry:
     ``events`` holds complete spans as plain tuples
     ``(name, cat, ts_ns, dur_ns, tid, args)`` — picklable, so worker
     processes ship their events back to the parent wholesale
-    (:meth:`take_events` / :meth:`adopt`).  ``memory`` returns the
-    (resident set, peak) pair an enabled span records, in KiB.
+    (:meth:`take_events` / :meth:`adopt`).
     """
 
     def __init__(self, enabled: bool = False,
-                 clock: Callable[[], int] = time.monotonic_ns,
-                 memory: Callable[[], tuple] = read_memory):
+                 clock: Callable[[], int] = time.monotonic_ns):
         self.enabled = enabled
         self.clock = clock
-        self.memory = memory
         self.events: list[tuple] = []
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}

@@ -14,8 +14,8 @@ whole interval × stack-policy × library-mode grid from that single pass:
   needs (library rows kept/dropped × exclusive-only) are accumulated.
 * **bucket** — the per-page rows group into one sparse
   ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo
-  (a :class:`~repro.capture.streaming.SortedTableAcc` groups them a batch
-  of pages at a time, during the decode), and each combo's read and
+  (a :class:`~repro.capture.streaming.SortedTableAcc` groups them as
+  they arrive, during the decode), and each combo's read and
   write tables merge into one table of the four ledger counters, kernels
   numbered in name order (the ledger's).
 * **fold** — each coarser interval ``m * grain`` is an exact segment-sum
@@ -170,19 +170,20 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
     row the manifest cannot place (a kernel id outside its kernel table,
     an instruction count outside its slices).
 
-    Per-combo partials compact incrementally at the shared
-    :data:`~repro.capture.PAGE_BATCH_ROWS` cadence.  ``mem_limit``
-    switches the bucket pass to bounded accumulation: pages stream
-    (mmap views when the sidecar is warm, bounded decode otherwise),
-    and carry tables that push past the ceiling spill to disk as sorted
-    runs merged back blockwise — integer segment sums are associative,
-    so every cell is byte-identical to the unbounded sweep (the
-    streaming property suite pins this).  ``sample=(rate, seed)``
-    Bernoulli-samples rows before bucketing and Horvitz-Thompson
-    rescales each cell's counters by ``1/rate``; the stats block then
-    reports the sampled row counts and a 95%-confidence relative error
-    bound on the total inclusive bytes.  Both add their stats keys only
-    when active, keeping default sweeps serialisation-identical.
+    Per-combo partials compact incrementally, once at least
+    :data:`~repro.capture.PAGE_BATCH_ROWS` rows and as many rows as the
+    carry holds are pending.  ``mem_limit`` switches the bucket pass to
+    bounded accumulation: pages stream (mmap views when the sidecar is
+    warm, bounded decode otherwise), and carry tables that push past the
+    ceiling spill to disk as sorted runs merged back blockwise — integer
+    segment sums are associative, so every cell is byte-identical to the
+    unbounded sweep (the streaming property suite pins this).
+    ``sample=(rate, seed)`` Bernoulli-samples rows before bucketing and
+    Horvitz-Thompson rescales each cell's counters by ``1/rate``; the
+    stats block then reports the sampled row counts and a 95%-confidence
+    relative error bound on the total inclusive bytes.  Both add their
+    stats keys only when active, keeping default sweeps
+    serialisation-identical.
     """
     budget = MemBudget(mem_limit) if mem_limit else None
     return _sweep(reader, grid, telemetry, budget, sample)[0]
@@ -291,9 +292,9 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
             SpillPool(budget) as pool:
         # ------------------------------------------------ decode (one pass)
         # per (stream, combo): an accumulator that groups the pages'
-        # (keys, incl, excl) partials every PAGE_BATCH_ROWS rows, so no
-        # sweep holds every page's partials at once; under a memory
-        # budget its carry also spills
+        # (keys, incl, excl) partials as they arrive, so no sweep holds
+        # every page's partials at once; under a memory budget its
+        # carry also spills
         from ..capture import PAGE_BATCH_ROWS
         locs = [(stream, combo) for stream, _ in _STREAMS
                 for combo in combos]
@@ -353,9 +354,9 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     # rows are already per-(slice, kernel) aggregates, so
                     # no per-page grouping happens here: each combo's row
                     # filter just selects rows, and its accumulator groups
-                    # them a batch of pages at a time.  Combos whose
-                    # filters coincide on this page (no library rows, no
-                    # exclusive-free rows) share one selection
+                    # them as they arrive.  Combos whose filters coincide
+                    # on this page (no library rows, no exclusive-free
+                    # rows) share one selection
                     excl_pos = None
                     done: dict[tuple[bool, bool], tuple] = {}
                     for combo in combos:
@@ -377,12 +378,7 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                             mask = excl_pos if mask is None \
                                 else mask & excl_pos
                         if mask is None or mask.all():
-                            # a pending chunk may view the page until its
-                            # batch compacts; a bounded pass copies, so
-                            # its budget charges all the chunk holds
-                            chunk = ((key, incl.copy(), excl.copy())
-                                     if budget is not None
-                                     else (key, incl, excl))
+                            chunk = (key, incl.copy(), excl.copy())
                         elif mask.any():
                             chunk = (key[mask], incl[mask], excl[mask])
                         else:

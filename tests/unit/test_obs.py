@@ -9,24 +9,39 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import core as obs_core
 from repro.obs import (MAIN_TID, NULL_SPAN, Telemetry, summary_table,
                        to_chrome_trace, write_chrome_trace)
 
 
 def make_tele(*, enabled=True, start=1_000_000):
-    """A Telemetry on a deterministic fake clock (1 µs per call) and a
-    fake memory reader whose peak grows 4 KiB per call."""
-    state = {"now": start, "peak": 100}
+    """A Telemetry on a deterministic fake clock (1 µs per call)."""
+    state = {"now": start}
 
     def clock():
         state["now"] += 1_000
         return state["now"]
 
-    def memory():
-        state["peak"] += 4
-        return 50, state["peak"]
+    return Telemetry(enabled=enabled, clock=clock)
 
-    return Telemetry(enabled=enabled, clock=clock, memory=memory)
+
+@pytest.fixture
+def fake_memory(monkeypatch):
+    """Swap the span memory readers for fakes that log their calls: a
+    resident set of 50 KiB, and a peak that grows 4 KiB per read."""
+    calls = []
+
+    def read_peak():
+        calls.append("peak")
+        return 100 + 4 * calls.count("peak")
+
+    def read_rss():
+        calls.append("rss")
+        return 50
+
+    monkeypatch.setattr(obs_core, "read_peak", read_peak)
+    monkeypatch.setattr(obs_core, "read_rss", read_rss)
+    return calls
 
 
 class TestSpans:
@@ -37,7 +52,7 @@ class TestSpans:
             pass
         assert tele.events == []
 
-    def test_enabled_span_records_on_exit(self):
+    def test_enabled_span_records_on_exit(self, fake_memory):
         tele = make_tele()
         with tele.span("replay", cat="shard", shard=3):
             pass
@@ -72,24 +87,19 @@ class TestSpans:
 
 
 class TestSpanMemory:
-    def test_disabled_telemetry_never_reads_memory(self):
-        calls = []
-
-        def memory():
-            calls.append(1)
-            return 0, 0
-
-        tele = Telemetry(enabled=False, memory=memory)
+    def test_disabled_telemetry_never_reads_memory(self, fake_memory):
+        tele = Telemetry(enabled=False)
         with tele.span("x", cat="c", arg=1):
             pass
         tele.instant("mark")
         tele.count("n")
         tele.gauge("g", 1)
-        assert calls == []
+        assert fake_memory == []
         tele.enabled = True
         with tele.span("x"):
             pass
-        assert len(calls) == 2             # once at open, once at close
+        # the open reads only the peak; the close reads both
+        assert fake_memory == ["peak", "rss", "peak"]
 
     @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "fork"),
                         reason="a forked Linux child starts its peak at its "
@@ -174,7 +184,7 @@ class TestLifecycle:
         tele.reset()
         assert (tele.events, tele.counters, tele.gauges) == ([], {}, {})
 
-    def test_span_stats_aggregates_by_name(self):
+    def test_span_stats_aggregates_by_name(self, fake_memory):
         tele = make_tele()
         for _ in range(3):
             with tele.span("a"):

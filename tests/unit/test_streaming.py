@@ -229,6 +229,32 @@ class TestSortedTableAcc:
         np.testing.assert_array_equal(incl, [want[k][0] for k in sorted(want)])
         np.testing.assert_array_equal(excl, [want[k][1] for k in sorted(want)])
 
+    def test_compaction_is_amortised_when_keys_never_repeat(
+            self, monkeypatch):
+        # a sweep's per-slice rows bring new keys with every chunk, so
+        # the carry grows with the rows added; regrouping it every
+        # compact_rows rows would fold O(n**2 / compact_rows) rows
+        from repro.capture import streaming
+
+        folded = []
+        real = streaming._compact
+
+        def counting(chunks):
+            folded.append(sum(c[0].size for c in chunks))
+            return real(chunks)
+
+        monkeypatch.setattr(streaming, "_compact", counting)
+        acc = SortedTableAcc(MemBudget(), compact_rows=16)
+        for i in range(256):
+            keys = np.arange(16 * i, 16 * (i + 1), dtype=np.int64)
+            acc.add(keys, keys + 1, keys + 2)
+        keys, incl, excl = acc.finalize()
+        np.testing.assert_array_equal(keys, np.arange(4096))
+        np.testing.assert_array_equal(incl, keys + 1)
+        np.testing.assert_array_equal(excl, keys + 2)
+        # the carry doubles at each compaction: 16, 32, ..., 4096 rows
+        assert folded == [16 << k for k in range(9)]
+
 
 # -------------------------------------------------------- streaming cursor
 class TestStreamingCursor:
