@@ -1,7 +1,8 @@
 """Capture once, analyze many: persistent columnar execution captures.
 
-One instrumented execution records compressed, delta-encoded columnar
-event pages (:mod:`~repro.capture.format`); every later analysis —
+One instrumented execution records compressed columnar event pages
+(:mod:`~repro.capture.format`: narrow per-column deltas for the tQUAD and
+call streams, QUAD records as recorded); every later analysis —
 re-slicing tQUAD at a new interval, the gprof-sim flat profile, QUAD's
 communication bindings — replays from the capture with vectorized NumPy
 passes instead of re-running the VM (:mod:`~repro.capture.replay`), and

@@ -7,12 +7,11 @@ and offline analysis).  The container is a single ZIP file:
 
 * ``manifest.json`` — run identity and stream directory (written last, so
   a truncated capture is detectably corrupt);
-* ``pages/<stream>/<nnnnnn>`` — one entry per sealed page, holding
-  little-endian ``int64`` rows, delta-encoded along the row axis and
-  deflate-compressed by the ZIP layer.  ZIP CRCs give corruption
-  detection for free.
+* ``pages/<stream>/<nnnnnn>`` — one member per sealed page, encoded by
+  :func:`encode_page` and deflate-compressed (level 1) by the ZIP layer.
+  ZIP CRCs give corruption detection for free.
 
-Streams (all rows are ``int64`` columns):
+Streams (every decoded row is ``int64`` columns):
 
 ``tquad.read`` / ``tquad.write``
     stride 4: ``(icount, incl_bytes, excl_bytes, kernel_id)`` quads — the
@@ -30,6 +29,26 @@ Streams (all rows are ``int64`` columns):
     :class:`repro.quad.shadow.PagedQuadSink` (kernel-interned accesses
     plus negative SP markers), one page per sink drain.
 
+Pages (format 2).  Every page member is an 8-byte header (the layout
+code, then, for the delta layout, one width code per column, then
+zeros), a body, and a 4-byte trailer: the CRC-32 of header and body.
+The ZIP CRC checks what deflate stored; the page CRC checks what the
+writer encoded, so a member rewritten with a fresh ZIP CRC still fails.
+
+* ``LAYOUT_DELTAS`` (``tquad.*``, ``calls``): the first row as ``int64``,
+  then each column's row-to-row deltas (int64 wraparound), column after
+  column, each in the narrowest of ``int8``/``int16``/``int32``/``int64``
+  that holds that column's deltas on this page.  Icounts grow by a few
+  instructions per row and byte counts and ids barely move, so most
+  columns take one byte a row where a raw row takes eight.
+* ``LAYOUT_RECORDS`` (``quad.raw``): the packed records as recorded.  A
+  pointer chase revisits the same addresses, which deflate finds as
+  repeats; their deltas look random and deflate worse.
+
+A page's row count is not in the member: the manifest's stream directory
+lists it (``page_rows``), so a member's exact size follows from its rows
+and its widths, and :func:`decode_page` checks it before allocating.
+
 Invalidation: the manifest records the program digest and the recording
 options; readers must reject replays whose program or options are
 incompatible (see :func:`check_program`, and the per-tool validation in
@@ -39,12 +58,16 @@ incompatible (see :func:`check_program`, and the per-tool validation in
 from __future__ import annotations
 
 import hashlib
+import zipfile
+import zlib
 from typing import Any
 
 import numpy as np
 
+from ..obs import TELEMETRY
+
 #: Container format version (bumped on incompatible layout changes).
-CAPTURE_VERSION = 1
+CAPTURE_VERSION = 2
 
 #: Manifest member name inside the ZIP container.
 MANIFEST_NAME = "manifest.json"
@@ -61,6 +84,29 @@ STREAM_STRIDES = {
     STREAM_CALLS: 2,
     STREAM_QUAD: 1,
 }
+
+#: Page layouts (the first header byte of every page member).
+LAYOUT_RECORDS = 0
+LAYOUT_DELTAS = 1
+
+#: The layout each stream's pages are written in.
+STREAM_LAYOUTS = {
+    STREAM_TQUAD_READ: LAYOUT_DELTAS,
+    STREAM_TQUAD_WRITE: LAYOUT_DELTAS,
+    STREAM_CALLS: LAYOUT_DELTAS,
+    STREAM_QUAD: LAYOUT_RECORDS,
+}
+
+#: Bytes of the page header: layout code, width codes, zero padding.
+PAGE_HEADER = 8
+#: Bytes of the page trailer: the CRC-32 of every byte before it.
+PAGE_TRAILER = 4
+
+#: Width code -> the little-endian type of one column's deltas.
+DELTA_TYPES = (np.dtype("<i1"), np.dtype("<i2"), np.dtype("<i4"),
+               np.dtype("<i8"))
+_DELTA_RANGES = [(int(np.iinfo(t).min), int(np.iinfo(t).max))
+                 for t in DELTA_TYPES]
 
 
 class CaptureError(Exception):
@@ -81,27 +127,125 @@ def page_name(stream: str, index: int) -> str:
 
 
 # ------------------------------------------------------------- page codec
-def encode_page(data: bytes, stride: int) -> bytes:
-    """Delta-encode one page of ``int64`` rows along the row axis.
+def _width_code(lo: int, hi: int) -> int:
+    """The narrowest width code whose type holds ``[lo, hi]``."""
+    return next(code for code, (low, high) in enumerate(_DELTA_RANGES)
+                if low <= lo and hi <= high)
 
-    Deltas make the icount/address columns near-constant, which the ZIP
-    deflate layer then compresses 5-20x; the transform is exactly
-    invertible under int64 wraparound.
+
+def _sealed(parts: list[bytes]) -> bytes:
+    """``parts`` joined, then the CRC-32 of the joined bytes."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, crc.to_bytes(PAGE_TRAILER, "little")])
+
+
+def encode_page(data: bytes, stream: str) -> bytes:
+    """One sealed page (the raw little-endian ``int64`` rows of
+    ``stream``) as a format-2 page member; see the module docstring."""
+    layout = STREAM_LAYOUTS[stream]
+    if layout == LAYOUT_RECORDS:
+        return _sealed([bytes(PAGE_HEADER), data])
+    stride = STREAM_STRIDES[stream]
+    rows = np.frombuffer(data, dtype="<i8").reshape(-1, stride)
+    # column-major deltas, so each column's min, max and narrowing read
+    # contiguous memory; int64 subtraction wraps, and so does the cumsum
+    # that inverts it
+    deltas = np.empty((stride, max(len(rows) - 1, 0)), dtype=np.int64)
+    np.subtract(rows[1:].T, rows[:-1].T, out=deltas)
+    codes = [0] * stride
+    if deltas.size:
+        codes = [_width_code(int(lo), int(hi)) for lo, hi in
+                 zip(deltas.min(axis=1), deltas.max(axis=1))]
+    parts = [bytes([layout, *codes]).ljust(PAGE_HEADER, b"\0"),
+             rows[:1].tobytes()]
+    parts += [column.astype(DELTA_TYPES[code]).tobytes()
+              for column, code in zip(deltas, codes)]
+    return _sealed(parts)
+
+
+def decode_page(blob: bytes, stream: str, rows: int) -> np.ndarray:
+    """Invert :func:`encode_page`: the page's ``(rows, stride)`` int64
+    array, ``rows`` being its ``page_rows`` entry.
+
+    The header, the member's length (against the stream's layout,
+    ``rows`` and the width codes) and the page CRC are checked before
+    anything sized from them is allocated.  A records page decodes to a
+    read-only view of ``blob``.
     """
-    arr = np.frombuffer(data, dtype="<i8").reshape(-1, stride)
-    out = np.empty_like(arr)
-    out[:1] = arr[:1]
-    np.subtract(arr[1:], arr[:-1], out=out[1:])
-    return out.tobytes()
-
-
-def decode_page(blob: bytes, stride: int) -> np.ndarray:
-    """Invert :func:`encode_page`: an ``(n, stride)`` int64 array."""
-    if len(blob) % (8 * stride):
+    stride = STREAM_STRIDES[stream]
+    layout = STREAM_LAYOUTS[stream]
+    header = blob[:PAGE_HEADER]
+    ncodes = stride if layout == LAYOUT_DELTAS else 0
+    codes = header[1:1 + ncodes]
+    if (len(header) < PAGE_HEADER or header[0] != layout
+            or any(header[1 + ncodes:])):
         raise CaptureFormatError(
-            f"page size {len(blob)} is not a multiple of the row size")
-    arr = np.frombuffer(blob, dtype="<i8").reshape(-1, stride)
-    return np.cumsum(arr, axis=0, dtype=np.int64)
+            f"unknown page header {header.hex()} (a {stream} page starts "
+            f"with layout {layout})")
+    if any(code >= len(DELTA_TYPES) for code in codes):
+        raise CaptureFormatError(
+            f"unknown delta width code in page header {header.hex()}")
+    size = _member_size(stream, rows,
+                        [DELTA_TYPES[code].itemsize for code in codes])
+    if rows < 0 or len(blob) != size:
+        raise CaptureFormatError(
+            f"page holds {len(blob)} bytes, not the {size} of its {rows} "
+            f"rows at widths {list(codes)}")
+    end = size - PAGE_TRAILER
+    if zlib.crc32(memoryview(blob)[:end]) != int.from_bytes(
+            blob[end:], "little"):
+        raise CaptureFormatError("page CRC does not match its bytes")
+    if layout == LAYOUT_RECORDS:
+        return np.frombuffer(blob, dtype="<i8", count=rows * stride,
+                             offset=PAGE_HEADER).reshape(rows, stride)
+    out = np.empty((rows, stride), dtype=np.int64)
+    if not rows:
+        return out
+    out[0] = np.frombuffer(blob, dtype="<i8", count=stride,
+                           offset=PAGE_HEADER)
+    offset = PAGE_HEADER + 8 * stride
+    for column, code in enumerate(codes):
+        dtype = DELTA_TYPES[code]
+        out[1:, column] = np.frombuffer(blob, dtype=dtype, count=rows - 1,
+                                        offset=offset)
+        offset += (rows - 1) * dtype.itemsize
+    return np.cumsum(out, axis=0, out=out)
+
+
+def _member_size(stream: str, rows: int, widths: list[int]) -> int:
+    """Bytes of a ``rows``-row page member of ``stream`` whose columns
+    take ``widths`` bytes a delta (a records page ignores them)."""
+    stride = STREAM_STRIDES[stream]
+    if STREAM_LAYOUTS[stream] == LAYOUT_RECORDS:
+        body = 8 * stride * rows
+    else:
+        body = 8 * stride + (rows - 1) * sum(widths) if rows else 0
+    return PAGE_HEADER + body + PAGE_TRAILER
+
+
+def page_size_range(stream: str, rows: int) -> tuple[int, int]:
+    """The smallest and largest member size of a ``rows``-row page of
+    ``stream`` (every column at one byte a delta, or at eight)."""
+    stride = STREAM_STRIDES[stream]
+    return (_member_size(stream, rows, [1] * stride),
+            _member_size(stream, rows, [8] * stride))
+
+
+def read_page(zf: zipfile.ZipFile, stream: str, index: int,
+              rows: int) -> np.ndarray:
+    """Inflate and decode one page member; every way a member can be
+    missing or damaged is a :class:`CaptureFormatError`."""
+    try:
+        blob = zf.read(page_name(stream, index))
+        page = decode_page(blob, stream, rows)
+    except (KeyError, zipfile.BadZipFile, zlib.error, EOFError,
+            CaptureFormatError) as exc:
+        raise CaptureFormatError(
+            f"corrupt capture page {stream}[{index}]: {exc}") from None
+    TELEMETRY.count("capture/inflated_bytes", len(blob))
+    return page
 
 
 # ----------------------------------------------------------- run identity

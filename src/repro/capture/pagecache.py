@@ -1,9 +1,10 @@
 """Persistent decoded-page sidecars: the warm-replay fast path.
 
-Replaying a capture pays inflate + delta-decode (``cumsum``) for every
-page on every pass.  That cost is pure waste the second time around — the
-decoded arrays are a deterministic function of the capture file — so the
-first open of a path-backed capture writes a *sidecar* next to it
+Replaying a capture pays inflate + decode (widening each column's
+narrow deltas and their ``cumsum``) for every page on every pass.  That
+cost is pure waste the second time around — the decoded arrays are a
+deterministic function of the capture file — so the first open of a
+path-backed capture writes a *sidecar* next to it
 (``<name>.capture.pages``) holding every stream's decoded pages as raw
 little-endian ``int64`` rows.  Later opens ``mmap`` the sidecar and serve
 zero-copy read-only NumPy views: no inflate, no cumsum, and the OS page
@@ -19,12 +20,13 @@ Layout::
     page data: concatenated raw int64 rows, offsets relative to data start
 
 Invalidation is content-addressed: the header digest hashes the capture's
-``program_sha256``, label, stream directory, and every page's ZIP CRC +
-sizes.  Re-capturing over the same path (different program, different
-data, different options) changes the digest, and the next open deletes
-and rebuilds the sidecar.  A truncated or corrupt sidecar fails
-validation the same way — the sidecar is a pure cache, always safe to
-delete.
+``program_sha256``, label, stream directory (``page_rows`` included), and
+every page's ZIP CRC + sizes.  Re-capturing over the same path
+(different program, different data, different options) changes the
+digest, and the next open deletes and rebuilds the sidecar.  A truncated
+or corrupt sidecar fails validation the same way, as does a header whose
+page directory is not the capture's — the sidecar is a pure cache,
+always safe to delete.  Its data region carries no checksum.
 
 Writes are atomic (temp file in the same directory + ``os.replace``), so
 concurrent builders race benignly: both produce identical bytes and the
@@ -44,7 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from .format import decode_page, page_name
+from .format import read_page
 
 #: Sidecar magic, bumped with the layout.
 MAGIC = b"TQPAGES1"
@@ -67,9 +69,10 @@ def capture_digest(zf: zipfile.ZipFile, manifest: dict[str, Any]) -> str:
     """Content address of the decoded pages.
 
     Hashes the run identity (program digest + label), the stream
-    directory, and each page member's CRC/sizes — anything that changes
-    the decoded arrays changes the digest, so a sidecar built for a
-    different capture (re-captured path, edited options) never serves.
+    directory (each page's row count included), and each page member's
+    CRC/sizes — anything that changes the decoded arrays or where a page
+    ends changes the digest, so a sidecar built for a different capture
+    (re-captured path, edited options) never serves.
     """
     h = hashlib.sha256()
     h.update(str(manifest.get("program_sha256", "")).encode())
@@ -77,7 +80,7 @@ def capture_digest(zf: zipfile.ZipFile, manifest: dict[str, Any]) -> str:
     h.update(str(manifest.get("label", "")).encode())
     for name, info in sorted(manifest.get("streams", {}).items()):
         h.update(f"\n{name}:{info['stride']}:{info['pages']}:"
-                 f"{info['rows']}".encode())
+                 f"{info['rows']}:{info['page_rows']}".encode())
     for zi in sorted(zf.infolist(), key=lambda i: i.filename):
         if zi.filename.startswith("pages/"):
             h.update(f"\n{zi.filename}:{zi.CRC}:{zi.compress_size}:"
@@ -85,32 +88,27 @@ def capture_digest(zf: zipfile.ZipFile, manifest: dict[str, Any]) -> str:
     return h.hexdigest()
 
 
-def _layout(zf: zipfile.ZipFile,
-            manifest: dict[str, Any]) -> tuple[dict, int]:
-    """Per-stream ``[offset, rows]`` page directory and total data size.
-
-    Delta encoding preserves byte counts, so a page's decoded size is its
-    uncompressed ZIP size — the whole layout is known without decoding.
-    """
+def _layout(manifest: dict[str, Any]) -> dict[str, dict]:
+    """Per-stream ``[offset, rows]`` page directory, from the stream
+    directory's ``page_rows`` (checked when the reader opened the
+    capture) — the whole layout is known without decoding."""
     streams: dict[str, dict] = {}
     offset = 0
     for name, info in sorted(manifest.get("streams", {}).items()):
         stride = int(info["stride"])
         pages = []
-        for index in range(int(info["pages"])):
-            size = zf.getinfo(page_name(name, index)).file_size
-            rows = size // (8 * stride)
+        for rows in info["page_rows"]:
             pages.append([offset, rows])
             offset += rows * stride * 8
         streams[name] = {"stride": stride, "pages": pages}
-    return streams, offset
+    return streams
 
 
 def build_sidecar(zf: zipfile.ZipFile, manifest: dict[str, Any],
                   dest: str | os.PathLike, digest: str) -> Path:
     """Decode every page once and write the sidecar atomically."""
     dest = Path(dest)
-    streams, _ = _layout(zf, manifest)
+    streams = _layout(manifest)
     header = json.dumps({"digest": digest, "streams": streams},
                         sort_keys=True).encode()
     pad = (-(len(MAGIC) + _HEADER_LEN_BYTES + len(header))) % 8
@@ -123,10 +121,8 @@ def build_sidecar(zf: zipfile.ZipFile, manifest: dict[str, Any],
             fh.write(len(header).to_bytes(_HEADER_LEN_BYTES, "little"))
             fh.write(header)
             for name, info in sorted(streams.items()):
-                stride = info["stride"]
-                for index in range(len(info["pages"])):
-                    blob = zf.read(page_name(name, index))
-                    arr = decode_page(blob, stride)
+                for index, (_, rows) in enumerate(info["pages"]):
+                    arr = read_page(zf, name, index, rows)
                     fh.write(np.ascontiguousarray(arr, dtype="<i8")
                              .tobytes())
             fh.flush()
@@ -177,41 +173,44 @@ class MappedPages:
         self._fh.close()
 
 
-def load_sidecar(path: str | os.PathLike, digest: str) -> MappedPages:
+def load_sidecar(path: str | os.PathLike, digest: str,
+                 layout: dict[str, dict]) -> MappedPages:
     """Map and validate a sidecar; raises :class:`PageCacheError` on any
-    mismatch (wrong magic, torn file, stale digest)."""
+    mismatch (wrong magic, torn or extended file, stale digest, a page
+    directory other than ``layout``, the capture's :func:`_layout`)."""
     path = Path(path)
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise PageCacheError(f"cannot open sidecar: {exc}") from None
     try:
+        size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(MAGIC) + _HEADER_LEN_BYTES)
         if head[:len(MAGIC)] != MAGIC:
             raise PageCacheError("bad sidecar magic")
         hlen = int.from_bytes(head[len(MAGIC):], "little")
-        if not 0 < hlen <= 1 << 30:
+        data_start = len(MAGIC) + _HEADER_LEN_BYTES + hlen
+        if not 0 < hlen or data_start > size:
             raise PageCacheError("implausible sidecar header length")
         try:
             header = json.loads(fh.read(hlen))
         except (ValueError, UnicodeDecodeError) as exc:
             raise PageCacheError(f"corrupt sidecar header: {exc}") from None
-        if header.get("digest") != digest:
+        if not isinstance(header, dict) or header.get("digest") != digest:
             raise PageCacheError("sidecar is stale (capture re-recorded)")
-        streams = header.get("streams")
-        if not isinstance(streams, dict):
-            raise PageCacheError("sidecar header missing stream directory")
-        data_start = len(MAGIC) + _HEADER_LEN_BYTES + hlen
+        if header.get("streams") != layout:
+            raise PageCacheError(
+                "sidecar page directory disagrees with the capture")
         expected = data_start + sum(
             rows * info["stride"] * 8
-            for info in streams.values() for _, rows in info["pages"])
-        if os.fstat(fh.fileno()).st_size != expected:
+            for info in layout.values() for _, rows in info["pages"])
+        if size != expected:
             raise PageCacheError("sidecar is truncated")
         try:
             mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError) as exc:  # zero-size/odd fs
             raise PageCacheError(f"cannot map sidecar: {exc}") from None
-        return MappedPages(path, fh, mm, data_start, streams)
+        return MappedPages(path, fh, mm, data_start, layout)
     except BaseException:
         fh.close()
         raise
@@ -228,10 +227,11 @@ def attach(capture_path: str | os.PathLike, zf: zipfile.ZipFile,
     """
     side = sidecar_path(capture_path)
     digest = capture_digest(zf, manifest)
+    layout = _layout(manifest)
     state = "built"
     if side.exists():
         try:
-            return load_sidecar(side, digest), "warm"
+            return load_sidecar(side, digest, layout), "warm"
         except PageCacheError:
             try:
                 side.unlink()
@@ -240,6 +240,6 @@ def attach(capture_path: str | os.PathLike, zf: zipfile.ZipFile,
             state = "rebuilt"
     try:
         build_sidecar(zf, manifest, side, digest)
-        return load_sidecar(side, digest), state
+        return load_sidecar(side, digest, layout), state
     except (OSError, PageCacheError):
         return None, "off"

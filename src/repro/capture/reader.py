@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+import zlib
 from typing import Any, BinaryIO, Iterator
 
 import numpy as np
 
+from ..obs import TELEMETRY
 from .format import (CAPTURE_VERSION, CaptureFormatError,
                      CaptureMismatchError, MANIFEST_NAME, STREAM_STRIDES,
-                     decode_page, page_name)
+                     page_name, page_size_range, read_page)
 
 
 def _check_name_tables(manifest: dict[str, Any]) -> None:
@@ -36,12 +38,15 @@ def _check_stream_directory(zf: zipfile.ZipFile,
     """Reject a ``streams`` directory its ZIP members contradict.
 
     Readers and the sidecar builder size every page from the directory's
-    ``stride``/``pages``/``rows``, so each stream must be one
+    ``stride`` and ``page_rows``, so each stream must be one
     :class:`~repro.capture.writer.CaptureWriter` writes, at its fixed
-    stride, with exactly ``pages`` members whose decoded sizes (the
-    members' uncompressed sizes: delta encoding keeps byte counts) are
-    whole rows summing to ``rows``.  Read from the central directory
-    alone — no page is inflated."""
+    stride, with exactly ``pages`` members, ``pages`` non-negative
+    ``page_rows`` entries summing to ``rows``, and members whose
+    uncompressed sizes lie within what their rows can encode to
+    (:func:`~repro.capture.format.page_size_range`; the exact size also
+    depends on the width codes inside each member, which
+    :func:`~repro.capture.format.decode_page` checks).  Read from the
+    central directory alone — no page is inflated."""
     streams = manifest.get("streams", {})
     if not isinstance(streams, dict):
         raise CaptureFormatError(
@@ -70,12 +75,22 @@ def _check_stream_directory(zf: zipfile.ZipFile,
             raise CaptureFormatError(
                 f"corrupt capture manifest: stream {name!r} declares "
                 f"{fields['pages']} pages, the archive holds {len(held)}")
-        row_bytes = 8 * stride
-        if (any(sizes[n] % row_bytes for n in held)
-                or sum(sizes[n] for n in held) != fields["rows"] * row_bytes):
+        page_rows = fields.get("page_rows")
+        if (not isinstance(page_rows, list)
+                or len(page_rows) != fields["pages"]
+                or any(type(r) is not int or r < 0 for r in page_rows)
+                or sum(page_rows) != fields["rows"]):
             raise CaptureFormatError(
-                f"corrupt capture manifest: stream {name!r} pages do not "
-                f"hold its {fields['rows']} rows of {stride} columns")
+                f"corrupt capture manifest: stream {name!r} page_rows "
+                f"do not list its {fields['pages']} pages of "
+                f"{fields['rows']} rows in all")
+        for index, rows in enumerate(page_rows):
+            lo, hi = page_size_range(name, rows)
+            if not lo <= sizes[page_name(name, index)] <= hi:
+                raise CaptureFormatError(
+                    f"corrupt capture manifest: stream {name!r} page "
+                    f"{index} cannot hold its {rows} rows of {stride} "
+                    f"columns")
 
 
 class CaptureReader:
@@ -103,7 +118,8 @@ class CaptureReader:
     disables (the ``--no-page-cache`` escape hatch), ``True`` requires a
     path.  ``page_cache_state`` reports what happened (``off`` / ``warm``
     / ``built`` / ``rebuilt``).  ``stats`` counts ``decoded_pages``,
-    ``page_cache_hits`` (in-memory) and ``disk_cache_hits`` (sidecar).
+    ``page_cache_hits`` (in-memory) and ``disk_cache_hits`` (sidecar),
+    and each count also goes to the ``capture/*`` counter of that name.
     """
 
     def __init__(self, file: str | BinaryIO, *, cache_pages: bool = False,
@@ -115,25 +131,6 @@ class CaptureReader:
         except (zipfile.BadZipFile, OSError) as exc:
             raise CaptureFormatError(
                 f"not a capture file (bad container): {exc}") from None
-        try:
-            raw = self._zf.read(MANIFEST_NAME)
-            self.manifest: dict[str, Any] = json.loads(raw)
-        except KeyError:
-            raise CaptureFormatError(
-                "not a capture file (no manifest — truncated or foreign "
-                "archive)") from None
-        except (json.JSONDecodeError, zipfile.BadZipFile) as exc:
-            raise CaptureFormatError(
-                f"corrupt capture manifest: {exc}") from None
-        if self.manifest.get("kind") != "capture":
-            raise CaptureFormatError("not a capture file (wrong kind)")
-        if self.manifest.get("format") != CAPTURE_VERSION:
-            raise CaptureFormatError(
-                f"unsupported capture format version "
-                f"{self.manifest.get('format')!r} "
-                f"(this build reads version {CAPTURE_VERSION})")
-        _check_name_tables(self.manifest)
-        _check_stream_directory(self._zf, self.manifest)
         self.cache_pages = cache_pages
         self._page_cache: dict[tuple[str, int], np.ndarray] = {}
         self.stats: dict[str, int] = {"decoded_pages": 0,
@@ -141,18 +138,51 @@ class CaptureReader:
                                       "disk_cache_hits": 0}
         self._disk = None
         self.page_cache_state = "off"
-        path_backed = isinstance(file, (str, os.PathLike))
-        if page_cache is None:
-            page_cache = path_backed
-        elif page_cache and not path_backed:
-            raise ValueError(
-                "page_cache=True needs a path-backed capture (in-memory "
-                "captures have nowhere to persist a sidecar)")
-        if page_cache:
-            from . import pagecache
+        try:
+            self.manifest: dict[str, Any] = self._read_manifest()
+            path_backed = isinstance(file, (str, os.PathLike))
+            if page_cache is None:
+                page_cache = path_backed
+            elif page_cache and not path_backed:
+                raise ValueError(
+                    "page_cache=True needs a path-backed capture (in-memory "
+                    "captures have nowhere to persist a sidecar)")
+            if page_cache:
+                from . import pagecache
 
-            self._disk, self.page_cache_state = pagecache.attach(
-                file, self._zf, self.manifest)
+                self._disk, self.page_cache_state = pagecache.attach(
+                    file, self._zf, self.manifest)
+        except BaseException:
+            self._zf.close()
+            raise
+
+    def _read_manifest(self) -> dict[str, Any]:
+        """The parsed manifest, once it is a capture this build reads
+        whose name tables and stream directory hold."""
+        try:
+            manifest = json.loads(self._zf.read(MANIFEST_NAME))
+        except KeyError:
+            raise CaptureFormatError(
+                "not a capture file (no manifest — truncated or foreign "
+                "archive)") from None
+        except (ValueError, zipfile.BadZipFile, zlib.error,
+                EOFError) as exc:
+            raise CaptureFormatError(
+                f"corrupt capture manifest: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise CaptureFormatError(
+                "corrupt capture manifest: not a JSON object")
+        if manifest.get("kind") != "capture":
+            raise CaptureFormatError("not a capture file (wrong kind)")
+        if manifest.get("format") != CAPTURE_VERSION:
+            raise CaptureFormatError(
+                f"unsupported capture format version "
+                f"{manifest.get('format')!r} "
+                f"(this build reads version {CAPTURE_VERSION}); "
+                f"re-record the capture")
+        _check_name_tables(manifest)
+        _check_stream_directory(self._zf, manifest)
+        return manifest
 
     # ------------------------------------------------------------- access
     @property
@@ -177,27 +207,38 @@ class CaptureReader:
         Cached arrays are shared between callers and marked read-only, so
         one decode can safely serve many grid cells.
         """
-        if self._disk is not None:
-            arr = self._disk.get(stream, index, stride)
-            if arr is not None:
-                self.stats["disk_cache_hits"] += 1
-                return arr
+        arr = self._disk_page(stream, index, stride)
+        if arr is not None:
+            return arr
         key = (stream, index)
         cached = self._page_cache.get(key)
         if cached is not None:
             self.stats["page_cache_hits"] += 1
+            TELEMETRY.count("capture/page_cache_hits")
             return cached
-        try:
-            blob = self._zf.read(page_name(stream, index))
-        except (KeyError, zipfile.BadZipFile) as exc:
-            raise CaptureFormatError(
-                f"corrupt capture page {stream}[{index}]: {exc}"
-            ) from None
-        arr = decode_page(blob, stride)
-        self.stats["decoded_pages"] += 1
+        arr = self._decode(stream, index)
         if self.cache_pages:
             arr.flags.writeable = False
             self._page_cache[key] = arr
+        return arr
+
+    def _disk_page(self, stream: str, index: int,
+                   stride: int) -> np.ndarray | None:
+        """The page from the sidecar, or ``None`` without one."""
+        if self._disk is None:
+            return None
+        arr = self._disk.get(stream, index, stride)
+        if arr is not None:
+            self.stats["disk_cache_hits"] += 1
+            TELEMETRY.count("capture/disk_cache_hits")
+        return arr
+
+    def _decode(self, stream: str, index: int) -> np.ndarray:
+        """Inflate and decode one page from the ZIP, uncached."""
+        arr = read_page(self._zf, stream, index,
+                        self.streams[stream]["page_rows"][index])
+        self.stats["decoded_pages"] += 1
+        TELEMETRY.count("capture/decoded_pages")
         return arr
 
     def pages(self, stream: str) -> Iterator[np.ndarray]:
@@ -293,22 +334,12 @@ class StreamingCursor:
             return
         info = reader.require_stream(self.stream)
         stride = info["stride"]
-        disk = reader._disk
         for index in range(info["pages"]):
-            if disk is not None:
-                arr = disk.get(self.stream, index, stride)
-                if arr is not None:
-                    reader.stats["disk_cache_hits"] += 1
-                    yield arr
-                    continue
-            try:
-                blob = reader._zf.read(page_name(self.stream, index))
-            except (KeyError, zipfile.BadZipFile) as exc:
-                raise CaptureFormatError(
-                    f"corrupt capture page {self.stream}[{index}]: {exc}"
-                ) from None
-            arr = decode_page(blob, stride)
-            reader.stats["decoded_pages"] += 1
+            arr = reader._disk_page(self.stream, index, stride)
+            if arr is not None:
+                yield arr
+                continue
+            arr = reader._decode(self.stream, index)
             arr.flags.writeable = False
             if self.budget is not None:
                 self.budget.touch(arr.nbytes)

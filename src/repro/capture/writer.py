@@ -2,7 +2,8 @@
 
 It exposes the one-method protocol the capturing recording sinks talk
 to — ``add(stream, data)`` with ``data`` the raw little-endian ``int64``
-bytes of one sealed page, written straight to a ZIP member.
+bytes of one sealed page, encoded (:func:`~repro.capture.format.encode_page`)
+straight into a ZIP member.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ class CaptureWriter:
 
     The manifest is written by :meth:`finalize` as the *last* member, so
     an interrupted capture never masquerades as a complete one.  Deflate
-    level 1 keeps the write cost inside the capture-overhead budget;
-    delta encoding (see :mod:`repro.capture.format`) does the heavy
-    lifting for ratio.
+    level 1 keeps the write cost inside the capture-overhead budget; the
+    page codec (narrow per-column deltas, see :mod:`repro.capture.format`)
+    does the heavy lifting for ratio, and hands deflate an eighth of the
+    bytes where a column's deltas fit one byte.
     """
 
     def __init__(self, file: str | BinaryIO, *, compresslevel: int = 1,
                  telemetry=TELEMETRY):
         self._zf = zipfile.ZipFile(file, "w", zipfile.ZIP_DEFLATED,
                                    compresslevel=compresslevel)
-        self._pages: dict[str, int] = {}
-        self._rows: dict[str, int] = {}
+        #: Rows of every page written, per stream.
+        self._page_rows: dict[str, list[int]] = {}
         self._tele = telemetry
         self.raw_bytes = 0
         self.compressed_bytes = 0
@@ -40,24 +42,22 @@ class CaptureWriter:
     def add(self, stream: str, data: bytes) -> None:
         if not data:
             return
-        stride = STREAM_STRIDES[stream]
-        index = self._pages.get(stream, 0)
-        name = page_name(stream, index)
-        self._zf.writestr(name, encode_page(data, stride))
-        self._pages[stream] = index + 1
-        self._rows[stream] = (self._rows.get(stream, 0)
-                              + len(data) // (8 * stride))
+        page_rows = self._page_rows.setdefault(stream, [])
+        name = page_name(stream, len(page_rows))
+        self._zf.writestr(name, encode_page(data, stream))
+        page_rows.append(len(data) // (8 * STREAM_STRIDES[stream]))
         self.raw_bytes += len(data)
         self.compressed_bytes += self._zf.getinfo(name).compress_size
         self._tele.count("capture/pages_written")
         self._tele.count("capture/raw_bytes", len(data))
 
-    def stream_directory(self) -> dict[str, dict[str, int]]:
+    def stream_directory(self) -> dict[str, dict[str, Any]]:
         return {
-            stream: {"pages": self._pages[stream],
-                     "rows": self._rows[stream],
-                     "stride": STREAM_STRIDES[stream]}
-            for stream in sorted(self._pages)
+            stream: {"pages": len(page_rows),
+                     "rows": sum(page_rows),
+                     "stride": STREAM_STRIDES[stream],
+                     "page_rows": list(page_rows)}
+            for stream, page_rows in sorted(self._page_rows.items())
         }
 
     def finalize(self, manifest: dict[str, Any]) -> dict[str, Any]:

@@ -708,9 +708,12 @@ def _cmd_capture_info(args: argparse.Namespace) -> int:
             print(_estimate_lines(man))
         if stats:
             # touch every page so the counters reflect a full replay pass
-            for name, s in sorted(man["streams"].items()):
-                for index in range(s["pages"]):
-                    reader.page(name, index, s["stride"])
+            try:
+                for name, s in sorted(man["streams"].items()):
+                    for index in range(s["pages"]):
+                        reader.page(name, index, s["stride"])
+            except CaptureError as err:
+                return _bad_usage(str(err))
             print(reader.format_stats())
     return 0
 

@@ -662,7 +662,7 @@ class Machine:
         # --- system -------------------------------------------------------------
         if op == oc.ECALL:
             syscall = self.syscall
-            return lambda pc: nxt if syscall.call() else -1
+            return lambda pc: nxt if syscall.call(pc) else -1
         if op == oc.HALT:
             def step(pc):
                 if self.exit_code is None:

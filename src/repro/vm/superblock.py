@@ -1225,7 +1225,7 @@ class _Body:
             # syscalls read and write machine.x (and f[0]) themselves
             self._sync()
             sc = E.bind("sc", machine.syscall.call)
-            E.add(f"return {nxt} if {sc}() else -1")
+            E.add(f"return {nxt} if {sc}({index}) else -1")
             return True
         if op == oc.HALT:
             E.add(f"{m}.icount = ic + {n}")

@@ -13,8 +13,9 @@ import struct
 from typing import TYPE_CHECKING
 
 from ..isa.registers import A_REGS
-from .errors import SyscallError
+from .errors import MemoryFault, SyscallError
 from .filesystem import FD_STDERR, FD_STDOUT
+from .layout import NULL_GUARD
 
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
@@ -38,9 +39,18 @@ _MAX_CSTR = 4096
 
 
 def read_cstring(machine: "Machine", addr: int) -> str:
-    """Read a NUL-terminated string from guest memory."""
+    """Read a NUL-terminated string from guest memory.
+
+    A start a load could not read from (negative, in the null page, at
+    or past ``mem_size``) is a :class:`MemoryFault`, as a load's would
+    be; the search for the NUL stops at ``mem_size``."""
+    size = machine.mem_size
+    if not NULL_GUARD <= addr < size:
+        # the run loop attaches the icount, as it does to a load's fault
+        raise MemoryFault(f"bad access [{addr:#x}, +1)",
+                          pc=machine.pc_byte())
     mem = machine.mem
-    end = mem.find(b"\0", addr, addr + _MAX_CSTR)
+    end = mem.find(b"\0", addr, min(addr + _MAX_CSTR, size))
     if end < 0:
         raise SyscallError("unterminated guest string", pc=machine.pc_byte())
     return bytes(mem[addr:end]).decode("latin-1")
@@ -53,9 +63,12 @@ class SyscallHandler:
         self.machine = machine
         self.count = 0  #: total syscalls serviced
 
-    def call(self) -> bool:
-        """Service one syscall.  Returns False when the guest exited."""
+    def call(self, index: int) -> bool:
+        """Service the syscall of the ``ecall`` at instruction ``index``.
+        Returns False when the guest exited."""
         m = self.machine
+        # faults and errors raised below name the ecall's pc
+        m.pc_index = index
         x = m.x
         num = x[A0]
         self.count += 1

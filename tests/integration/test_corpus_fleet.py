@@ -7,6 +7,7 @@ the *committed* golden tree verifies clean for the PR tier.
 """
 
 import json
+import zipfile
 
 import pytest
 
@@ -104,6 +105,32 @@ class TestFleetEngine:
         report = run_fleet(store=store, only=ENTRY)
         assert report.ok
         assert store.misses == 2
+
+    def test_version_1_store_entry_recaptured(self, tmp_path, store):
+        """A capture of an older format in the store is recorded again,
+        with the same artifacts."""
+        run_fleet(store=store, only=ENTRY, out_dir=tmp_path / "first")
+        (capture_file,) = (p for p in store.root.iterdir()
+                           if p.suffix == ".capture")
+        with zipfile.ZipFile(capture_file) as zf:
+            members = {i.filename: zf.read(i) for i in zf.infolist()}
+        manifest = json.loads(members["manifest.json"])
+        manifest["format"] = 1
+        for info in manifest["streams"].values():
+            del info["page_rows"]
+        members["manifest.json"] = json.dumps(manifest).encode()
+        with zipfile.ZipFile(capture_file, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        report = run_fleet(store=store, only=ENTRY,
+                           out_dir=tmp_path / "again")
+        assert report.ok
+        assert (report.captures_executed, report.captures_reused) == (1, 0)
+        assert store.misses == 2
+        trees = [{p.relative_to(root): p.read_bytes()
+                  for p in root.rglob("*") if p.is_file()}
+                 for root in (tmp_path / "first", tmp_path / "again")]
+        assert trees[0] and trees[0] == trees[1]
 
     def test_corrupt_sidecar_rebuilt(self, tmp_path, store):
         """A corrupt decoded-page sidecar is evicted and rebuilt like a

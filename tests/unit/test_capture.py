@@ -22,7 +22,9 @@ from repro.capture import (CaptureFormatError, CaptureMismatchError,
                            make_manifest, program_digest, replay_gprof,
                            replay_many, replay_quad, replay_tquad,
                            sidecar_path)
-from repro.capture.format import decode_page, encode_page, page_name
+from repro.capture.format import (LAYOUT_DELTAS, PAGE_HEADER,
+                                 PAGE_TRAILER, STREAM_STRIDES, decode_page,
+                                 encode_page, page_name)
 from repro.core import (MultiPassResult, TQuadOptions, TQuadTool,
                         profile_passes, run_tquad)
 from repro.core.options import StackPolicy
@@ -63,19 +65,26 @@ class TestPageCodec:
         rng = np.random.default_rng(stride)
         arr = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
                            size=(37, stride), dtype=np.int64)
-        out = decode_page(encode_page(arr.tobytes(), stride), stride)
-        assert np.array_equal(out, arr)
+        streams = [s for s, width in STREAM_STRIDES.items()
+                   if width == stride]
+        for stream in streams:
+            out = decode_page(encode_page(arr.tobytes(), stream), stream, 37)
+            assert np.array_equal(out, arr)
 
     def test_monotone_columns_compress_to_small_deltas(self):
         arr = np.arange(4000, dtype=np.int64).reshape(-1, 4)
-        encoded = np.frombuffer(encode_page(arr.tobytes(), 4),
-                                dtype=np.int64)
-        assert encoded[4:].max() == 4  # constant per-row delta
+        encoded = encode_page(arr.tobytes(), STREAM_TQUAD_READ)
+        # a constant per-row delta of 4 fits one byte in every column
+        assert encoded[:PAGE_HEADER] == bytes([LAYOUT_DELTAS, 0, 0, 0, 0,
+                                               0, 0, 0])
+        assert len(encoded) == PAGE_HEADER + 32 + 4 * 999 + PAGE_TRAILER
+        deltas = np.frombuffer(encoded, dtype=np.int8, count=4 * 999,
+                               offset=PAGE_HEADER + 32)
+        assert (deltas == 4).all()
 
     def test_torn_page_rejected(self):
         with pytest.raises(CaptureFormatError):
-            decode_page(b"\x00" * 12, 2)
-
+            decode_page(b"\x00" * 12, STREAM_CALLS, 1)
 
 class TestWriterReader:
     def _manifest(self, **kw):
@@ -145,6 +154,29 @@ class TestWriterReader:
         buf.seek(0)
         with pytest.raises(CaptureFormatError, match="version"):
             CaptureReader(buf)
+
+    def test_version_1_capture_names_the_fix(self, tquad_raw, tmp_path,
+                                             capsys):
+        """A format-1 capture (full-width deltas, no ``page_rows``) is not
+        read: the error says to re-record, and the CLI exits 2."""
+        from repro.cli import main
+
+        def version_1(manifest):
+            manifest["format"] = 1
+            for info in manifest["streams"].values():
+                del info["page_rows"]
+
+        old = _edit_manifest(tquad_raw, version_1)
+        with pytest.raises(CaptureFormatError,
+                           match=r"unsupported capture format version 1 "
+                                 r"\(this build reads version 2\); "
+                                 r"re-record the capture"):
+            CaptureReader(io.BytesIO(old))
+        cap = tmp_path / "old.capture"
+        cap.write_bytes(old)
+        assert main(["capture", "info", str(cap)]) == 2
+        assert "re-record the capture" in capsys.readouterr().err
+        assert not sidecar_path(cap).exists()
 
     def test_corrupt_manifest_rejected(self):
         buf = io.BytesIO()
@@ -480,19 +512,19 @@ class TestHostileManifest:
 
 def _edit_page(raw: bytes, stream: str, edit) -> bytes:
     """The capture ``raw`` with the rows of the first page of ``stream``
-    passed through ``edit`` (in place, as a ``(rows, stride)`` array);
-    everything else is copied untouched."""
+    passed through ``edit`` (in place, as a ``(rows, stride)`` array)
+    and encoded again; everything else is copied untouched."""
     src = zipfile.ZipFile(io.BytesIO(raw))
-    stride = json.loads(src.read("manifest.json"))["streams"][
-        stream]["stride"]
+    rows = json.loads(src.read("manifest.json"))["streams"][
+        stream]["page_rows"][0]
     out = io.BytesIO()
     with zipfile.ZipFile(out, "w") as dst:
         for info in src.infolist():
             data = src.read(info)
             if info.filename == page_name(stream, 0):
-                rows = decode_page(data, stride).copy()
-                edit(rows)
-                data = encode_page(rows.tobytes(), stride)
+                page = decode_page(data, stream, rows).copy()
+                edit(page)
+                data = encode_page(page.tobytes(), stream)
             dst.writestr(info, data)
     return out.getvalue()
 

@@ -14,7 +14,8 @@ from repro.quad.shadow import ADDR_MASK
 from repro.vm import (ArithmeticFault, GuestFS, IllegalInstruction,
                       InstructionBudgetExceeded, Machine, MemoryFault,
                       O_RDONLY, O_WRONLY, VMError, run_program)
-from repro.vm.layout import DATA_BASE, HEAP_BASE, MAX_MEM_SIZE
+from repro.vm.layout import (DATA_BASE, HEAP_BASE, MAX_MEM_SIZE,
+                             NULL_GUARD, index_to_pc)
 
 
 def run_asm(src, fs=None, **kw):
@@ -375,6 +376,37 @@ class TestSyscalls:
         """))
         m.run()
         assert m.stdout_text() == "hey"
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    @pytest.mark.parametrize("syscall", [8, 1], ids=["print_str", "open"])
+    @pytest.mark.parametrize("addr", [0, 16, NULL_GUARD - 1, -8, 32 << 20,
+                                      (32 << 20) + 5])
+    def test_string_outside_memory_faults_like_a_load(self, addr, syscall,
+                                                      jit):
+        """``print_str`` and ``open`` read their string as a load reads
+        memory: a start that is negative, in the null page or at or past
+        ``mem_size`` is the load's ``MemoryFault``, at the ``ecall``'s pc
+        and icount, and prints nothing."""
+        def fault(third: str) -> tuple:
+            m = Machine(assemble(f".text\nli a0, {syscall}\n"
+                                 f"li a1, {addr}\n{third}\nhalt\n"),
+                        mem_size=32 << 20, jit=jit)
+            with pytest.raises(MemoryFault) as err:
+                m.run()
+            return (str(err.value), err.value.pc, err.value.icount,
+                    bytes(m.stdout))
+
+        string = fault("ecall")
+        assert string == fault("lb t1, 0(a1)")
+        assert string[1:] == (index_to_pc(2), 3, b"")
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_syscall_error_names_the_ecall(self, jit):
+        m = Machine(assemble(".text\nnop\nnop\nli a0, 99\necall\nhalt\n"),
+                    jit=jit)
+        with pytest.raises(VMError, match="unknown syscall 99") as err:
+            m.run()
+        assert (err.value.pc, err.value.icount) == (index_to_pc(3), 4)
 
 
 class TestMachineState:

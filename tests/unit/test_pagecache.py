@@ -11,10 +11,12 @@ rebuilt, never trusted.
 import io
 import multiprocessing
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.capture import (CaptureReader, PageCacheError,
                            STREAM_TQUAD_READ, capture_run, load_sidecar,
                            replay_tquad, sidecar_path)
@@ -176,7 +178,7 @@ class TestInvalidation:
         with CaptureReader(str(path)):
             pass
         with pytest.raises(PageCacheError, match="stale"):
-            load_sidecar(sidecar_path(path), "0" * 64)
+            load_sidecar(sidecar_path(path), "0" * 64, {})
 
     def test_mapped_pages_miss_returns_none(self, tmp_path):
         path = _capture_file(tmp_path)
@@ -234,3 +236,54 @@ class TestSharedMmap:
                     b = warm.page(stream, index, info["stride"])
                     assert a.dtype == b.dtype == np.dtype("<i8")
                     assert np.array_equal(a, b)
+
+
+class TestReaderCounters:
+    """A reader's ``stats`` and the page-member bytes it inflates are
+    published as ``capture/*`` counters."""
+
+    KEYS = ("decoded_pages", "page_cache_hits", "disk_cache_hits",
+            "inflated_bytes")
+
+    @classmethod
+    def _counts(cls) -> dict[str, int]:
+        counters = obs.TELEMETRY.counters
+        return {k: counters.get(f"capture/{k}", 0) for k in cls.KEYS}
+
+    @classmethod
+    def _read(cls, path, **kw) -> tuple[dict, dict]:
+        """``stats`` of a reader that touched every page twice, and the
+        counter increments of its whole life."""
+        before = cls._counts()
+        with CaptureReader(str(path), **kw) as reader:
+            _touch_all(reader)
+            _touch_all(reader)
+            stats = dict(reader.stats)
+        after = cls._counts()
+        return stats, {k: after[k] - before[k] for k in cls.KEYS}
+
+    def test_counters_follow_stats_on_every_route(self, tmp_path):
+        path = _capture_file(tmp_path)
+        with zipfile.ZipFile(path) as zf:
+            members = [i.file_size for i in zf.infolist()
+                       if i.filename.startswith("pages/")]
+        pages = len(members)
+
+        stats, counted = self._read(path, page_cache=False)
+        assert stats == {"decoded_pages": 2 * pages, "page_cache_hits": 0,
+                         "disk_cache_hits": 0}
+        assert counted == {**stats, "inflated_bytes": 2 * sum(members)}
+
+        stats, counted = self._read(path, page_cache=False,
+                                    cache_pages=True)
+        assert stats == {"decoded_pages": pages, "page_cache_hits": pages,
+                         "disk_cache_hits": 0}
+        assert counted == {**stats, "inflated_bytes": sum(members)}
+
+        # the sidecar build inflates every member once and decodes no
+        # page on the reader's behalf; a warm open inflates nothing
+        for inflated in (sum(members), 0):
+            stats, counted = self._read(path)
+            assert stats == {"decoded_pages": 0, "page_cache_hits": 0,
+                             "disk_cache_hits": 2 * pages}
+            assert counted == {**stats, "inflated_bytes": inflated}
