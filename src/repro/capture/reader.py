@@ -16,12 +16,34 @@ from .format import (CAPTURE_VERSION, CaptureFormatError,
                      page_name, page_size_range, read_page)
 
 
+def _is_name(entry: Any) -> bool:
+    return isinstance(entry, str)
+
+
+def _is_name_pair(entry: Any) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(part, str) for part in entry))
+
+
 def _check_name_tables(manifest: dict[str, Any]) -> None:
-    """Reject a repeated name in the ``kernels`` table or a repeated
-    (name, image) pair in ``routines``.  Page rows key those tables by
-    id, so a repeat would silently move one id's rows onto another
-    entry's name (two routines may share a name across images)."""
+    """Reject a name table that is not a list of names (``kernels`` and
+    ``quad_kernels`` hold strings, ``routines`` ``[name, image]`` string
+    pairs), a repeated name in ``kernels`` or ``quad_kernels`` and a
+    repeated (name, image) pair in ``routines``.  Reports key their
+    sections by these names, and page rows key the tables by id, so a
+    repeat would silently move one id's rows onto another entry's name
+    (two routines may share a name across images)."""
+    for key, is_entry, what in (
+            ("kernels", _is_name, "strings"),
+            ("quad_kernels", _is_name, "strings"),
+            ("routines", _is_name_pair, "[name, image] string pairs")):
+        entries = manifest.get(key, [])
+        if not (isinstance(entries, list) and all(map(is_entry, entries))):
+            raise CaptureFormatError(
+                f"corrupt capture manifest: its {key!r} table is not a "
+                f"list of {what}")
     for key, entries in (("kernels", manifest.get("kernels", [])),
+                         ("quad_kernels", manifest.get("quad_kernels", [])),
                          ("routines", map(tuple,
                                           manifest.get("routines", [])))):
         seen = set()

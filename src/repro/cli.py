@@ -28,6 +28,7 @@ Batched sweeps — one capture pass, a whole config grid::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import bandwidth_strips, cluster_kernels
@@ -213,6 +214,18 @@ def _finish_trace(args: argparse.Namespace, span) -> None:
     obs.write_chrome_trace(obs.TELEMETRY, args.trace_out)
     print(f"wrote {args.trace_out}", file=sys.stderr)
     print(obs.summary_table(obs.TELEMETRY), file=sys.stderr)
+
+
+def _traced(cmd):
+    """``cmd`` run whole inside the ``--trace-out`` command span."""
+    @functools.wraps(cmd)
+    def run(args: argparse.Namespace) -> int:
+        trace = _start_trace(args)
+        try:
+            return cmd(args)
+        finally:
+            _finish_trace(args, trace)
+    return run
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -500,6 +513,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return machine.exit_code or 0
 
 
+@_traced
 def _cmd_cluster(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
     quad = run_quad(program, max_instructions=args.budget)
@@ -513,6 +527,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+@_traced
 def _cmd_wcet(args: argparse.Namespace) -> int:
     from .static import WCETAnalyzer, WCETError
 
@@ -680,6 +695,7 @@ def _cmd_capture_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@_traced
 def _cmd_capture_info(args: argparse.Namespace) -> int:
     from .capture import CaptureError, CaptureReader
 
@@ -841,6 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[],
                    help="loop bounds per routine, source order "
                         "(repeatable), e.g. --bounds main:10,20")
+    observability(p)
     p.set_defaults(fn=_cmd_wcet)
 
     p = sub.add_parser("wfs", help="run the hArtes-wfs case study")
@@ -951,6 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "decode/cache counters (builds or reuses the "
                          "page-cache sidecar)")
     replay_flags(cp)
+    observability(cp)
     cp.set_defaults(fn=_cmd_capture_info)
 
     p = sub.add_parser("corpus",
@@ -1020,6 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--clusters", type=int, default=4)
     common(p)
+    observability(p)
     p.set_defaults(fn=_cmd_cluster)
     return parser
 

@@ -16,9 +16,9 @@ this way — and the first read folds the pending chunks
 into the table once, with one :func:`~repro.core.npsort.group_sum` over
 packed (kernel, slice) keys.  Integer addition commutes, so chunks may
 arrive in any order and split any way; every reader (:meth:`kernels`,
-:meth:`series`, :attr:`history`) sees the same table.  A chunk already
-in the table's order (a sweep cell's, whose kernels are numbered in name
-order) folds without a sort.
+:meth:`series`, :meth:`table`, :attr:`history`) sees the same table.  A
+chunk already in the table's order (a sweep cell's, whose kernels are
+numbered in name order) folds without a sort.
 """
 
 from __future__ import annotations
@@ -157,6 +157,15 @@ class BandwidthLedger:
         return KernelSeries(name, self.interval, self._slices[i:j],
                             c[:, R_INCL], c[:, R_EXCL], c[:, W_INCL],
                             c[:, W_EXCL])
+
+    def table(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray,
+                             np.ndarray]:
+        """The whole table, read-only: ``(names, bounds, slices,
+        counters)``.  Kernel ``k`` is ``names[k]`` and owns rows
+        ``bounds[k]:bounds[k + 1]`` of the ``slices`` column and of the
+        ``(rows, 4)`` ``counters`` matrix."""
+        self._fold()
+        return self._names, self._bounds, self._slices, self._counters
 
     @property
     def history(self) -> dict[str, dict[int, tuple[int, int, int, int]]]:

@@ -11,12 +11,17 @@ Round-trippable: :class:`~repro.core.report.TQuadReport`,
 cardinalities — Table II needs only the sizes).
 
 A tQUAD report's ``history`` section is its ledger's one (kernel, slice)
-table: :func:`tquad_to_json` formats it straight from each kernel's
-columns (one ``%``-format per kernel) and splices the text into
-``json.dumps`` of the header, and :func:`sweep_to_json` /
-:func:`approx_to_json` splice each report's text the same way.  Every
+table, and :func:`tquad_to_json` renders it with NumPy, a block of table
+rows per pass (:func:`_rows_text`): every value becomes 4-byte words of
+decimal digits gathered from a 10,000-entry table, the digits and the
+fixed punctuation fill one ``uint32`` matrix with a row per table row,
+and deleting the matrix's NUL padding leaves the JSON text.  The text is
+spliced into ``json.dumps`` of the header, and :func:`sweep_to_json` /
+:func:`approx_to_json` splice each report's text the same way, joining
+and decoding the whole text once.  Every
 ``*_to_json`` text is byte-identical to ``json.dumps`` of the matching
-``*_to_dict`` form.
+``*_to_dict`` form, and each public ``*_to_json`` call is one ``render``
+span.
 """
 
 from __future__ import annotations
@@ -26,30 +31,58 @@ from typing import Any
 
 import numpy as np
 
-from .core.ledger import BandwidthLedger, KernelSeries
+from .core.ledger import BandwidthLedger
 from .core.machine_model import MachineModel
 from .core.options import StackPolicy, TQuadOptions
 from .core.report import TQuadReport
 from .gprofsim.report import FlatProfile, FlatRow
+from .obs import TELEMETRY
 from .quad.report import KernelIO, QuadReport
 
 FORMAT_VERSION = 1
 
-#: One history row as ``json.dumps`` writes ``{str(slice): [counters]}``.
-_ROW = '"%d": [%d, %d, %d, %d]'
 
-
-def _splice(head: dict[str, Any], key: str, text: str) -> str:
-    """``json.dumps({**head, key: value})``, where ``text`` is already
-    the JSON text of ``value``."""
+def _splice(head: dict[str, Any], key: str, value: list) -> list:
+    """The pieces of ``json.dumps({**head, key: v})``, given ``value``,
+    the pieces of the JSON text of ``v``.  Every piece is bytes-like and
+    ASCII (``json.dumps`` escapes the rest), so a whole text is joined
+    and decoded once, by :func:`_text`."""
     sep = ", " if head else ""
-    return f"{json.dumps(head)[:-1]}{sep}{json.dumps(key)}: {text}}}"
+    return [f"{json.dumps(head)[:-1]}{sep}{json.dumps(key)}: ".encode(),
+            *value, b"}"]
 
 
-def _rows(s: KernelSeries) -> np.ndarray:
-    """One kernel's rows as a (slice, four counters) matrix."""
-    return np.column_stack((s.slices, s.read_incl, s.read_excl,
-                            s.write_incl, s.write_excl))
+def _text(pieces: list) -> str:
+    return b"".join(pieces).decode("ascii")
+
+
+def _words(*texts: bytes) -> np.ndarray:
+    """Each ASCII text (at most 4 bytes) as one ``uint32`` word, padded
+    with NUL bytes."""
+    return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts),
+                         np.uint32)
+
+
+#: ``_DIGITS[min(m, 10**4 + m % 10**4)]`` is the last four decimal
+#: digits of ``m >= 0`` as one word: all four when ``m`` has more digits,
+#: else ``m`` with NUL bytes for its leading zeros (``0`` is ``"0"``).
+_DIGITS = np.frombuffer(
+    b"".join(b"%4d" % c for c in range(10**4)).replace(b" ", b"\0")
+    + b"".join(b"%04d" % c for c in range(10**4)), np.uint32)
+#: The same for a digit group above the lowest: one of ``0`` is blank,
+#: since the number has no digits there.
+_UPPER = _DIGITS.copy()
+_UPPER[0] = 0
+#: The text before each of a history row's five values — the slice key,
+#: then the four counters — and after the row: ``], `` before the next
+#: row, or ``]`` and the kernel-end marker byte 0x01 after a kernel's
+#: last.
+_BEFORE = _words(b'"', b'": [', b", ", b", ", b", ")
+_MINUS, _NEXT_ROW, _KERNEL_END = _words(b"-", b"], ", b"]\x01")
+#: Table rows one :func:`_rows_text` call renders, which bounds its
+#: buffers: about 2 MiB for rows of small values, under 5 MiB for rows
+#: of 19-digit ones, whatever the table's size.
+_BLOCK = 1 << 14
 
 
 # --------------------------------------------------------------- tQUAD
@@ -77,7 +110,9 @@ def tquad_to_dict(report: TQuadReport) -> dict[str, Any]:
     ledger = report.ledger
     history = {}
     for name in ledger.kernels():
-        rows = _rows(ledger.series(name))
+        s = ledger.series(name)
+        rows = np.column_stack((s.slices, s.read_incl, s.read_excl,
+                                s.write_incl, s.write_excl))
         history[name] = dict(zip(map(str, rows[:, 0].tolist()),
                                  rows[:, 1:].tolist()))
     return {**_tquad_head(report), "history": history}
@@ -102,16 +137,91 @@ def tquad_from_dict(data: dict[str, Any]) -> TQuadReport:
                        complete=data.get("complete", True))
 
 
+def _rows_text(slices: np.ndarray, counters: np.ndarray,
+               last: np.ndarray) -> bytes:
+    """The history text of some table rows: each ``"slice": [four
+    counters]``, then ``, `` or, after a kernel's last row (``last``),
+    the marker byte ``0x01``.
+
+    Each of a row's five values gets as many 4-byte words as the longest
+    text in its column needs, sign included.  Digit groups come off the
+    magnitudes four at a time, from the lowest, each one gather from
+    ``_DIGITS`` (the lowest group) or ``_UPPER``; a negative value's
+    minus sign goes into the first byte of its top word, which that
+    column width leaves NUL.  The words and the punctuation fill one
+    ``uint32`` matrix, a row per table row, and its bytes without the
+    NULs are the text.
+    """
+    columns = (slices, *counters.T)
+    lows = [int(col.min()) for col in columns]
+    widths = [-(-max(len(str(lo)), len(str(int(col.max())))) // 4)
+              for col, lo in zip(columns, lows)]
+    # column-major, so that each word column is written contiguously;
+    # tobytes() reads it back in row order
+    matrix = np.empty((slices.size, sum(widths) + 6), np.uint32, order="F")
+    index = np.empty(slices.size, np.uint64)
+    pos = 0
+    for col, lo, width, before in zip(columns, lows, widths, _BEFORE):
+        matrix[:, pos] = before
+        # abs(INT64_MIN) wraps to itself, which as uint64 is 2**63
+        mag = (np.abs(col) if lo < 0 else col).view(np.uint64)
+        table = _DIGITS
+        for word in range(pos + width, pos + 1, -1):
+            higher = mag // 10**4
+            # index = min(mag, 10**4 + mag % 10**4)
+            np.multiply(higher, 10**4, out=index)
+            np.subtract(mag, index, out=index)
+            index += 10**4
+            np.minimum(index, mag, out=index)
+            np.take(table, index.view(np.int64), out=matrix[:, word])
+            mag, table = higher, _UPPER
+        # the top group: mag < 10**4 is its own index
+        np.take(table, mag.view(np.int64), out=matrix[:, pos + 1])
+        if lo < 0:
+            matrix[:, pos + 1] |= (col < 0) * _MINUS
+        pos += width + 1
+    matrix[:, -1] = np.where(last, _KERNEL_END, _NEXT_ROW)
+    return matrix.tobytes().translate(None, b"\0")
+
+
+def _history(ledger: BandwidthLedger) -> list:
+    """The pieces of ``json.dumps`` of the ledger's history
+    (``{kernel: {str(slice): [four counters]}}``): the text of all its
+    table rows, rendered ``_BLOCK`` rows at a time, with each kernel's
+    header placed at the marker that ends its rows."""
+    names, bounds, slices, counters = ledger.table()
+    last = np.zeros(slices.size, bool)
+    last[bounds[1:] - 1] = True
+    body = b"".join(_rows_text(slices[i:i + _BLOCK], counters[i:i + _BLOCK],
+                               last[i:i + _BLOCK])
+                    for i in range(0, slices.size, _BLOCK))
+    view = memoryview(body)
+    pieces = [b"{"]
+    start = 0
+    for k, name in enumerate(names):
+        end = body.index(1, start)
+        pieces += (b", " if k else b"", json.dumps(name).encode(), b": {",
+                   view[start:end], b"}")
+        start = end + 1
+    pieces.append(b"}")
+    return pieces
+
+
+def _tquad(report: TQuadReport) -> list:
+    return _splice(_tquad_head(report), "history", _history(report.ledger))
+
+
+def _render(kind: str, reports: tuple[TQuadReport, ...] | None = None):
+    """The ``render`` span of one public ``*_to_json`` call; a tQUAD
+    kind also records the history rows it renders."""
+    rows = ({} if reports is None else
+            {"rows": sum(r.ledger.table()[2].size for r in reports)})
+    return TELEMETRY.span("render", cat="render", kind=kind, **rows)
+
+
 def tquad_to_json(report: TQuadReport) -> str:
-    ledger = report.ledger
-    kernels = []
-    for name in ledger.kernels():
-        rows = _rows(ledger.series(name))
-        flat = tuple(rows.ravel().tolist())
-        body = ", ".join([_ROW] * rows.shape[0]) % flat
-        kernels.append(f"{json.dumps(name)}: {{{body}}}")
-    return _splice(_tquad_head(report), "history",
-                   "{" + ", ".join(kernels) + "}")
+    with _render("tquad", (report,)):
+        return _text(_tquad(report))
 
 
 def tquad_from_json(text: str) -> TQuadReport:
@@ -178,10 +288,13 @@ def sweep_from_dict(data: dict[str, Any]):
 
 
 def sweep_to_json(result) -> str:
-    cells = ", ".join(_splice(_cell_head(cell), "report",
-                              tquad_to_json(report))
-                      for cell, report in result)
-    return _splice(_sweep_head(result), "cells", f"[{cells}]")
+    with _render("tquad_sweep", tuple(report for _, report in result)):
+        cells = [b"["]
+        for i, (cell, report) in enumerate(result):
+            cells += (b", " if i else b"",
+                      *_splice(_cell_head(cell), "report", _tquad(report)))
+        cells.append(b"]")
+        return _text(_splice(_sweep_head(result), "cells", cells))
 
 
 def sweep_from_json(text: str):
@@ -235,8 +348,9 @@ def approx_from_dict(data: dict[str, Any]):
 
 
 def approx_to_json(result) -> str:
-    return _splice(_approx_head(result), "report",
-                   tquad_to_json(result.report))
+    with _render("tquad_approx", (result.report,)):
+        return _text(_splice(_approx_head(result), "report",
+                             _tquad(result.report)))
 
 
 def approx_from_json(text: str):
@@ -283,7 +397,8 @@ def flat_from_dict(data: dict[str, Any]) -> FlatProfile:
 
 
 def flat_to_json(profile: FlatProfile) -> str:
-    return json.dumps(flat_to_dict(profile))
+    with _render("flat"):
+        return json.dumps(flat_to_dict(profile))
 
 
 def flat_from_json(text: str) -> FlatProfile:
@@ -344,7 +459,8 @@ def quad_from_dict(data: dict[str, Any]) -> QuadReport:
 
 
 def quad_to_json(report: QuadReport) -> str:
-    return json.dumps(quad_to_dict(report))
+    with _render("quad"):
+        return json.dumps(quad_to_dict(report))
 
 
 def quad_from_json(text: str) -> QuadReport:

@@ -1,13 +1,19 @@
 """Property-based checks of the columnar tQUAD ledger and its text encoder.
 
-* **Encoder identity.**  ``tquad_to_json`` formats the ``history`` section
-  straight from the ledger table and splices it into the header; for any
-  ledger it must equal ``json.dumps(tquad_to_dict(report))``, survive a
-  ``tquad_from_json`` round trip byte for byte, and ``sweep_to_json`` /
-  ``approx_to_json`` must equal ``json.dumps`` of their dict forms.  The
-  random ledgers cover kernel names with quotes, backslashes, control
-  characters and non-ASCII text, empty histories, all-zero rows,
-  counters near 2**53, kernel filters and image maps.
+* **Encoder identity.**  ``tquad_to_json`` renders the ``history``
+  section from the ledger table with NumPy and splices it into the
+  header; for any ledger it must equal
+  ``json.dumps(tquad_to_dict(report))``, survive a ``tquad_from_json``
+  round trip byte for byte, and ``sweep_to_json`` / ``approx_to_json``
+  must equal ``json.dumps`` of their dict forms.  The random ledgers
+  cover kernel names with quotes, backslashes, control characters and
+  non-ASCII text, empty histories, all-zero rows, kernel filters and
+  image maps; their counters and slices reach across the whole int64
+  range, negative values, ``INT64_MIN``, ``INT64_MAX`` and every
+  ``10**k - 1`` / ``10**k`` boundary up to ``10**18`` included, and some
+  tables give every kernel exactly one row (kernel ends on adjacent
+  rows).  Budget: 200 examples (40 for sweeps and approx results); the
+  nightly job sets ``TQUAD_NIGHTLY=1`` for 2,000 (400).
 * **Chunking.**  One set of rows fed through shuffled, arbitrarily split
   :meth:`~repro.core.ledger.BandwidthLedger.add` chunks, through one
   ``add`` and through per-row ``accumulate`` gives the same table, and
@@ -20,6 +26,7 @@
 """
 
 import json
+import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -35,9 +42,21 @@ from repro.serialize import (approx_to_dict, approx_to_json, sweep_to_dict,
 from repro.sweep.engine import SweepResult
 from repro.sweep.grid import SweepGrid
 
+NIGHTLY = os.environ.get("TQUAD_NIGHTLY", "") == "1"
+#: Examples of the tQUAD encoder property; a fifth for sweeps and approx.
+ENCODER_EXAMPLES = 2000 if NIGHTLY else 200
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: Where a decimal text gains a digit, both signs, and the int64 ends.
+EDGES = sorted({INT64_MIN, INT64_MAX,
+                *(sign * v for k in range(19) for v in (10**k - 1, 10**k)
+                  for sign in (1, -1))})
+#: The slices one table spans: the ledger packs (kernel, slice) into one
+#: int64 key, and five kernels times this span stay below 2**63.
+SLICE_SPAN = 1 << 60
+
 #: Kernel names that exercise every JSON escape: quotes, backslashes,
-#: control characters, ``%`` (the encoder's format character), non-ASCII
-#: and astral characters.
+#: control characters, ``%``, non-ASCII and astral characters.
 names = st.text(
     alphabet=st.sampled_from(list('a_"\\%\x00\x07\n\t\x1f\x7fé漢\U0001f600'))
     | st.characters(exclude_categories=("Cs",)),
@@ -81,8 +100,35 @@ def ledgers(draw):
 
 
 @st.composite
+def wide_ledgers(draw):
+    """``(kernels, rows)`` whose counters reach across int64 and whose
+    slices sit in one ``SLICE_SPAN`` window anywhere in it.  Rows that
+    share a (kernel, slice) pair sum with int64 wrap-around, on every
+    route alike."""
+    kernels = draw(st.lists(names, min_size=5, max_size=5, unique=True))
+    centre = draw(st.one_of(st.sampled_from(EDGES),
+                            st.integers(INT64_MIN, INT64_MAX)))
+    lo = max(INT64_MIN, centre - SLICE_SPAN // 2)
+    hi = min(INT64_MAX, lo + SLICE_SPAN)
+    slices = st.one_of(
+        st.integers(lo, hi),
+        st.sampled_from([e for e in EDGES if lo <= e <= hi] or [lo, hi]),
+        st.integers(max(lo, centre - 12), min(hi, centre + 12)))
+    counter = st.one_of(st.integers(INT64_MIN, INT64_MAX),
+                        st.sampled_from(EDGES), st.integers(-12, 12))
+    counters4 = st.tuples(counter, counter, counter, counter)
+    if draw(st.booleans()):
+        # every kernel owns one row
+        return kernels, [(k, draw(slices), draw(counters4)) for k in draw(
+            st.lists(st.integers(0, 4), min_size=1, max_size=5,
+                     unique=True))]
+    return kernels, draw(st.lists(
+        st.tuples(st.integers(0, 4), slices, counters4), max_size=40))
+
+
+@st.composite
 def reports(draw):
-    kernels, row_list = draw(ledgers())
+    kernels, row_list = draw(wide_ledgers())
     opt_kernels = draw(st.one_of(
         st.none(), st.lists(st.sampled_from(kernels), unique=True)
         .map(tuple)))
@@ -99,14 +145,14 @@ def reports(draw):
 
 
 class TestEncoder:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=ENCODER_EXAMPLES, deadline=None)
     @given(reports())
     def test_tquad_text_is_json_dumps_of_the_dict(self, report):
         text = tquad_to_json(report)
         assert text == json.dumps(tquad_to_dict(report))
         assert tquad_to_json(tquad_from_json(text)) == text
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=ENCODER_EXAMPLES // 5, deadline=None)
     @given(st.lists(reports(), min_size=1, max_size=4), st.data())
     def test_sweep_text_is_json_dumps_of_the_dict(self, cell_reports,
                                                   data):
@@ -120,7 +166,7 @@ class TestEncoder:
                             "rel_err_95": data.draw(st.floats(0, 1))})
         assert sweep_to_json(result) == json.dumps(sweep_to_dict(result))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=ENCODER_EXAMPLES // 5, deadline=None)
     @given(reports(), st.floats(0.01, 0.99), st.lists(
         st.tuples(names, st.integers(0, 1 << 50)), max_size=3))
     def test_approx_text_is_json_dumps_of_the_dict(self, report, rate,

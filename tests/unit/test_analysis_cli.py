@@ -170,6 +170,36 @@ class TestCli:
         assert rc == 0
         assert "intra-cluster" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["capture-info", "cluster",
+                                         "wcet"])
+    def test_trace_out_keeps_stdout(self, command, tmp_path, capsys):
+        """``--trace-out`` writes a trace holding the command's ``cli``
+        span and leaves stdout byte-identical to the untraced run."""
+        import json
+
+        from repro import obs
+
+        src = tmp_path / "app.mc"
+        src.write_text(TestClustering.SRC)
+        cap = tmp_path / "app.capture"
+        assert main(["capture", "run", str(src), "--out", str(cap)]) == 0
+        argv = {"capture-info": ["capture", "info", str(cap), "--stats",
+                                 "--no-page-cache"],
+                "cluster": ["cluster", str(src), "--clusters", "2"],
+                "wcet": ["wcet", str(src), "q", "--bounds", "q:64"]}[command]
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        trace = tmp_path / "trace.json"
+        assert main([*argv, "--trace-out", str(trace)]) == 0
+        traced = capsys.readouterr()
+        assert traced.out == plain.out != ""
+        assert not obs.TELEMETRY.enabled
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert [e["name"] for e in events
+                if e.get("cat") == "cli"] == [argv[0]]
+        assert "wrote" in traced.err and "peak +MiB" in traced.err
+
     def test_wfs_paper_preset_refused(self, capsys):
         rc = main(["wfs", "--preset", "paper"])
         assert rc == 2

@@ -336,8 +336,28 @@ HOSTILE = {
 REPEATED = {
     "kernel-repeated": ("tquad", lambda m: m["kernels"].__setitem__(
         2, m["kernels"][1])),
+    "quad-kernel-repeated": ("quad", lambda m: m["quad_kernels"]
+                             .__setitem__(2, m["quad_kernels"][1])),
     "routine-repeated": ("gprof", lambda m: m["routines"].__setitem__(
         2, m["routines"][1])),
+}
+
+#: Manifest edits that leave a name table something other than a list
+#: of names: replays would key reports by whatever the table holds (an
+#: ``int`` kernel name renders as ``{1: ...}``, which is not JSON) or fail
+#: with a raw ``TypeError``.
+MALFORMED = {
+    "kernels-not-a-list": ("tquad", lambda m: m.update(kernels=5)),
+    "kernels-ints": ("tquad", lambda m: m.update(
+        kernels=list(range(len(m["kernels"]))))),
+    "quad-kernels-not-a-list": ("quad", lambda m: m.update(quad_kernels=5)),
+    "quad-kernels-ints": ("quad", lambda m: m.update(
+        quad_kernels=list(range(len(m["quad_kernels"]))))),
+    "routines-not-a-list": ("gprof", lambda m: m.update(routines=5)),
+    "routines-names-only": ("gprof", lambda m: m.update(
+        routines=[r[0] for r in m["routines"]])),
+    "routines-int-images": ("gprof", lambda m: m.update(
+        routines=[[r[0], 0] for r in m["routines"]])),
 }
 
 #: Edits of the ``tquad.read`` stream directory that misstate the pages
@@ -463,6 +483,42 @@ class TestHostileManifest:
         cap.write_bytes(_edit_manifest(raw, edit))
         assert main(["profile", str(app), "--from-capture", str(cap),
                      "--interval", "50", "--tool", tool]) == 2
+        assert "corrupt capture manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED))
+    def test_malformed_name_table_rejected_on_every_route(self, raw,
+                                                          mutation,
+                                                          tmp_path):
+        """A name table that is not a list of names fails at open,
+        before any page is read: a path-backed capture gets no
+        sidecar."""
+        tool, edit = MALFORMED[mutation]
+        bad = _edit_manifest(raw, edit)
+        for name, route in self._routes(tool).items():
+            with pytest.raises(CaptureFormatError,
+                               match="^corrupt capture manifest"):
+                with CaptureReader(io.BytesIO(bad)) as reader:
+                    route(reader)
+        path = tmp_path / "bad.capture"
+        path.write_bytes(bad)
+        with pytest.raises(CaptureFormatError,
+                           match="^corrupt capture manifest"):
+            CaptureReader(str(path))
+        assert not sidecar_path(path).exists()
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED))
+    def test_malformed_name_table_cli_exits_2(self, raw, mutation,
+                                              tmp_path, capsys):
+        from repro.cli import main
+
+        tool, edit = MALFORMED[mutation]
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(_edit_manifest(raw, edit))
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--interval", "50", "--tool", tool]) == 2
+        assert main(["capture", "info", str(cap)]) == 2
         assert "corrupt capture manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mutation", sorted(STREAM_DIRECTORY))

@@ -282,3 +282,37 @@ class TestSerialization:
         blob = tquad_to_json(rep)
         with pytest.raises(ValueError):
             flat_from_json(blob)
+
+    def test_each_json_render_is_one_render_span(self):
+        """One ``render`` span per public ``*_to_json`` call, a sweep's
+        cells included in its own; tQUAD kinds count the history rows."""
+        from repro import obs
+        from repro.serialize import sweep_to_json
+        from repro.sweep.engine import SweepResult
+        from repro.sweep.grid import SweepGrid
+
+        program = build_program(ONE_KERNEL)
+        reps = [run_tquad(program, options=TQuadOptions(slice_interval=n))
+                for n in (100, 200)]
+        grid = SweepGrid(intervals=(100, 200))
+        sweep = SweepResult(grid=grid,
+                            reports=dict(zip(grid.cells(), reps)),
+                            total_instructions=reps[0].total_instructions,
+                            grain=100, stats={})
+        rows = [r.ledger.table()[2].size for r in reps]
+        obs.reset()
+        obs.enable()
+        try:
+            tquad_to_json(reps[0])
+            sweep_to_json(sweep)
+            quad_to_json(run_quad(program))
+        finally:
+            obs.disable()
+        spans = [(cat, {k: args[k] for k in ("kind", "rows") if k in args})
+                 for name, cat, _ts, _dur, _tid, args
+                 in obs.TELEMETRY.take_events() if name == "render"]
+        assert spans == [
+            ("render", {"kind": "tquad", "rows": rows[0]}),
+            ("render", {"kind": "tquad_sweep", "rows": sum(rows)}),
+            ("render", {"kind": "quad"})]
+        assert rows[0] > rows[1] > 0
