@@ -14,11 +14,13 @@ from sharing a reconfigurable region).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.kernel_phases import KernelPhaseAnalysis
 from ..quad.report import QuadReport
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    import networkx as nx
 
 
 @dataclass
@@ -53,6 +55,8 @@ class ClusteringResult:
 def _communication_graph(quad: QuadReport, *,
                          include_stack: bool,
                          phases: KernelPhaseAnalysis | None) -> nx.Graph:
+    import networkx as nx
+
     g = nx.Graph()
     idx = 0 if include_stack else 1
     for (producer, consumer), counts in quad.bindings.items():

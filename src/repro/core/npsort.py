@@ -7,7 +7,8 @@ which is 4-6x slower on random key arrays the replay engines sort (packed
 non-negative and comfortably below 2**32, so a stable sort decomposes
 into two 16-bit radix passes over ``uint16`` views — each pass hits
 NumPy's actual radix code path, and stability makes the composition
-exact.  :func:`group_sum` builds every tQUAD (kernel, slice) table.
+exact.  :func:`group_sum` builds every tQUAD (kernel, slice) table, and
+:func:`run_sum`, its last step, sums runs of equal adjacent keys.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def group_sum(keys: np.ndarray, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
 
     * strictly ascending keys are already grouped and come back as is
       (the caller must not modify them afterwards);
-    * nondecreasing keys are segment-summed;
+    * nondecreasing keys are segment-summed (:func:`run_sum`);
     * keys spanning at most four times the row count are summed densely
       (a ``bincount`` marks the keys present, an integer ``np.add.at``
       sums each column), so memory stays of the order of the input;
@@ -80,10 +81,24 @@ def group_sum(keys: np.ndarray, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
         order = (np.argsort(keys, kind="stable") if 32 * runs <= n
                  else stable_argsort(keys))
         keys = keys[order]
-    new = keys[1:] != keys[:-1]
-    if order is None and new.all():
-        return (keys, *cols)
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    return (keys[starts], *(
-        np.add.reduceat(c if order is None else c[order], starts)
-        for c in cols))
+        # one sorted column at a time: the run sum consumes them lazily
+        cols = (c[order] for c in cols)
+    return run_sum(keys, cols)
+
+
+def run_sum(keys: np.ndarray, cols) -> tuple[np.ndarray, ...]:
+    """Sum each run of equal adjacent keys: ``(run keys, *column sums)``.
+
+    The runs keep their order, so on nondecreasing keys this is the
+    group-by.  ``cols`` is any iterable of 1-D columns, each read once.
+    Keys with no two equal neighbours come back as is, with the columns
+    themselves: a caller that keeps them past its inputs must copy
+    those it does not own.
+    """
+    if keys.size > 1:
+        new = np.not_equal(keys[1:], keys[:-1])
+        if not new.all():
+            starts = np.flatnonzero(np.concatenate(([True], new)))
+            return (keys[starts],
+                    *(np.add.reduceat(c, starts) for c in cols))
+    return (keys, *cols)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..vm.program import MAIN_IMAGE
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    import networkx as nx
 
 
 @dataclass
@@ -94,6 +96,8 @@ class QuadReport:
                   main_image_only: bool = True) -> nx.DiGraph:
         """The Quantitative Data Usage graph: producer→consumer edges
         weighted by communicated bytes."""
+        import networkx as nx
+
         g = nx.DiGraph()
         idx = 0 if include_stack else 1
         for name in self.kernel_names(main_image_only=main_image_only):

@@ -12,6 +12,10 @@ whole interval × stack-policy × library-mode grid from that single pass:
   masks, and every row is bucketed at the *gcd grain* of the requested
   intervals.  Only the distinct row-filter combinations the grid actually
   needs (library rows kept/dropped × exclusive-only) are accumulated.
+  An exact pass sums each run of adjacent filtered rows that share a
+  ``(kernel, fine-slice)`` key (:func:`~repro.core.npsort.run_sum`)
+  before accumulating: pages recorded in event mode hold one row per
+  access, in long runs of one kernel and slice.
 * **bucket** — the per-page rows group into one sparse
   ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo
   (a :class:`~repro.capture.streaming.SortedTableAcc` groups them as
@@ -28,8 +32,9 @@ whole interval × stack-policy × library-mode grid from that single pass:
   cell by cell.
 
 Every grouping step, the accumulators' compaction included, is one
-:func:`~repro.core.npsort.group_sum` call: integer sums throughout, so
-every route and every ceiling yields the same bytes.
+:func:`~repro.core.npsort.group_sum` call, or for a page's runs its
+last step, :func:`~repro.core.npsort.run_sum`: integer sums throughout,
+so every route and every ceiling yields the same bytes.
 
 This is the only code that buckets tQUAD pages: a single
 :func:`~repro.capture.replay.replay_tquad` is a one-cell pass, and the
@@ -57,7 +62,7 @@ from ..capture.replay import _resolve_tquad_options
 from ..capture.streaming import (MemBudget, SortedTableAcc, SpillPool,
                                  sample_mask)
 from ..core.ledger import BandwidthLedger
-from ..core.npsort import group_sum
+from ..core.npsort import group_sum, run_sum
 from ..core.options import StackPolicy, TQuadOptions
 from ..core.report import TQuadReport
 from ..obs import TELEMETRY
@@ -201,20 +206,25 @@ class _CellSample(NamedTuple):
 
 
 def _check_page(page: np.ndarray, stream: str, index: int,
-                n_kernels: int, fine: int, n_fine: int) -> int:
+                n_kernels: int, fine: int, n_fine: int,
+                prev: int) -> tuple[int, int]:
     """Reject rows the manifest cannot place before they become keys,
-    and rows no recording sink writes (a negative byte count); returns
-    the page's smallest raw kernel id (negative when it holds
-    library-marked or dropped rows).
+    and rows no recording sink writes (a negative byte count, an
+    instruction count below the one before it, ``prev`` being the
+    stream's last so far); returns the page's smallest raw kernel id
+    (negative when it holds library-marked or dropped rows) and the
+    stream's last instruction count after it.
 
     Keys are ``kernel * n_fine + slice`` (kernels numbered in name
     order): a slice index of ``n_fine`` or more would spill into the next
     kernel's keys, and a kernel id past the table would index out of it.
     Library-marked ids (``<= -2``) decode to ``-2 - id``; ``-1`` rows
-    are dropped, never bucketed.
+    are dropped, never bucketed.  The sinks append rows as the guest
+    runs, so instruction counts never decrease, within a page or
+    across the pages of a stream.
     """
     if page.shape[0] == 0:
-        return 0
+        return 0, prev
     kid = page[:, 3]
     min_kid = int(kid.min())
     worst = max(int(kid.max()), -2 - min_kid)
@@ -223,7 +233,11 @@ def _check_page(page: np.ndarray, stream: str, index: int,
             f"corrupt capture page {stream}[{index}]: kernel id {worst} "
             f"is outside the manifest's {n_kernels}-entry kernel table")
     ic = page[:, 0]
-    lo, hi = int(ic.min()), int(ic.max())
+    lo, hi = int(ic[0]), int(ic[-1])
+    if 1 <= lo < prev or bool((ic[1:] < ic[:-1]).any()):
+        raise CaptureFormatError(
+            f"corrupt capture page {stream}[{index}]: icounts decrease")
+    # nondecreasing: the first and last rows bound the page
     if lo < 1 or (hi - 1) // fine >= n_fine:
         bad = lo if lo < 1 else hi
         raise CaptureFormatError(
@@ -235,7 +249,7 @@ def _check_page(page: np.ndarray, stream: str, index: int,
         raise CaptureFormatError(
             f"corrupt capture page {stream}[{index}]: a row of {least} "
             f"bytes (byte counts are never negative)")
-    return min_kid
+    return min_kid, hi
 
 
 def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
@@ -284,8 +298,9 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
     samples: dict[SweepCell, _CellSample] | None = (
         {} if rate is not None else None)
     pages_walked = 0
-    samp = ({"rows_walked": 0, "sampled_rows": 0, "sum": 0.0,
-             "sumsq": 0.0} if rate is not None else None)
+    rows_read = rows_bucketed = 0
+    samp = ({"sampled_rows": 0, "sum": 0.0, "sumsq": 0.0}
+            if rate is not None else None)
     with telemetry.span("sweep", cat="sweep", tool="tquad",
                         cells=len(cells), grain=fine,
                         intervals=",".join(map(str, grid.intervals))), \
@@ -308,6 +323,8 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                    if rate is not None else None)
 
         def emit(loc, chunk, mom):
+            nonlocal rows_bucketed
+            rows_bucketed += chunk[0].size
             accs[loc].add(*chunk)
             if mom is not None:
                 moments[loc] += mom
@@ -317,13 +334,15 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                 src = (StreamingCursor(reader, stream, budget=budget)
                        if budget is not None
                        else PageCursor(reader, stream))
+                last_ic = 0
                 for pi, page in enumerate(src):
                     pages_walked += 1
-                    min_kid = _check_page(page, stream, pi, len(names),
-                                          fine, n_fine)
+                    rows_read += page.shape[0]
+                    min_kid, last_ic = _check_page(
+                        page, stream, pi, len(names), fine, n_fine,
+                        last_ic)
                     if rate is not None:
                         n = page.shape[0]
-                        samp["rows_walked"] += n
                         keep = sample_mask(sample_seed, si, pi, n, rate)
                         kept = int(keep.sum())
                         samp["sampled_rows"] += kept
@@ -351,10 +370,13 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     sl = (page[:, 0] - 1) // fine
                     key = kid_base[kid] + sl
                     incl, excl = page[:, 1], page[:, 2]
-                    # rows are already per-(slice, kernel) aggregates, so
-                    # no per-page grouping happens here: each combo's row
-                    # filter just selects rows, and its accumulator groups
-                    # them as they arrive.  Combos whose filters coincide
+                    # each combo's row filter selects rows.  An exact
+                    # pass then sums each run of adjacent rows sharing
+                    # a key (an event-mode page holds one row per
+                    # access, in runs of one kernel and slice); a
+                    # sampled pass hands on rows, whose squares its
+                    # moments need.  The accumulators group what they
+                    # get as it arrives.  Combos whose filters coincide
                     # on this page (no library rows, no exclusive-free
                     # rows) share one selection
                     excl_pos = None
@@ -378,12 +400,17 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                             mask = excl_pos if mask is None \
                                 else mask & excl_pos
                         if mask is None or mask.all():
-                            chunk = (key, incl.copy(), excl.copy())
+                            chunk = (key, incl, excl)
                         elif mask.any():
                             chunk = (key[mask], incl[mask], excl[mask])
                         else:
                             done[eff] = ()
                             continue
+                        if rate is None:
+                            chunk = run_sum(chunk[0], chunk[1:])
+                        if chunk[1] is incl:
+                            # accumulators keep chunks past this page
+                            chunk = (key, incl.copy(), excl.copy())
                         mom = None
                         if moments is not None:
                             inf = chunk[1].astype(float)
@@ -458,6 +485,8 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     total_instructions=total, images=dict(images),
                     complete=True)
     telemetry.count("sweep/runs")
+    telemetry.count("sweep/rows_read", rows_read)
+    telemetry.count("sweep/rows_bucketed", rows_bucketed)
     telemetry.gauge("sweep/cells", len(cells))
     stats = grid_stats(grid, manifest, pages_walked, reader.stats)
     if budget is not None:
@@ -470,7 +499,7 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
         rel = (1.96 * math.sqrt(samp["sumsq"] * (1.0 - rate)) / s
                if s > 0 else 0.0)
         stats.update(sample_rate=rate, sample_seed=sample_seed,
-                     rows_walked=samp["rows_walked"],
+                     rows_walked=rows_read,
                      sampled_rows=samp["sampled_rows"],
                      rel_err_95=round(rel, 6))
     result = SweepResult(grid=grid, reports=reports,

@@ -1,8 +1,13 @@
 """Tests for the analysis helpers and the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import (bandwidth_strips, cluster_kernels, downsample,
                             shade_row, sparkline)
 from repro.cli import build_parser, main
@@ -83,6 +88,20 @@ class TestClustering:
 
 
 class TestCli:
+    def test_import_leaves_networkx_unloaded(self):
+        """Every CLI call, corpus worker and benchmark worker imports the
+        package and the CLI; only the QDU graph and the clustering use
+        networkx, so only they import it."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import repro, repro.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'networkx'))")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_parser_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["wfs", "--preset", "tiny", "--phases"])

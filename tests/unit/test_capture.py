@@ -6,6 +6,7 @@ tool produces — same tables, same JSON — across slice intervals, stack
 policies and stream layouts.
 """
 
+import functools
 import io
 import json
 import tracemalloc
@@ -28,7 +29,7 @@ from repro.capture.format import (LAYOUT_DELTAS, PAGE_HEADER,
 from repro.core import (MultiPassResult, TQuadOptions, TQuadTool,
                         profile_passes, run_tquad)
 from repro.core.options import StackPolicy
-from repro.core.recording import RecordingSink
+from repro.core.recording import CapturingRecordingSink, RecordingSink
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
 from repro.pin import PinEngine
@@ -646,10 +647,25 @@ def tquad_raw():
     return buf.getvalue()
 
 
+@pytest.fixture(scope="module")
+def tquad_paged_raw():
+    """An ``APP`` tQUAD capture whose ``tquad.read`` stream spans several
+    pages (a 16-row sink cap)."""
+    from repro.core import profiler
+    buf = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiler, "CapturingRecordingSink",
+                   functools.partial(CapturingRecordingSink, cap=64))
+        capture_run(build_program(APP), buf, tools=("tquad",),
+                    options=TQuadOptions(slice_interval=50))
+    return buf.getvalue()
+
+
 class TestHostileTQuadPage:
     """A ``tquad.read`` row no recording sink writes fails with
     :class:`CaptureFormatError` (CLI exit 2) on every tQUAD route, never
-    a report that charges a kernel negative bytes."""
+    a report that charges a kernel negative bytes or moves bytes between
+    slices."""
 
     @pytest.mark.parametrize("column", [1, 2], ids=["incl", "excl"])
     def test_negative_byte_count(self, tquad_raw, column, tmp_path,
@@ -665,6 +681,44 @@ class TestHostileTQuadPage:
                 with pytest.raises(CaptureFormatError,
                                    match=r"tquad.read\[0\]: a row of "
                                          r"-4096 bytes"):
+                    route(reader)
+        app = tmp_path / "app.mc"
+        app.write_text(APP)
+        cap = tmp_path / "bad.capture"
+        cap.write_bytes(bad)
+        assert main(["profile", str(app), "--from-capture", str(cap),
+                     "--interval", "50"]) == 2
+        assert "corrupt capture page" in capsys.readouterr().err
+
+    @staticmethod
+    def _reverse(rows):
+        rows[:, 0] = rows[::-1, 0].copy()
+
+    @staticmethod
+    def _behind_next_page(rows):
+        # nondecreasing within the page, but past the next page's start
+        rows[-1, 0] += 400
+
+    @pytest.mark.parametrize("edit", ["_reverse", "_behind_next_page"])
+    def test_icounts_decrease(self, tquad_paged_raw, edit, tmp_path,
+                              capsys):
+        """The sinks append rows as the guest runs: instruction counts
+        never decrease, within a page or across a stream's pages."""
+        from repro.cli import main
+
+        with CaptureReader(io.BytesIO(tquad_paged_raw)) as reader:
+            total = reader.manifest["total_instructions"]
+            first, second = list(reader.pages(STREAM_TQUAD_READ))[:2]
+        # each edit keeps every icount inside the run: only order breaks
+        assert first[0, 0] < first[-1, 0]
+        assert second[0, 0] < first[-1, 0] + 400 <= total
+        bad = _edit_page(tquad_paged_raw, STREAM_TQUAD_READ,
+                         getattr(self, edit))
+        for route in TestHostileManifest._routes("tquad").values():
+            with CaptureReader(io.BytesIO(bad)) as reader:
+                with pytest.raises(CaptureFormatError,
+                                   match=r"tquad.read\[\d+\]: icounts "
+                                         r"decrease"):
                     route(reader)
         app = tmp_path / "app.mc"
         app.write_text(APP)

@@ -4,13 +4,14 @@
 kind="stable")`` — the replay engines lean on tie order for
 byte-identical reports — across every route: the small-array
 passthrough, the one- and two-pass radix paths, and the fallbacks for
-keys the 32-bit decomposition cannot carry.
+keys the 32-bit decomposition cannot carry.  ``run_sum`` sums runs of
+equal adjacent keys only, in their order.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.npsort import _SMALL, stable_argsort
+from repro.core.npsort import _SMALL, run_sum, stable_argsort
 
 
 def _assert_matches_numpy(keys):
@@ -51,3 +52,20 @@ class TestStableArgsort:
         keys = rng.integers(0, 1 << 20, size=_SMALL + 10).astype(np.int64)
         keys[123] = bad
         _assert_matches_numpy(keys)
+
+
+class TestRunSum:
+    def test_sums_adjacent_runs_only(self):
+        keys = np.array([4, 4, 1, 4, 4, 4, 9], dtype=np.int64)
+        incl = np.array([1, 2, 3, 4, 5, 1 << 60, 7], dtype=np.int64)
+        got = run_sum(keys, iter((incl, -incl)))
+        assert [a.tolist() for a in got] == [
+            [4, 1, 4, 9], [3, 3, 9 + (1 << 60), 7],
+            [-3, -3, -9 - (1 << 60), -7]]
+
+    @pytest.mark.parametrize("keys", [[], [3], [3, 1, 3, 2]])
+    def test_no_repeat_returns_the_inputs(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        col = np.arange(keys.size, dtype=np.int64)
+        out_keys, out_col = run_sum(keys, (col,))
+        assert out_keys is keys and out_col is col

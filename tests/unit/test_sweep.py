@@ -5,17 +5,21 @@ sweep`` CLI."""
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.capture import (CaptureMismatchError, CaptureReader,
-                           STREAM_TQUAD_READ, capture_run, replay_tquad)
+                           STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
+                           capture_run, replay_tquad)
 from repro.cli import main
 from repro.core import TQuadOptions, TQuadTool, profile_passes
 from repro.core.options import StackPolicy
 from repro.minic import build_program
+from repro.obs import Telemetry
 from repro.pin import PinEngine
 from repro.serialize import (sweep_from_json, sweep_to_json, tquad_to_json)
 from repro.sweep import SweepGrid, sweep_tquad, validate_intervals
+from repro.testing.workloads import WorkloadSpec, generate_workload
 
 APP = """
 int srcb[32]; int dst[32];
@@ -178,6 +182,37 @@ class TestSweepEngine:
         assert result.stats["pages_walked"] >= 1
         cells = [cell for cell, _ in result]
         assert cells == sorted(cells, key=lambda c: c.key)
+
+    def test_exact_pass_buckets_one_row_per_run(self):
+        """A capture of all three tools keeps every superblock in event
+        mode, one row per access: one exact pass reads every page row
+        and hands its accumulator one row per run of adjacent rows that
+        share a (kernel, slice) key."""
+        grain = 64
+        program = build_program(generate_workload(WorkloadSpec(
+            shape="pointer", seed=3, size=128, kernels=4, steps=2)))
+        buf = io.BytesIO()
+        capture_run(program, buf, tools=("tquad", "gprof", "quad"),
+                    options=TQuadOptions(slice_interval=grain))
+        buf.seek(0)
+        rows = runs = 0
+        tele = Telemetry()
+        with CaptureReader(buf) as reader:
+            for stream in (STREAM_TQUAD_READ, STREAM_TQUAD_WRITE):
+                for page in reader.pages(stream):
+                    rows += page.shape[0]
+                    kept = page[page[:, 3] != -1]   # not dropped rows
+                    kid = kept[:, 3]
+                    key = np.stack((np.where(kid < -1, -2 - kid, kid),
+                                    (kept[:, 0] - 1) // grain))
+                    if kept.shape[0]:
+                        runs += 1 + int(np.any(key[:, 1:] != key[:, :-1],
+                                               axis=0).sum())
+            replay_tquad(reader, telemetry=tele)
+        assert tele.counters["sweep/runs"] == 1
+        assert tele.counters["sweep/rows_read"] == rows
+        assert tele.counters["sweep/rows_bucketed"] == runs
+        assert 4 * runs < rows
 
 
 class TestColumnarLedger:
