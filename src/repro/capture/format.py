@@ -9,7 +9,7 @@ and offline analysis).  The container is a single ZIP file:
   a truncated capture is detectably corrupt);
 * ``pages/<stream>/<nnnnnn>`` — one member per sealed page, encoded by
   :func:`encode_page` and deflate-compressed (level 1) by the ZIP layer.
-  ZIP CRCs give corruption detection for free.
+  Each member's own CRC-32 trailer detects corruption (see *Pages*).
 
 Streams (every decoded row is ``int64`` columns):
 
@@ -32,8 +32,9 @@ Streams (every decoded row is ``int64`` columns):
 Pages (format 2).  Every page member is an 8-byte header (the layout
 code, then, for the delta layout, one width code per column, then
 zeros), a body, and a 4-byte trailer: the CRC-32 of header and body.
-The ZIP CRC checks what deflate stored; the page CRC checks what the
-writer encoded, so a member rewritten with a fresh ZIP CRC still fails.
+The page CRC checks what the writer encoded, so a member rewritten with
+a fresh ZIP CRC still fails.  Readers check it instead of the ZIP
+CRC-32, which covers the same inflated bytes (:func:`read_page`).
 
 * ``LAYOUT_DELTAS`` (``tquad.*``, ``calls``): the first row as ``int64``,
   then each column's row-to-row deltas (int64 wraparound), column after
@@ -58,6 +59,7 @@ incompatible (see :func:`check_program`, and the per-tool validation in
 from __future__ import annotations
 
 import hashlib
+import struct
 import zipfile
 import zlib
 from typing import Any
@@ -233,13 +235,59 @@ def page_size_range(stream: str, rows: int) -> tuple[int, int]:
             _member_size(stream, rows, [8] * stride))
 
 
+#: A ZIP local file header, as :mod:`zipfile` lays it out: signature,
+#: versions, flags, method, time, date, CRC-32, sizes, then the lengths
+#: of the file name and the extra field that follow it.
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_LOCAL_MAGIC = b"PK\x03\x04"
+
+
+def _inflate(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> bytes:
+    """A deflated member's bytes, inflated straight from the archive.
+
+    The local header is checked as :meth:`zipfile.ZipFile.open` checks
+    it (signature, file name), but the ZIP CRC-32 is not computed: the
+    page trailer's CRC covers the same inflated bytes, and
+    :func:`decode_page` checks it.  At most ``file_size + 1`` bytes are
+    inflated, and the stream must end at exactly ``file_size``."""
+    fp = zf.fp
+    fp.seek(info.header_offset)
+    head = fp.read(_LOCAL_HEADER.size)
+    if len(head) != _LOCAL_HEADER.size:
+        raise zipfile.BadZipFile("Truncated file header")
+    fields = _LOCAL_HEADER.unpack(head)
+    if fields[0] != _LOCAL_MAGIC:
+        raise zipfile.BadZipFile("Bad magic number for file header")
+    name = fp.read(fields[10])
+    if name != info.orig_filename.encode():
+        raise zipfile.BadZipFile(
+            f"File name in directory {info.orig_filename!r} and header "
+            f"{name!r} differ.")
+    fp.seek(fields[11], 1)
+    inflater = zlib.decompressobj(-15)
+    blob = inflater.decompress(fp.read(info.compress_size),
+                               info.file_size + 1)
+    if not inflater.eof or len(blob) != info.file_size:
+        raise CaptureFormatError(
+            f"member does not inflate to its {info.file_size} bytes")
+    return blob
+
+
 def read_page(zf: zipfile.ZipFile, stream: str, index: int,
               rows: int) -> np.ndarray:
     """Inflate and decode one page member; every way a member can be
-    missing or damaged is a :class:`CaptureFormatError`."""
+    missing or damaged is a :class:`CaptureFormatError`.  A deflated
+    member is inflated by :func:`_inflate`, any other through
+    :mod:`zipfile`."""
     try:
-        blob = zf.read(page_name(stream, index))
-        page = decode_page(blob, stream, rows)
+        info = zf.getinfo(page_name(stream, index))
+        with TELEMETRY.span("page", cat="capture", stream=stream,
+                            index=index, bytes=info.file_size):
+            if info.compress_type == zipfile.ZIP_DEFLATED:
+                blob = _inflate(zf, info)
+            else:
+                blob = zf.read(info)
+            page = decode_page(blob, stream, rows)
     except (KeyError, zipfile.BadZipFile, zlib.error, EOFError,
             CaptureFormatError) as exc:
         raise CaptureFormatError(

@@ -22,7 +22,9 @@ the golden-table tests assert this at the serialized-artifact level):
 The manifest is outside input: before a ``calls`` or ``quad.raw`` row
 indexes a manifest table, its id is checked against that table, and
 every QUAD access against the manifest's ``mem_size``
-(:class:`~repro.capture.format.CaptureFormatError` otherwise).
+(:class:`~repro.capture.format.CaptureFormatError` otherwise).  The QUAD
+drain makes its checks from the fields it decodes anyway
+(:meth:`~repro.quad.shadow.PagedQuadSink._decode`).
 """
 
 from __future__ import annotations
@@ -315,49 +317,6 @@ def replay_gprof(reader: CaptureReader, *, main_image_only: bool = True,
 
 
 # ------------------------------------------------------------------- QUAD
-#: The access widths the ISA records (indexed by a record's 5-bit size).
-_QUAD_SIZES = np.isin(np.arange(32), (1, 2, 4, 8))
-
-
-def _checked_quad_pages(pages, n_kernels: int, mem_size: int):
-    """Yield ``quad.raw`` pages flattened, once the manifest can place
-    every record: the kernel-id field (0 marks a dropped access) within
-    the ``n_kernels``-entry table, a size the ISA records (1, 2, 4 or 8
-    bytes; the drain's per-record fields assume it), and ``ea + size``
-    within ``mem_size`` — the VM faults past it, and a faulting run
-    writes no manifest."""
-    from ..quad.shadow import ADDR_MASK, KID_SHIFT, TAIL_SHIFT
-
-    for index, page in enumerate(pages):
-        vals = page.ravel()
-        if not vals.size:
-            continue
-        # SP markers are negative: the maximum is the largest record,
-        # whose top bits hold the largest kernel-id field
-        kid1 = int(vals.max()) >> KID_SHIFT
-        if kid1 > n_kernels:
-            raise CaptureFormatError(
-                f"corrupt capture page {STREAM_QUAD}[{index}]: kernel id "
-                f"{kid1 - 1} is outside the manifest's {n_kernels}-entry "
-                f"QUAD kernel table")
-        record = vals >= 0
-        size = (vals >> (TAIL_SHIFT + 1)) & 31
-        odd = ~_QUAD_SIZES[size]
-        if np.any(odd, where=record):
-            bad = int(size[np.flatnonzero(odd & record)[0]])
-            raise CaptureFormatError(
-                f"corrupt capture page {STREAM_QUAD}[{index}]: an access "
-                f"of {bad} bytes; the ISA records 1, 2, 4 or 8")
-        last = int(np.max((vals & ADDR_MASK) + size, where=record,
-                          initial=0))
-        if last > mem_size:
-            raise CaptureFormatError(
-                f"corrupt capture page {STREAM_QUAD}[{index}]: an access "
-                f"ends at {last:#x}, past the manifest's mem_size "
-                f"{mem_size:#x}")
-        yield vals
-
-
 def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
                 telemetry=TELEMETRY, mem_limit: int | None = None):
     """Rebuild a :class:`~repro.quad.report.QuadReport` by draining the
@@ -384,7 +343,9 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
     callstack = CallStack()
     for name in manifest["quad_kernels"]:
         callstack.intern(name)
-    sink = PagedQuadSink(callstack, track_bindings=track_bindings)
+    # the drain checks every record against the manifest as it decodes
+    sink = PagedQuadSink(callstack, track_bindings=track_bindings,
+                         limits=(len(callstack.interned_names), mem_size))
     budget = MemBudget(mem_limit) if mem_limit else None
     with telemetry.span("replay", cat="capture", tool="quad"):
         if reader.has_stream(STREAM_QUAD):
@@ -400,10 +361,7 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
                 batch = min(batch, max(mem_limit // 64, 4096))
             else:
                 pages = reader.pages(STREAM_QUAD)
-            sink.drain_stream(
-                _checked_quad_pages(pages, len(callstack.interned_names),
-                                    mem_size),
-                batch_rows=batch)
+            sink.drain_stream(pages, batch_rows=batch)
         report = sink.report(
             images=manifest["images"],
             total_instructions=manifest["total_instructions"])

@@ -78,6 +78,7 @@ counters.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 
@@ -114,6 +115,10 @@ _FULL_WORD = np.int64(0x0101010101010101)
 _AR16 = np.arange(16)
 #: The values of a record's 6-bit ``size << 1 | is_write`` field.
 _TAILS = np.arange(64)
+#: The access widths the ISA records, indexed by a record's 5-bit size.
+_ISA_SIZE = np.isin(np.arange(32), (1, 2, 4, 8))
+#: Tail fields whose size the ISA never records.
+_ODD_TAILS = ~_ISA_SIZE[_TAILS >> 1]
 #: Table key that ends every page table (above any real key).
 _END = np.iinfo(np.int64).max
 
@@ -334,13 +339,21 @@ class RawRecordBuffer:
 
 class PagedQuadSink(RawRecordBuffer):
     """Packed-record buffer + bulk drain over the paged shadow state:
-    ``flush`` drains the sealed buffer into the shadow."""
+    ``flush`` drains the sealed buffer into the shadow.
+
+    A replayed sink is given ``limits``, the ``(kernel table size,
+    mem_size)`` of the capture's manifest: :meth:`drain_stream` then
+    checks every record against them as it decodes each batch (see
+    :meth:`_decode`).  A live sink's records come from the VM and are
+    not checked."""
 
     def __init__(self, callstack: CallStack, *,
                  track_bindings: bool = True,
-                 cap: int = DEFAULT_RAW_CAP):
+                 cap: int = DEFAULT_RAW_CAP,
+                 limits: tuple[int, int] | None = None):
         super().__init__(callstack, cap=cap)
         self.track_bindings = track_bindings
+        self.limits = limits
         self._sp0 = 0
         self.shadow = ShadowPages()
         self._counts = np.zeros((8, 8), np.int64)
@@ -379,38 +392,55 @@ class PagedQuadSink(RawRecordBuffer):
             self._drain(vals)
 
     def drain_stream(self, chunks, batch_rows: int | None = None) -> None:
-        """Drain raw packed-record arrays in bounded batches.
+        """Drain raw packed-record pages in bounded batches.
 
         The chunk-friendly face of :meth:`_drain` for streaming replays:
-        ``chunks`` yields 1-D packed-record arrays of any length, which
-        are re-cut to ``batch_rows`` (clamped to the drain cap — the sort
-        keys' sequence field holds fewer than 2**18 records per drain)
-        with tail carry between chunks, so callers never concatenate the
-        full stream.
+        ``chunks`` yields the pages of a ``quad.raw`` stream, arrays of
+        packed records of any length and shape, which are re-cut to
+        ``batch_rows`` (clamped to the drain cap — the sort keys'
+        sequence field holds fewer than 2**18 records per drain) with
+        tail carry between chunks, so callers never concatenate the
+        full stream.  Each batch carries the page of each of its rows,
+        which a rejected record's error names.
         """
         cap = (self.cap if batch_rows is None
                else max(min(int(batch_rows), self.cap), 1))
         tail = None
-        for vals in chunks:
-            if tail is not None:
+        for i, vals in enumerate(chunks):
+            vals = vals.ravel()
+            # the index and first row in ``vals`` of each page with rows
+            # in it
+            if tail is None:
+                index, start = [i], [0]
+            else:
+                index.append(i)
+                start.append(tail.size)
                 vals = np.concatenate([tail, vals])
                 tail = None
             lo = 0
             while vals.size - lo >= cap:
-                self._drain(vals[lo:lo + cap])
+                self._drain(vals[lo:lo + cap],
+                            (np.array(start) - lo, index, vals[lo + cap:]))
                 lo += cap
             if vals.size - lo:
                 tail = vals[lo:]
+                # keep the pages the tail holds rows of
+                first = bisect_right(start, lo) - 1
+                index = index[first:]
+                start = [max(row - lo, 0) for row in start[first:]]
         if tail is not None:
-            self._drain(tail)
+            self._drain(tail, (np.array(start), index, tail[:0]))
 
-    def _drain(self, vals: np.ndarray) -> None:
+    def _drain(self, vals: np.ndarray, pages=None) -> None:
         """Drain one sealed buffer of packed rows (records and SP
-        markers) into the shadow, counters, bindings and UnMA planes."""
+        markers) into the shadow, counters, bindings and UnMA planes.
+        ``pages`` (from :meth:`drain_stream`) holds the first row and
+        index of each page with rows in ``vals``, and the rows that
+        follow ``vals`` in the stream up to the end of its last page."""
         _TELEMETRY.count("quad/records_drained", vals.size)
         with _TELEMETRY.span("drain", cat="quad", records=vals.size):
             with _TELEMETRY.span("drain.decode", cat="quad"):
-                decoded = self._decode(vals)
+                decoded = self._decode(vals, pages)
             if decoded is None:
                 return
             a, pl, size, kids = decoded
@@ -443,11 +473,19 @@ class PagedQuadSink(RawRecordBuffer):
             pl = (pl & ~15) | (off < (pl & 15))
             self._scan((np.repeat(a[slow], size) + off) << _SEQ, pl, kids, 1)
 
-    def _decode(self, vals: np.ndarray):
+    def _decode(self, vals: np.ndarray, pages=None):
         """One drain's records, decoded once: addresses, payloads, sizes
         (None when every record is a full word) and the global ids of
         the kernels present, ascending — or None if no record survives
-        the SP markers and dropped accesses."""
+        the SP markers and dropped accesses.
+
+        A replayed sink checks each record, dropped ones included, from
+        the fields it decodes anyway, before any of them reaches the
+        shadow: a kernel-id field within the manifest's table (one
+        ``max``, taken before that field sizes the histogram), a size
+        the ISA records (the histogram's columns) and ``ea + size``
+        within ``mem_size`` (one ``max``; exactly only when an address
+        lies within 8 bytes of the end)."""
         mpos = np.flatnonzero(vals < 0)
         sp = self._sp0
         r = vals
@@ -466,15 +504,24 @@ class PagedQuadSink(RawRecordBuffer):
         # present, the dropped accesses and whether every record has
         # size 8; its key gathers each record's payload head
         t = r >> TAIL_SHIFT
+        a = r & ADDR_MASK
+        limits = self.limits
+        if limits is not None and int(t.max()) >> 6 > limits[0]:
+            self._reject(vals, pages)
         hist = np.bincount(t)
         hist = np.concatenate([hist, np.zeros(-hist.size % 64, np.int64)])
         hist = hist.reshape(-1, 64)
+        if limits is not None and (
+                hist[:, _ODD_TAILS].any()
+                or int(a.max()) + 8 > limits[1]
+                and int((a + ((t >> 1) & 31)).max()) > limits[1]):
+            self._reject(vals, pages)
         if hist[0].any():                        # no kernel entered
             keep = t >= 64
-            r, t = r[keep], t[keep]
+            a, t = a[keep], t[keep]
             if mpos.size:
                 sp = sp[keep]
-            if not r.size:
+            if not a.size:
                 return None
             hist[0] = 0
         kids1 = np.flatnonzero(hist.any(axis=1))
@@ -482,7 +529,6 @@ class PagedQuadSink(RawRecordBuffer):
         local[kids1] = np.arange(1, kids1.size + 1)
         head = ((local[:, None] << 5) | ((_TAILS & 1) << 4)).ravel()
         self._ensure_kernels()
-        a = r & ADDR_MASK
         nb = sp - a                              # bytes below SP
         if hist[:, (_TAILS >> 1) != 8].any() or np.bitwise_or.reduce(a) & 7:
             size = (t >> 1) & 31
@@ -493,6 +539,42 @@ class PagedQuadSink(RawRecordBuffer):
         pl = head[t]
         pl |= nb
         return a, pl, size, kids1 - 1
+
+    def _reject(self, vals: np.ndarray, pages) -> None:
+        """Raise the error of the page holding the first record of
+        ``vals`` that a check of :meth:`_decode` fails, once one has:
+        of that page's records, the message names the largest kernel id
+        past the table, else the first size outside the ISA's, else the
+        largest end address past ``mem_size``.  The page may run on past
+        ``vals``; its earlier records, drained before, passed."""
+        from ..capture.format import STREAM_QUAD, CaptureFormatError
+
+        n_kernels, mem_size = self.limits
+        start, index, after = pages
+        rows = np.concatenate([vals, after])
+        record = rows >= 0
+        kid1 = rows >> KID_SHIFT
+        size = (rows >> (TAIL_SHIFT + 1)) & 31
+        end = (rows & ADDR_MASK) + size
+        bad = [record & fails for fails in
+               (kid1 > n_kernels, ~_ISA_SIZE[size], end > mem_size)]
+        first = np.flatnonzero(bad[0] | bad[1] | bad[2])[0]
+        # the last page starting at or before it
+        page = np.searchsorted(start, first, side="right") - 1
+        on = slice(max(start[page], 0), start[page + 1]
+                   if page + 1 < start.size else rows.size)
+        where = f"corrupt capture page {STREAM_QUAD}[{index[page]}]: "
+        if bad[0][on].any():
+            raise CaptureFormatError(
+                f"{where}kernel id {int(kid1[on].max()) - 1} is outside "
+                f"the manifest's {n_kernels}-entry QUAD kernel table")
+        if bad[1][on].any():
+            raise CaptureFormatError(
+                f"{where}an access of {int(size[on][bad[1][on]][0])} "
+                f"bytes; the ISA records 1, 2, 4 or 8")
+        raise CaptureFormatError(
+            f"{where}an access ends at {int(end[on][record[on]].max()):#x}, "
+            f"past the manifest's mem_size {mem_size:#x}")
 
     def _count(self, pl: np.ndarray, size: np.ndarray | None,
                kids: np.ndarray) -> None:

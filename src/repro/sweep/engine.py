@@ -10,20 +10,24 @@ whole interval × stack-policy × library-mode grid from that single pass:
 * **decode** — each page is decoded once; the library markers
   (``kernel_id <= -2``) and dropped-row sentinels (``-1``) become column
   masks, and every row is bucketed at the *gcd grain* of the requested
-  intervals.  Only the distinct row-filter combinations the grid actually
-  needs (library rows kept/dropped × exclusive-only) are accumulated.
-  An exact pass sums each run of adjacent filtered rows that share a
+  intervals.  Rows are accumulated once per library mode the grid
+  needs (library rows kept or dropped), every valid row of each.  An
+  exact pass sums each run of adjacent filtered rows that share a
   ``(kernel, fine-slice)`` key (:func:`~repro.core.npsort.run_sum`)
   before accumulating: pages recorded in event mode hold one row per
   access, in long runs of one kernel and slice.
 * **bucket** — the per-page rows group into one sparse
-  ``(kernel, fine-slice) -> (incl, excl)`` table per stream and combo
-  (a :class:`~repro.capture.streaming.SortedTableAcc` groups them as
-  they arrive, during the decode), and each combo's read and
-  write tables merge into one table of the four ledger counters, kernels
+  ``(kernel, fine-slice) -> (incl, excl)`` table per stream and library
+  mode (a :class:`~repro.capture.streaming.SortedTableAcc` groups them
+  as they arrive, during the decode), and each mode's read and write
+  tables merge into one table of the four ledger counters, kernels
   numbered in name order (the ledger's).
 * **fold** — each coarser interval ``m * grain`` is an exact segment-sum
-  of the combo's fine table (``slice // m``); no re-read, no re-decode.
+  of the mode's fine table (``slice // m``); no re-read, no re-decode.
+  An exclusive-only cell (``EXCLUDE`` from a ``BOTH`` capture) keeps
+  the folded rows whose read or write excl sum is nonzero: byte counts
+  are never negative (:func:`_check_page`), so those are exactly the
+  keys of the rows with exclusive bytes.
 * **report** — every cell's table lands in its own ledger as one grouped
   chunk (:meth:`~repro.core.ledger.BandwidthLedger.add`), so each cell
   is a normal :class:`~repro.core.report.TQuadReport`, byte-identical (at
@@ -113,7 +117,8 @@ class SweepResult:
 def _cell_combo(cell: SweepCell, captured: StackPolicy,
                 captured_excl_libs: bool) -> tuple[bool, bool]:
     """The row-filter combination a cell reads from: (drop library rows,
-    keep only rows with exclusive bytes)."""
+    keep only rows with exclusive bytes).  Passes accumulate only the
+    first; the second is a projection of the folded table."""
     drop_lib = cell.exclude_libraries and not captured_excl_libs
     excl_only = (captured is StackPolicy.BOTH
                  and cell.stack is StackPolicy.EXCLUDE)
@@ -306,28 +311,24 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                         intervals=",".join(map(str, grid.intervals))), \
             SpillPool(budget) as pool:
         # ------------------------------------------------ decode (one pass)
-        # per (stream, combo): an accumulator that groups the pages'
-        # (keys, incl, excl) partials as they arrive, so no sweep holds
-        # every page's partials at once; under a memory budget its
-        # carry also spills
+        # per (stream, library mode): an accumulator that groups the
+        # pages' (keys, incl, excl) partials as they arrive, so no sweep
+        # holds every page's partials at once; under a memory budget its
+        # carry also spills.  Only the combos that keep every valid row
+        # are accumulated: an exclusive-only cell is a projection of its
+        # library mode's table (see the fold)
         from ..capture import PAGE_BATCH_ROWS
-        locs = [(stream, combo) for stream, _ in _STREAMS
-                for combo in combos]
+        libs = sorted({drop_lib for drop_lib, _ in combos})
+        locs = [(stream, drop_lib) for stream, _ in _STREAMS
+                for drop_lib in libs]
         charged = budget if budget is not None else MemBudget()
         accs = {loc: SortedTableAcc(charged, PAGE_BATCH_ROWS)
                 for loc in locs}
-        # sampled runs: per (stream, combo) float sums of the filtered
-        # rows' (incl, incl², excl, excl²) — the approximate tier's
-        # variance estimate needs row-level squares, not table sums
+        # sampled runs: per (stream, library mode) float sums of the
+        # filtered rows' (incl, incl², excl, excl²) — the approximate
+        # tier's variance estimate needs row-level squares, not table sums
         moments = ({loc: np.zeros(4) for loc in locs}
                    if rate is not None else None)
-
-        def emit(loc, chunk, mom):
-            nonlocal rows_bucketed
-            rows_bucketed += chunk[0].size
-            accs[loc].add(*chunk)
-            if mom is not None:
-                moments[loc] += mom
 
         with telemetry.span("sweep.decode", cat="sweep"):
             for si, (stream, _) in enumerate(_STREAMS):
@@ -370,55 +371,24 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     sl = (page[:, 0] - 1) // fine
                     key = kid_base[kid] + sl
                     incl, excl = page[:, 1], page[:, 2]
-                    # each combo's row filter selects rows.  An exact
-                    # pass then sums each run of adjacent rows sharing
-                    # a key (an event-mode page holds one row per
-                    # access, in runs of one kernel and slice); a
-                    # sampled pass hands on rows, whose squares its
-                    # moments need.  The accumulators group what they
-                    # get as it arrives.  Combos whose filters coincide
-                    # on this page (no library rows, no exclusive-free
-                    # rows) share one selection
-                    excl_pos = None
-                    done: dict[tuple[bool, bool], tuple] = {}
-                    for combo in combos:
-                        drop_lib, excl_only = combo
-                        if excl_only and excl_pos is None:
-                            excl_pos = excl > 0
-                            excl_all = bool(excl_pos.all())
-                        eff = (drop_lib and has_lib,
-                               excl_only and not excl_all)
-                        hit = done.get(eff)
-                        if hit is not None:
-                            if hit:
-                                emit((stream, combo), *hit)
-                            continue
-                        mask = valid
-                        if eff[0]:
-                            mask = mask & ~lib
-                        if eff[1]:
-                            mask = excl_pos if mask is None \
-                                else mask & excl_pos
-                        if mask is None or mask.all():
-                            chunk = (key, incl, excl)
-                        elif mask.any():
-                            chunk = (key[mask], incl[mask], excl[mask])
-                        else:
-                            done[eff] = ()
-                            continue
-                        if rate is None:
-                            chunk = run_sum(chunk[0], chunk[1:])
-                        if chunk[1] is incl:
-                            # accumulators keep chunks past this page
-                            chunk = (key, incl.copy(), excl.copy())
-                        mom = None
-                        if moments is not None:
-                            inf = chunk[1].astype(float)
-                            exf = chunk[2].astype(float)
-                            mom = np.array([inf.sum(), (inf * inf).sum(),
-                                            exf.sum(), (exf * exf).sum()])
-                        done[eff] = (chunk, mom)
-                        emit((stream, combo), chunk, mom)
+                    # each library mode's row filter selects rows (both
+                    # modes share one selection on a page without
+                    # library rows), and the accumulators group what
+                    # they get as it arrives
+                    done: dict[bool, tuple | None] = {}
+                    for drop_lib in libs:
+                        eff = drop_lib and has_lib
+                        if eff not in done:
+                            done[eff] = _select(
+                                valid & ~lib if eff else valid, key,
+                                incl, excl, rate is None,
+                                moments is not None)
+                        if done[eff] is not None:
+                            chunk, mom = done[eff]
+                            rows_bucketed += chunk[0].size
+                            accs[stream, drop_lib].add(*chunk)
+                            if mom is not None:
+                                moments[stream, drop_lib] += mom
                     if budget is not None and budget.over:
                         # fold pending chunks first — usually enough;
                         # carry that still busts the ceiling goes to disk
@@ -428,34 +398,44 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                             for acc in accs.values():
                                 acc.spill(pool)
         # ------------- bucket (group partials, merge read and write tables)
-        # per combo one sparse (kernel, fine slice) table of the four
-        # ledger counters
-        fine_tables: dict[tuple[bool, bool], tuple[np.ndarray, ...]] = {}
+        # per library mode one sparse (kernel, fine slice) table of the
+        # four ledger counters
+        fine_tables: dict[bool, tuple[np.ndarray, ...]] = {}
         with telemetry.span("sweep.bucket", cat="sweep"):
-            for combo in combos:
+            for drop_lib in libs:
                 # an accumulator's table is already grouped (and merged
                 # back from any spill runs)
                 (kr, ir, er), (kw, iw, ew) = (
-                    accs.pop((stream, combo)).finalize()
+                    accs.pop((stream, drop_lib)).finalize()
                     for stream, _ in _STREAMS)
                 zr, zw = np.zeros_like(kr), np.zeros_like(kw)
-                fine_tables[combo] = group_sum(*map(np.concatenate, (
+                fine_tables[drop_lib] = group_sum(*map(np.concatenate, (
                     (kr, kw), (ir, zw), (er, zw), (zr, iw), (zr, ew))))
         # -------------------------------- fold (exact coarse segment sums)
         folded: dict[tuple[tuple[bool, bool], int],
                      tuple[np.ndarray, ...]] = {}
         with telemetry.span("sweep.fold", cat="sweep"):
             for cell in cells:
-                combo = _cell_combo(cell, captured, captured_excl_libs)
-                if (combo, cell.interval) not in folded:
+                drop_lib, excl_only = combo = _cell_combo(
+                    cell, captured, captured_excl_libs)
+                base = (drop_lib, False), cell.interval
+                if base not in folded:
                     # fine keys ascend kernel-major, so rounding slices
                     # down to a multiple of m keeps them nondecreasing
-                    keys, *cols = fine_tables[combo]
+                    keys, *cols = fine_tables[drop_lib]
                     m = cell.interval // fine
                     keys, *cols = group_sum(keys - keys % n_fine % m,
                                             *cols)
+                    folded[base] = (keys // n_fine, keys % n_fine // m,
+                                    cols)
+                if excl_only and (combo, cell.interval) not in folded:
+                    # the rows with exclusive bytes: _check_page rejects
+                    # negative byte counts, so a key holds such a row
+                    # exactly when its read or write excl sum is nonzero
+                    kid, slices, cols = folded[base]
+                    keep = (cols[1] | cols[3]) != 0
                     folded[combo, cell.interval] = (
-                        keys // n_fine, keys % n_fine // m, cols)
+                        kid[keep], slices[keep], [c[keep] for c in cols])
         # ----------------------------------- report (one ledger per cell)
         with telemetry.span("sweep.report", cat="sweep"):
             for cell in cells:
@@ -507,16 +487,50 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
     return result, samples
 
 
+def _select(mask: np.ndarray | None, key: np.ndarray, incl: np.ndarray,
+            excl: np.ndarray, exact: bool, with_moments: bool):
+    """The ``(keys, incl, excl)`` chunk of a page's rows that ``mask``
+    keeps (every row when ``None``) and, ``with_moments``, its
+    ``(incl, incl², excl, excl²)`` float sums — or ``None`` when it
+    keeps no row.  An ``exact`` pass sums each run of adjacent rows
+    sharing a key (an event-mode page holds one row per access, in runs
+    of one kernel and slice); a sampled pass hands on rows, whose
+    squares its moments need.  The chunk never aliases the page: the
+    accumulators keep it past the page."""
+    if mask is None or mask.all():
+        chunk = (key, incl, excl)
+    elif mask.any():
+        chunk = (key[mask], incl[mask], excl[mask])
+    else:
+        return None
+    if exact:
+        chunk = run_sum(chunk[0], chunk[1:])
+    if chunk[1] is incl:
+        chunk = (key, incl.copy(), excl.copy())
+    mom = None
+    if with_moments:
+        inf = chunk[1].astype(float)
+        exf = chunk[2].astype(float)
+        mom = np.array([inf.sum(), (inf * inf).sum(),
+                        exf.sum(), (exf * exf).sum()])
+    return chunk, mom
+
+
 def _cell_sample(moments, combo, zero_excl: bool, kid: np.ndarray,
                  mat: np.ndarray, rank: np.ndarray) -> _CellSample:
     """One cell's :class:`_CellSample`, zeroing the counters the cell's
     stack view drops exactly as its (unscaled) ``mat`` does.  ``kid``
-    numbers kernels in name order; ``rank`` maps manifest ids to it."""
+    numbers kernels in name order; ``rank`` maps manifest ids to it.
+
+    ``moments`` are the cell's library mode's: an exclusive-only cell's
+    rows without exclusive bytes add nothing to its excl moments, and
+    it reads no incl moment."""
     sums, sumsqs = np.zeros(4), np.zeros(4)
+    drop_lib, excl_only = combo
     for (stream, write) in _STREAMS:
-        m = moments[stream, combo]
+        m = moments[stream, drop_lib]
         col = 2 if write else 0
-        if not combo[1]:
+        if not excl_only:
             sums[col], sumsqs[col] = m[0], m[1]
         if not zero_excl:
             sums[col + 1], sumsqs[col + 1] = m[2], m[3]

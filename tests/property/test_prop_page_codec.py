@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import struct
 import tempfile
 import zipfile
@@ -277,6 +278,22 @@ def test_damaged_capture_fails_typed(clean, kind, data):
         else:
             with CaptureReader(str(path)) as reader:
                 assert _every_page(reader) == want
+
+
+@pytest.mark.parametrize("field", ["signature", "name"])
+def test_local_header_mismatch_fails_typed(clean, field):
+    """A deflated member is inflated straight from the archive: its local
+    header must still carry the signature and the directory's file name,
+    as :mod:`zipfile` requires."""
+    name = page_name(STREAM_TQUAD_WRITE, 1)
+    with zipfile.ZipFile(io.BytesIO(clean)) as zf:
+        head = zf.getinfo(name).header_offset
+    out = bytearray(clean)
+    out[head + (0 if field == "signature" else 30 + len(name) - 1)] ^= 0x01
+    with CaptureReader(io.BytesIO(bytes(out))) as reader:
+        with pytest.raises(CaptureFormatError, match=re.escape(
+                f"corrupt capture page {STREAM_TQUAD_WRITE}[1]: ")):
+            _every_page(reader)
 
 
 #: One representative edit of each kind, drawn by hand: the first page

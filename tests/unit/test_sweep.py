@@ -2,15 +2,18 @@
 reader page cache, the multipass interval validation, and the ``tquad
 sweep`` CLI."""
 
+import functools
 import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.capture import (CaptureMismatchError, CaptureReader,
-                           STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
-                           capture_run, replay_tquad)
+from repro.capture import (CaptureFormatError, CaptureMismatchError,
+                           CaptureReader, STREAM_TQUAD_READ,
+                           STREAM_TQUAD_WRITE, capture_run, replay_tquad)
+from repro.capture.format import decode_page, encode_page, page_name
 from repro.cli import main
 from repro.core import TQuadOptions, TQuadTool, profile_passes
 from repro.core.options import StackPolicy
@@ -213,6 +216,151 @@ class TestSweepEngine:
         assert tele.counters["sweep/rows_read"] == rows
         assert tele.counters["sweep/rows_bucketed"] == runs
         assert 4 * runs < rows
+
+
+#: ``frame`` touches only its own stack frame (addresses at or above SP),
+#: so none of its rows carries exclusive bytes; ``memcpy``'s accesses are
+#: library-marked rows of ``main``, the only ones of ``main`` with
+#: exclusive bytes.
+STACK_APP = """
+int g[64]; int dst[64];
+int frame() { int t[16]; int i; for (i = 0; i < 16; i = i + 1) { t[i] = i; }
+              return t[5] + t[9]; }
+int fill() { int i; for (i = 0; i < 64; i = i + 1) { g[i] = i; } return 0; }
+int main() { int x; x = frame(); x = x + fill(); memcpy(dst, g, 256);
+             x = x + frame(); return x; }
+"""
+
+#: The three forms of ``sweep_tquad``: unbounded, a ceiling small enough
+#: to spill, and a sampled pass.
+SWEEP_FORMS = {"default": {}, "spill": {"mem_limit": 512},
+               "sample": {"sample": (0.5, 3)}}
+
+
+class TestStackProjection:
+    """An exclusive-only cell (``EXCLUDE`` from a ``BOTH`` capture) is a
+    projection of its library mode's accumulated table: the folded rows
+    whose read or write excl sum is nonzero."""
+
+    GRID = SweepGrid(intervals=(50, 200), stacks=tuple(StackPolicy),
+                     library_modes=(False, True))
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        """A ``STACK_APP`` capture whose tQUAD streams span several
+        pages (a 64-row sink cap)."""
+        from repro.core import profiler
+        from repro.core.recording import CapturingRecordingSink
+
+        buf = io.BytesIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(profiler, "CapturingRecordingSink",
+                       functools.partial(CapturingRecordingSink, cap=64))
+            capture_run(build_program(STACK_APP), buf, tools=("tquad",),
+                        options=TQuadOptions(slice_interval=50))
+        return buf.getvalue()
+
+    def _sweep(self, raw, grid, **form):
+        with CaptureReader(io.BytesIO(raw)) as reader:
+            return sweep_tquad(reader, grid, **form)
+
+    def test_guest_has_the_edge_cases(self, raw):
+        with CaptureReader(io.BytesIO(raw)) as reader:
+            assert reader.streams[STREAM_TQUAD_READ]["pages"] > 2
+            rows = np.concatenate([reader.column(STREAM_TQUAD_READ),
+                                   reader.column(STREAM_TQUAD_WRITE)])
+            frame = reader.manifest["kernels"].index("frame")
+        assert (rows[:, 3] < -1).any()                  # library rows
+        mine = rows[rows[:, 3] == frame]
+        assert mine[:, 1].sum() > 0 and not mine[:, 2].any()
+        result = self._sweep(raw, self.GRID)
+        both = result.report(50).ledger.kernels()
+        excl = result.report(50, StackPolicy.EXCLUDE).ledger.kernels()
+        assert "frame" in both and "frame" not in excl
+        assert "main" not in result.report(
+            50, StackPolicy.EXCLUDE, True).ledger.kernels()
+
+    def test_cells_match_live_runs(self, raw):
+        result = self._sweep(raw, self.GRID)
+        engine = PinEngine(build_program(STACK_APP))
+        tools = [TQuadTool(cell.options()).attach(engine)
+                 for cell, _ in result]
+        engine.run()
+        for (cell, report), tool in zip(result, tools):
+            assert tquad_to_json(report) == tquad_to_json(tool.report()), \
+                cell.key
+
+    @pytest.mark.parametrize("form", sorted(SWEEP_FORMS))
+    def test_cells_match_one_cell_sweeps(self, raw, form):
+        result = self._sweep(raw, self.GRID, **SWEEP_FORMS[form])
+        if form == "spill":
+            assert result.stats["spilled_bytes"] > 0
+        assert len(result) == 12
+        for cell, report in result:
+            alone = self._sweep(raw, SweepGrid(
+                intervals=(cell.interval,), stacks=(cell.stack,),
+                library_modes=(cell.exclude_libraries,)),
+                **SWEEP_FORMS[form])
+            assert tquad_to_json(report) == tquad_to_json(
+                alone.report(cell.interval, cell.stack,
+                             cell.exclude_libraries)), cell.key
+
+    @pytest.mark.parametrize("exclude_libraries", [False, True])
+    def test_sampled_excl_moments_are_the_library_modes(
+            self, raw, exclude_libraries):
+        """A sampled exclusive-only cell reads its library mode's excl
+        moments, which the rows without exclusive bytes do not move, and
+        no incl moment."""
+        from repro.capture import approx_replay_tquad
+
+        def approx(stack):
+            with CaptureReader(io.BytesIO(raw)) as reader:
+                return approx_replay_tquad(reader, TQuadOptions(
+                    slice_interval=50, stack=stack,
+                    exclude_libraries=exclude_libraries), rate=0.5, seed=3)
+
+        both, excl = approx(StackPolicy.BOTH), approx(StackPolicy.EXCLUDE)
+        assert both.totals["write_excl"] > 0
+        for key in ("read_excl", "write_excl"):
+            assert excl.totals[key] == both.totals[key]
+            assert excl.rel_err_95[key] == both.rel_err_95[key]
+        for key in ("read_incl", "write_incl"):
+            assert excl.totals[key] == 0 and excl.rel_err_95[key] == 0.0
+
+    def test_rows_bucketed_once_per_library_mode(self, raw):
+        def bucketed(stacks):
+            tele = Telemetry()
+            with CaptureReader(io.BytesIO(raw)) as reader:
+                sweep_tquad(reader, SweepGrid(
+                    intervals=(50, 200), stacks=stacks,
+                    library_modes=(False, True)), telemetry=tele)
+            return tele.counters["sweep/rows_bucketed"]
+
+        assert bucketed((StackPolicy.BOTH, StackPolicy.EXCLUDE)) \
+            == bucketed((StackPolicy.BOTH,))
+
+    @pytest.mark.parametrize("stream", [STREAM_TQUAD_READ,
+                                        STREAM_TQUAD_WRITE])
+    def test_negative_excl_bytes_fail(self, raw, stream):
+        """The projection relies on byte counts never being negative: a
+        row of negative excl bytes could cancel a key's positive ones."""
+        src = zipfile.ZipFile(io.BytesIO(raw))
+        rows = json.loads(src.read("manifest.json"))["streams"][
+            stream]["page_rows"][1]
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w") as dst:
+            for info in src.infolist():
+                data = src.read(info)
+                if info.filename == page_name(stream, 1):
+                    page = decode_page(data, stream, rows).copy()
+                    page[0, 2] = -8
+                    data = encode_page(page.tobytes(), stream)
+                dst.writestr(info, data)
+        with pytest.raises(CaptureFormatError,
+                           match=rf"{stream}\[1\]: a row of -8 bytes"):
+            self._sweep(out.getvalue(), SweepGrid(
+                intervals=(50,), stacks=(StackPolicy.BOTH,
+                                         StackPolicy.EXCLUDE)))
 
 
 class TestColumnarLedger:
