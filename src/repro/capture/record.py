@@ -11,6 +11,7 @@ manifest.
 
 from __future__ import annotations
 
+import os
 from array import array
 from typing import BinaryIO
 
@@ -105,6 +106,11 @@ def capture_run(program, dest: "str | BinaryIO | CaptureWriter", *, fs=None,
     guest runs — so they have no reports: replay the capture instead (the
     property tests assert replays equal live runs byte for byte).  QUAD's
     binding tracking is a replay choice (``replay_quad(track_bindings=)``).
+
+    If the run fails (a guest fault, an exhausted budget), the writer
+    this call opened is closed and a file it created at a path ``dest``
+    is deleted; a :class:`CaptureWriter` passed in is the caller's to
+    close.
     """
     unknown = [t for t in tools if t not in CAPTURE_TOOLS]
     if unknown:
@@ -112,41 +118,49 @@ def capture_run(program, dest: "str | BinaryIO | CaptureWriter", *, fs=None,
     if not tools:
         raise ValueError("capture needs at least one tool stream")
     options = options or TQuadOptions()
-    writer = (dest if isinstance(dest, CaptureWriter)
-              else CaptureWriter(dest, telemetry=telemetry))
-    kwargs = {"fs": fs, "jit": jit}
-    if mem_size is not None:
-        kwargs["mem_size"] = mem_size
-    engine = PinEngine(program, **kwargs)
-    if on_engine is not None:
-        # expose the live engine (e.g. to a supervisor heartbeat that
-        # watches ``machine.icount`` for progress) before the run starts
-        on_engine(engine)
-    tquad_tool = quad_tool = recorder = None
-    if "tquad" in tools:
-        tquad_tool = TQuadTool(options, capture=writer).attach(engine)
-    if "quad" in tools:
-        quad_tool = QuadTool(capture=writer).attach(engine)
-    if "gprof" in tools:
-        recorder = CallEventRecorder(writer).attach(engine)
-    with telemetry.span("capture", cat="capture", label=label or None):
-        exit_code = engine.run(max_instructions=max_instructions)
-    manifest = make_manifest(
-        program_sha=program_digest(program),
-        label=label,
-        tools=tools,
-        grain=options.slice_interval,
-        stack=options.stack.value,
-        exclude_libraries=options.exclude_libraries,
-        total_instructions=engine.machine.icount,
-        exit_code=exit_code,
-        images={r.name: r.image for r in program.routines},
-        kernels=(list(tquad_tool.callstack.interned_names)
-                 if tquad_tool else []),
-        quad_kernels=(list(quad_tool.callstack.interned_names)
-                      if quad_tool else []),
-        routines=recorder.routines if recorder else [],
-        mem_size=engine.machine.mem_size,
-        prefetches_skipped=(tquad_tool.prefetches_skipped
-                            if tquad_tool else 0))
-    return writer.finalize(manifest)
+    owned = not isinstance(dest, CaptureWriter)
+    writer = CaptureWriter(dest, telemetry=telemetry) if owned else dest
+    try:
+        kwargs = {"fs": fs, "jit": jit}
+        if mem_size is not None:
+            kwargs["mem_size"] = mem_size
+        engine = PinEngine(program, **kwargs)
+        if on_engine is not None:
+            # expose the live engine (e.g. to a supervisor heartbeat that
+            # watches ``machine.icount`` for progress) before the run starts
+            on_engine(engine)
+        tquad_tool = quad_tool = recorder = None
+        if "tquad" in tools:
+            tquad_tool = TQuadTool(options, capture=writer).attach(engine)
+        if "quad" in tools:
+            quad_tool = QuadTool(capture=writer).attach(engine)
+        if "gprof" in tools:
+            recorder = CallEventRecorder(writer).attach(engine)
+        with telemetry.span("capture", cat="capture", label=label or None):
+            exit_code = engine.run(max_instructions=max_instructions)
+        manifest = make_manifest(
+            program_sha=program_digest(program),
+            label=label,
+            tools=tools,
+            grain=options.slice_interval,
+            stack=options.stack.value,
+            exclude_libraries=options.exclude_libraries,
+            total_instructions=engine.machine.icount,
+            exit_code=exit_code,
+            images={r.name: r.image for r in program.routines},
+            kernels=(list(tquad_tool.callstack.interned_names)
+                     if tquad_tool else []),
+            quad_kernels=(list(quad_tool.callstack.interned_names)
+                          if quad_tool else []),
+            routines=recorder.routines if recorder else [],
+            mem_size=engine.machine.mem_size,
+            prefetches_skipped=(tquad_tool.prefetches_skipped
+                                if tquad_tool else 0))
+        return writer.finalize(manifest)
+    except BaseException:
+        if owned:
+            writer.close()
+            if isinstance(dest, (str, os.PathLike)):
+                # ZipFile(dest, "w") already truncated what was there
+                os.remove(dest)
+        raise

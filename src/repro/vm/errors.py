@@ -8,14 +8,19 @@ class VMError(Exception):
 
     def __init__(self, message: str, *, pc: int | None = None,
                  icount: int | None = None):
+        super().__init__(message)
         self.pc = pc
         self.icount = icount
+
+    def __str__(self) -> str:
+        # rendered when read: ``Machine.run`` fills in the icount of a
+        # fault raised without one
         ctx = ""
-        if pc is not None:
-            ctx += f" at pc={pc:#x}"
-        if icount is not None:
-            ctx += f" icount={icount}"
-        super().__init__(message + ctx)
+        if self.pc is not None:
+            ctx += f" at pc={self.pc:#x}"
+        if self.icount is not None:
+            ctx += f" icount={self.icount}"
+        return f"{self.args[0]}{ctx}"
 
 
 class MemoryFault(VMError):

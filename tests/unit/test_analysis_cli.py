@@ -1,5 +1,8 @@
 """Tests for the analysis helpers and the command-line interface."""
 
+import gc
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,12 +94,15 @@ class TestCli:
     def test_import_leaves_networkx_unloaded(self):
         """Every CLI call, corpus worker and benchmark worker imports the
         package and the CLI; only the QDU graph and the clustering use
-        networkx, so only they import it."""
+        networkx, so only they import it.  Likewise the capture, sweep and
+        corpus packages load only for the commands that use them."""
         src = str(Path(repro.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "import repro, repro.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'networkx'))")
+                "if m.split('.')[0] == 'networkx' or m.split('.')[:2] in "
+                "(['repro', 'capture'], ['repro', 'sweep'], "
+                "['repro', 'corpus'])))")
         proc = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -189,34 +195,67 @@ class TestCli:
         assert rc == 0
         assert "intra-cluster" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["capture-info", "cluster",
-                                         "wcet"])
-    def test_trace_out_keeps_stdout(self, command, tmp_path, capsys):
-        """``--trace-out`` writes a trace holding the command's ``cli``
-        span and leaves stdout byte-identical to the untraced run."""
+    @pytest.mark.parametrize("command", [
+        "profile", "wfs", "guest", "sweep", "capture-run", "capture-info",
+        "corpus", "run", "cluster", "wcet"])
+    def test_trace_out_keeps_stdout(self, command, tmp_path, capsys,
+                                    monkeypatch):
+        """``--trace-out`` writes a trace with one ``cli`` span, which holds
+        every other span (the guest's MiniC compile included), and leaves
+        stdout byte-identical to the untraced run."""
         import json
 
+        import repro.minic.driver as driver
         from repro import obs
+
+        compile_unit = driver.compile_unit
+
+        def probed(*args, **kwargs):
+            # MiniC compile has no span of its own; this one marks it
+            with obs.TELEMETRY.span("compile-probe", cat="test"):
+                return compile_unit(*args, **kwargs)
 
         src = tmp_path / "app.mc"
         src.write_text(TestClustering.SRC)
+        hello = tmp_path / "hello.mc"
+        hello.write_text('int main() { print_str("hi\\n"); return 0; }')
         cap = tmp_path / "app.capture"
         assert main(["capture", "run", str(src), "--out", str(cap)]) == 0
-        argv = {"capture-info": ["capture", "info", str(cap), "--stats",
+        monkeypatch.setattr(driver, "compile_unit", probed)
+        store = tmp_path / "store"
+        argv = {"profile": ["profile", str(src), "--interval", "200",
+                            "--phases"],
+                "wfs": ["wfs", "--preset", "tiny"],
+                "guest": ["guest", "hashjoin", "--top", "4"],
+                "sweep": ["sweep", str(src), "--intervals", "100,200"],
+                "capture-run": ["capture", "run", str(src), "--out",
+                                str(tmp_path / "c.capture")],
+                "capture-info": ["capture", "info", str(cap), "--stats",
                                  "--no-page-cache"],
+                "corpus": ["corpus", "run", "--only", "gen-streaming_0055",
+                           "--store", str(store)],
+                "run": ["run", str(hello)],
                 "cluster": ["cluster", str(src), "--clusters", "2"],
                 "wcet": ["wcet", str(src), "q", "--bounds", "q:64"]}[command]
         capsys.readouterr()
         assert main(argv) == 0
         plain = capsys.readouterr()
+        shutil.rmtree(store, ignore_errors=True)
         trace = tmp_path / "trace.json"
         assert main([*argv, "--trace-out", str(trace)]) == 0
         traced = capsys.readouterr()
         assert traced.out == plain.out != ""
         assert not obs.TELEMETRY.enabled
-        events = json.loads(trace.read_text())["traceEvents"]
-        assert [e["name"] for e in events
-                if e.get("cat") == "cli"] == [argv[0]]
+        events = [e for e in json.loads(trace.read_text())["traceEvents"]
+                  if e["ph"] != "M"]
+        (cli,) = [e for e in events if e["cat"] == "cli"]
+        assert cli["name"] == argv[0]
+        for e in events:
+            assert cli["ts"] <= e["ts"], e["name"]
+            assert (e["ts"] + e.get("dur", 0)
+                    <= cli["ts"] + cli["dur"] + 1e-3), e["name"]
+        compiled = any(e["name"] == "compile-probe" for e in events)
+        assert compiled == (command != "capture-info")
         assert "wrote" in traced.err and "peak +MiB" in traced.err
 
     def test_wfs_paper_preset_refused(self, capsys):
@@ -315,3 +354,78 @@ class TestCliErrorPaths:
         assert rc == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "app.capture").exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["profile", "nope.mc"], id="missing-profile"),
+        pytest.param(["run", "nope.mc"], id="missing-run"),
+        pytest.param(["sweep", "nope.mc", "--intervals", "100"],
+                     id="missing-sweep"),
+        pytest.param(["capture", "run", "nope.mc", "--out", "x.capture"],
+                     id="missing-capture-run"),
+        pytest.param(["cluster", "nope.mc"], id="missing-cluster"),
+        pytest.param(["profile", "bad.mc"], id="minic-profile"),
+        pytest.param(["disasm", "bad.mc"], id="minic-disasm"),
+        pytest.param(["run", "app.mc", "--budget", "-1"],
+                     id="negative-budget"),
+        pytest.param(["cluster", "app.mc", "--clusters", "0"],
+                     id="zero-clusters"),
+        pytest.param(["wcet", "app.mc", "main", "--bounds", "main:x"],
+                     id="bad-bounds"),
+        pytest.param(["profile", "app.mc", "--json", "missing/dir/x.json"],
+                     id="json-dir-missing"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, monkeypatch,
+                                             capsys, argv):
+        """A missing file, a MiniC error or a bad operand is a usage error:
+        exit 2 and one ``error:`` line (or argparse's usage and error
+        lines), never a traceback."""
+        monkeypatch.chdir(tmp_path)
+        self._src(tmp_path)
+        (tmp_path / "bad.mc").write_text("int main() {\n  return 1 +;\n}\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if err.startswith("error:"):
+            assert err.count("\n") == 1, err
+        else:
+            assert err.startswith("usage:") and "error: argument" in err
+        if "bad.mc" in argv:
+            assert "line 2:13:" in err  # the MiniC line and column
+
+    @pytest.mark.parametrize("argv, fault", [
+        pytest.param(["run", "fault.mc"], "MemoryFault", id="run-fault"),
+        pytest.param(["profile", "fault.mc"], "MemoryFault",
+                     id="profile-fault"),
+        pytest.param(["run", "loop.mc", "--budget", "1000"],
+                     "InstructionBudgetExceeded", id="run-budget"),
+        pytest.param(["run", "loop.mc", "--budget", "0"],
+                     "InstructionBudgetExceeded", id="run-zero-budget"),
+        pytest.param(["capture", "run", "fault.mc", "--out", "f.capture"],
+                     "MemoryFault", id="capture-run-fault"),
+        pytest.param(["profile", "fault.mc", "--capture-out", "f.capture"],
+                     "MemoryFault", id="capture-out-fault"),
+        pytest.param(["sweep", "loop.mc", "--intervals", "100", "--budget",
+                      "10"], "InstructionBudgetExceeded",
+                     id="sweep-budget"),
+    ])
+    def test_guest_fault_exits_1_with_one_line(self, tmp_path, monkeypatch,
+                                               capsys, argv, fault):
+        """A faulting or runaway guest exits 1 with one line naming the
+        fault, its pc and its icount; a capture it was recording is
+        deleted, and no half-written archive is left to the collector."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fault.mc").write_text(
+            "int main() { int *p; p = 0; return *p; }")
+        (tmp_path / "loop.mc").write_text(
+            "int main() { int i; i = 0; while (1) { i = i + 1; } "
+            "return i; }")
+        (tmp_path / "f.capture").write_bytes(b"an earlier capture")
+        assert main(argv) == 1
+        gc.collect()
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: {fault}: [^\n]* at pc=0x[0-9a-f]+ icount=\d+\n", err)
+        assert ("f.capture" in argv) != (tmp_path / "f.capture").exists()
+        assert unraisable == []

@@ -7,8 +7,11 @@ policies and stream layouts.
 """
 
 import functools
+import gc
 import io
 import json
+import pathlib
+import sys
 import tracemalloc
 import zipfile
 
@@ -37,6 +40,7 @@ from repro.quad import QuadTool, run_quad
 from repro.quad.shadow import (ADDR_MASK, KID_SHIFT, TAIL_SHIFT,
                                PagedQuadSink)
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
+from repro.vm import InstructionBudgetExceeded, MemoryFault
 
 APP = """
 int a[48]; int b[48];
@@ -912,6 +916,37 @@ class TestRecordOnly:
         with CaptureReader(buf) as reader:
             assert tquad_to_json(replay_tquad(reader, options)) == live[0]
             assert quad_to_json(replay_quad(reader)) == live[1]
+
+
+class TestFailedCapture:
+    """A run that raises leaves no capture behind: ``capture_run`` closes
+    the writer it opened and deletes the file it created."""
+
+    FAULT = "int main() { int *p; p = 0; return *p; }"
+
+    @pytest.mark.parametrize("as_path", [str, pathlib.Path])
+    def test_vm_error_leaves_no_file(self, tmp_path, as_path):
+        path = tmp_path / "f.capture"
+        path.write_bytes(b"an earlier capture")  # truncated by the writer
+        with pytest.raises(MemoryFault):
+            capture_run(build_program(self.FAULT), as_path(path))
+        assert not path.exists()
+
+    def test_in_memory_writer_is_closed(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(InstructionBudgetExceeded):
+            capture_run(build_program(APP), io.BytesIO(),
+                        max_instructions=10)
+        gc.collect()
+        assert unraisable == []
+
+    def test_callers_writer_stays_open(self):
+        writer = CaptureWriter(io.BytesIO())
+        with pytest.raises(InstructionBudgetExceeded):
+            capture_run(build_program(APP), writer, max_instructions=10)
+        assert not writer.finalized and writer._zf.fp is not None
+        writer.close()
 
 
 class TestMultipass:
