@@ -285,7 +285,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report = _report(args, program, options, tool=args.tool,
                      budget=args.budget, stats=args.stats)
     approx = None
-    if args.approx is not None:
+    if args.approx is not None:  # _RULES admit it only on a tQUAD replay
         approx, report = report, report.report
     if args.json:
         from . import serialize
@@ -838,11 +838,11 @@ def main(argv: list[str] | None = None) -> int:
     for commands, broken, message in _RULES:
         if args.command in commands and broken(args):
             return _fail(message, 2)
+    span = obs.NULL_SPAN
     if args.trace_out:
         obs.reset()
         obs.enable()
-    span = (obs.TELEMETRY.span(args.command, cat="cli") if args.trace_out
-            else obs.NULL_SPAN)
+        span = obs.TELEMETRY.span(args.command, cat="cli")
     try:
         with span:
             return args.fn(args)
