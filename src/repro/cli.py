@@ -35,7 +35,7 @@ import contextlib
 import io
 import math
 import sys
-from functools import reduce
+from functools import partial, reduce
 
 from . import obs
 from .analysis import bandwidth_strips, cluster_kernels
@@ -337,18 +337,19 @@ def _cmd_guest(args: argparse.Namespace) -> int:
             f"published scale and is not runnable on the Python VM")
     interval = args.interval or app.default_interval
     program = app.build_program(cfg)
+    workspace = partial(app.make_workspace, cfg)
     wfs = args.command == "wfs"
     if wfs and args.report:
         from .analysis import case_study_report
 
         result = case_study_report(
-            program, fs_factory=lambda: app.make_workspace(cfg),
+            program, fs_factory=workspace,
             title=f"hArtes-wfs case study ({cfg.name} preset)",
             slice_interval=interval)
         _write(args.report, result.markdown, stdout=True)
         return 0
     report = _report(args, program, TQuadOptions(slice_interval=interval),
-                     workspace=lambda: app.make_workspace(cfg),
+                     workspace=workspace,
                      label=guest_label(app.name, cfg))
     title = ("WFS case study" if wfs
              else f"guest {app.name!r} ({app.description})")
