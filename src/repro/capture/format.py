@@ -42,9 +42,18 @@ CRC-32, which covers the same inflated bytes (:func:`read_page`).
   that holds that column's deltas on this page.  Icounts grow by a few
   instructions per row and byte counts and ids barely move, so most
   columns take one byte a row where a raw row takes eight.
-* ``LAYOUT_RECORDS`` (``quad.raw``): the packed records as recorded.  A
-  pointer chase revisits the same addresses, which deflate finds as
-  repeats; their deltas look random and deflate worse.
+* ``LAYOUT_PLANES`` (``quad.raw``): the records' row-to-row deltas (the
+  first against 0, int64 wraparound) as eight byte planes, plane ``j``
+  holding byte ``j`` of every delta (least significant first).  A record packs an address, a
+  size, a kind and a kernel id into one word.  Whole deltas look random
+  and deflate worse than the records, but only their low bytes vary
+  much: the high bytes (the top of an address delta, size, kind and
+  kernel) take a few values in long runs, which a plane of their own
+  lets deflate find.  Deflated, the planes take about half the bytes
+  of the records, and the body is exactly as long.
+* ``LAYOUT_RECORDS`` (read only, ``quad.raw``): the packed records as
+  recorded, the layout of ``quad.raw`` pages written before the planes
+  layout.  Format-2 captures holding such pages still replay.
 
 A page's row count is not in the member: the manifest's stream directory
 lists it (``page_rows``), so a member's exact size follows from its rows
@@ -90,14 +99,21 @@ STREAM_STRIDES = {
 #: Page layouts (the first header byte of every page member).
 LAYOUT_RECORDS = 0
 LAYOUT_DELTAS = 1
+LAYOUT_PLANES = 2
 
 #: The layout each stream's pages are written in.
 STREAM_LAYOUTS = {
     STREAM_TQUAD_READ: LAYOUT_DELTAS,
     STREAM_TQUAD_WRITE: LAYOUT_DELTAS,
     STREAM_CALLS: LAYOUT_DELTAS,
-    STREAM_QUAD: LAYOUT_RECORDS,
+    STREAM_QUAD: LAYOUT_PLANES,
 }
+
+#: The layouts each stream's pages are read in: the one written, and
+#: for ``quad.raw`` the records of captures written before the planes.
+READ_LAYOUTS = {stream: (layout,)
+                for stream, layout in STREAM_LAYOUTS.items()}
+READ_LAYOUTS[STREAM_QUAD] += (LAYOUT_RECORDS,)
 
 #: Bytes of the page header: layout code, width codes, zero padding.
 PAGE_HEADER = 8
@@ -143,12 +159,45 @@ def _sealed(parts: list[bytes]) -> bytes:
     return b"".join([*parts, crc.to_bytes(PAGE_TRAILER, "little")])
 
 
-def encode_page(data: bytes, stream: str) -> bytes:
+def _planes_member(data: bytes) -> bytearray:
+    """``data``'s ``int64`` values as a planes member, built in place:
+    header, planes and trailer are one buffer, filled from one delta
+    temporary."""
+    values = np.frombuffer(data, dtype="<i8")
+    n = values.size
+    end = PAGE_HEADER + 8 * n
+    member = bytearray(end + PAGE_TRAILER)
+    member[0] = LAYOUT_PLANES
+    deltas = np.empty(n, dtype="<i8")
+    deltas[:1] = values[:1]
+    np.subtract(values[1:], values[:-1], out=deltas[1:])
+    planes = np.frombuffer(member, dtype=np.uint8, count=8 * n,
+                           offset=PAGE_HEADER).reshape(8, n)
+    planes[...] = deltas.view(np.uint8).reshape(n, 8).T
+    struct.pack_into("<L", member, end, zlib.crc32(
+        memoryview(member)[:end]))
+    return member
+
+
+def _unplaned(blob: bytes, n: int) -> np.ndarray:
+    """Invert :func:`_planes_member`: the ``n`` values of a checked
+    planes member, one plane written through the output's bytes at a
+    time, then summed in place."""
+    out = np.empty(n, dtype="<i8")
+    planes = np.frombuffer(blob, dtype=np.uint8, count=8 * n,
+                           offset=PAGE_HEADER).reshape(8, n)
+    columns = out.view(np.uint8).reshape(n, 8)
+    for j, plane in enumerate(planes):
+        columns[:, j] = plane
+    return np.cumsum(out, out=out)
+
+
+def encode_page(data: bytes, stream: str) -> bytes | bytearray:
     """One sealed page (the raw little-endian ``int64`` rows of
     ``stream``) as a format-2 page member; see the module docstring."""
     layout = STREAM_LAYOUTS[stream]
-    if layout == LAYOUT_RECORDS:
-        return _sealed([bytes(PAGE_HEADER), data])
+    if layout == LAYOUT_PLANES:
+        return _planes_member(data)
     stride = STREAM_STRIDES[stream]
     rows = np.frombuffer(data, dtype="<i8").reshape(-1, stride)
     # column-major deltas, so each column's min, max and narrowing read
@@ -171,21 +220,23 @@ def decode_page(blob: bytes, stream: str, rows: int) -> np.ndarray:
     """Invert :func:`encode_page`: the page's ``(rows, stride)`` int64
     array, ``rows`` being its ``page_rows`` entry.
 
-    The header, the member's length (against the stream's layout,
-    ``rows`` and the width codes) and the page CRC are checked before
-    anything sized from them is allocated.  A records page decodes to a
-    read-only view of ``blob``.
+    The header (a layout the stream is read in, :data:`READ_LAYOUTS`),
+    the member's length (against the stream, ``rows`` and the width
+    codes) and the page CRC are checked before anything sized from them
+    is allocated.  A records page decodes to a read-only view of
+    ``blob``.
     """
     stride = STREAM_STRIDES[stream]
-    layout = STREAM_LAYOUTS[stream]
+    layouts = READ_LAYOUTS[stream]
     header = blob[:PAGE_HEADER]
+    layout = header[0] if header else None
     ncodes = stride if layout == LAYOUT_DELTAS else 0
     codes = header[1:1 + ncodes]
-    if (len(header) < PAGE_HEADER or header[0] != layout
+    if (len(header) < PAGE_HEADER or layout not in layouts
             or any(header[1 + ncodes:])):
         raise CaptureFormatError(
             f"unknown page header {header.hex()} (a {stream} page starts "
-            f"with layout {layout})")
+            f"with layout {' or '.join(map(str, layouts))})")
     if any(code >= len(DELTA_TYPES) for code in codes):
         raise CaptureFormatError(
             f"unknown delta width code in page header {header.hex()}")
@@ -202,6 +253,8 @@ def decode_page(blob: bytes, stream: str, rows: int) -> np.ndarray:
     if layout == LAYOUT_RECORDS:
         return np.frombuffer(blob, dtype="<i8", count=rows * stride,
                              offset=PAGE_HEADER).reshape(rows, stride)
+    if layout == LAYOUT_PLANES:
+        return _unplaned(blob, rows * stride).reshape(rows, stride)
     out = np.empty((rows, stride), dtype=np.int64)
     if not rows:
         return out
@@ -218,12 +271,13 @@ def decode_page(blob: bytes, stream: str, rows: int) -> np.ndarray:
 
 def _member_size(stream: str, rows: int, widths: list[int]) -> int:
     """Bytes of a ``rows``-row page member of ``stream`` whose columns
-    take ``widths`` bytes a delta (a records page ignores them)."""
+    take ``widths`` bytes a delta (a planes or records page, eight bytes
+    a value, ignores them)."""
     stride = STREAM_STRIDES[stream]
-    if STREAM_LAYOUTS[stream] == LAYOUT_RECORDS:
-        body = 8 * stride * rows
-    else:
+    if STREAM_LAYOUTS[stream] == LAYOUT_DELTAS:
         body = 8 * stride + (rows - 1) * sum(widths) if rows else 0
+    else:
+        body = 8 * stride * rows
     return PAGE_HEADER + body + PAGE_TRAILER
 
 

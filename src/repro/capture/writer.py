@@ -3,7 +3,7 @@
 It exposes the one-method protocol the capturing recording sinks talk
 to — ``add(stream, data)`` with ``data`` the raw little-endian ``int64``
 bytes of one sealed page, encoded (:func:`~repro.capture.format.encode_page`)
-straight into a ZIP member.
+straight into a ZIP member, one ``page.write`` span per page.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ class CaptureWriter:
     The manifest is written by :meth:`finalize` as the *last* member, so
     an interrupted capture never masquerades as a complete one.  Deflate
     level 1 keeps the write cost inside the capture-overhead budget; the
-    page codec (narrow per-column deltas, see :mod:`repro.capture.format`)
-    does the heavy lifting for ratio, and hands deflate an eighth of the
-    bytes where a column's deltas fit one byte.
+    page codec (see :mod:`repro.capture.format`) does the heavy lifting
+    for ratio.  Narrow per-column deltas hand deflate an eighth of the
+    bytes of a tQUAD or call page where a column's deltas fit one byte,
+    and a QUAD page's deltas, split into byte planes, deflate to about
+    half of what its records did.
     """
 
     def __init__(self, file: str | BinaryIO, *, compresslevel: int = 1,
@@ -43,11 +45,16 @@ class CaptureWriter:
         if not data:
             return
         page_rows = self._page_rows.setdefault(stream, [])
-        name = page_name(stream, len(page_rows))
-        self._zf.writestr(name, encode_page(data, stream))
-        page_rows.append(len(data) // (8 * STREAM_STRIDES[stream]))
+        index, rows = len(page_rows), len(data) // (8 * STREAM_STRIDES[stream])
+        name = page_name(stream, index)
+        with self._tele.span("page.write", cat="capture", stream=stream,
+                             index=index, rows=rows) as span:
+            self._zf.writestr(name, encode_page(data, stream))
+            compressed = self._zf.getinfo(name).compress_size
+            span.note(compressed_bytes=compressed)
+        page_rows.append(rows)
         self.raw_bytes += len(data)
-        self.compressed_bytes += self._zf.getinfo(name).compress_size
+        self.compressed_bytes += compressed
         self._tele.count("capture/pages_written")
         self._tele.count("capture/raw_bytes", len(data))
 

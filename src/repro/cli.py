@@ -47,7 +47,7 @@ from .gprofsim import run_gprof
 from .isa import disassemble
 from .minic import MiniCError, build_program
 from .quad import run_quad
-from .vm import VMError, run_program
+from .vm import Machine, VMError
 
 
 class _UsageError(Exception):
@@ -396,9 +396,12 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    machine = run_program(_load_program(args.file),
-                          max_instructions=args.budget)
-    sys.stdout.write(machine.stdout_text())
+    machine = Machine(_load_program(args.file))
+    try:
+        machine.run(max_instructions=args.budget)
+    finally:
+        # what the guest printed before a fault or an exhausted budget
+        sys.stdout.write(machine.stdout_text())
     print(f"[exit {machine.exit_code}, {machine.icount} instructions]",
           file=sys.stderr)
     return machine.exit_code or 0
@@ -577,7 +580,7 @@ def _estimate_lines(man: dict) -> str:
 
 
 def _views(p: argparse.ArgumentParser, *, top: int | None) -> None:
-    p.add_argument("--top", type=int, default=top)
+    p.add_argument("--top", type=_positive, default=top)
     p.add_argument("--exclude-stack", action="store_true",
                    help="show the stack-excluded view in figures")
     p.add_argument("--writes", action="store_true",

@@ -90,6 +90,9 @@ class _NullSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
+    def note(self, **args) -> None:
+        """Nothing is recorded."""
+
 
 NULL_SPAN = _NullSpan()
 
@@ -120,6 +123,11 @@ class _Span:
         tele.events.append((self.name, self.cat, self.t0, dur, self.tid,
                             self.args))
         return False
+
+    def note(self, **args) -> None:
+        """Add ``args`` to the span's own: a figure known only once its
+        work is done."""
+        self.args.update(args)
 
 
 class Telemetry:

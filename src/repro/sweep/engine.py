@@ -11,11 +11,13 @@ whole interval × stack-policy × library-mode grid from that single pass:
   (``kernel_id <= -2``) and dropped-row sentinels (``-1``) become column
   masks, and every row is bucketed at the *gcd grain* of the requested
   intervals.  Rows are accumulated once per library mode the grid
-  needs (library rows kept or dropped), every valid row of each.  An
-  exact pass sums each run of adjacent filtered rows that share a
-  ``(kernel, fine-slice)`` key (:func:`~repro.core.npsort.run_sum`)
-  before accumulating: pages recorded in event mode hold one row per
-  access, in long runs of one kernel and slice.
+  needs (library rows kept or dropped), every valid row of each, or
+  only the rows with exclusive bytes when each of the mode's cells is
+  exclusive-only (see the fold).  An exact pass sums each run of
+  adjacent filtered rows that share a ``(kernel, fine-slice)`` key
+  (:func:`~repro.core.npsort.run_sum`) before accumulating: pages
+  recorded in event mode hold one row per access, in long runs of one
+  kernel and slice.
 * **bucket** — the per-page rows group into one sparse
   ``(kernel, fine-slice) -> (incl, excl)`` table per stream and library
   mode (a :class:`~repro.capture.streaming.SortedTableAcc` groups them
@@ -117,8 +119,10 @@ class SweepResult:
 def _cell_combo(cell: SweepCell, captured: StackPolicy,
                 captured_excl_libs: bool) -> tuple[bool, bool]:
     """The row-filter combination a cell reads from: (drop library rows,
-    keep only rows with exclusive bytes).  Passes accumulate only the
-    first; the second is a projection of the folded table."""
+    keep only rows with exclusive bytes).  Passes accumulate by the
+    first (only the rows with exclusive bytes for a mode whose cells
+    all keep only those); the second is a projection of the folded
+    table."""
     drop_lib = cell.exclude_libraries and not captured_excl_libs
     excl_only = (captured is StackPolicy.BOTH
                  and cell.stack is StackPolicy.EXCLUDE)
@@ -314,11 +318,16 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
         # per (stream, library mode): an accumulator that groups the
         # pages' (keys, incl, excl) partials as they arrive, so no sweep
         # holds every page's partials at once; under a memory budget its
-        # carry also spills.  Only the combos that keep every valid row
-        # are accumulated: an exclusive-only cell is a projection of its
-        # library mode's table (see the fold)
+        # carry also spills.  Only the library modes are accumulated:
+        # an exclusive-only cell is a projection of its mode's table
+        # (see the fold)
         from ..capture import PAGE_BATCH_ROWS
         libs = sorted({drop_lib for drop_lib, _ in combos})
+        # a library mode whose every cell is exclusive-only reads no
+        # incl counter or moment, so its filter also drops the rows
+        # without exclusive bytes (never negative: _check_page)
+        excl_libs = {drop_lib for drop_lib in libs
+                     if (drop_lib, False) not in combos}
         locs = [(stream, drop_lib) for stream, _ in _STREAMS
                 for drop_lib in libs]
         charged = budget if budget is not None else MemBudget()
@@ -371,17 +380,21 @@ def _sweep(reader: CaptureReader, grid: SweepGrid, telemetry,
                     sl = (page[:, 0] - 1) // fine
                     key = kid_base[kid] + sl
                     incl, excl = page[:, 1], page[:, 2]
-                    # each library mode's row filter selects rows (both
+                    # each library mode's row filter selects rows (two
                     # modes share one selection on a page without
-                    # library rows), and the accumulators group what
-                    # they get as it arrives
-                    done: dict[bool, tuple | None] = {}
+                    # library rows when both keep or both drop the rows
+                    # without exclusive bytes), and the accumulators
+                    # group what they get as it arrives
+                    done: dict[tuple[bool, bool], tuple | None] = {}
                     for drop_lib in libs:
-                        eff = drop_lib and has_lib
+                        eff = (drop_lib and has_lib, drop_lib in excl_libs)
                         if eff not in done:
+                            mask = valid & ~lib if eff[0] else valid
+                            if eff[1]:
+                                mask = (excl != 0 if mask is None
+                                        else mask & (excl != 0))
                             done[eff] = _select(
-                                valid & ~lib if eff else valid, key,
-                                incl, excl, rate is None,
+                                mask, key, incl, excl, rate is None,
                                 moments is not None)
                         if done[eff] is not None:
                             chunk, mom = done[eff]

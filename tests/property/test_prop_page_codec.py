@@ -2,21 +2,26 @@
 
 Format 2 stores a ``tquad.*`` or ``calls`` page as its first row plus
 each column's row-to-row deltas at the narrowest of four widths, and a
-``quad.raw`` page as its records; a CRC-32 trailer seals every member
-and the manifest lists each page's row count (``page_rows``).  Three
-properties hold:
+``quad.raw`` page as its row-to-row deltas split into eight byte
+planes; a CRC-32 trailer seals every member and the manifest lists each
+page's row count (``page_rows``).  ``quad.raw`` pages written before
+the planes layout hold the records as recorded, and still decode.
+Four properties hold:
 
 * every page drawn across the full int64 range round-trips exactly for
   every stream (wrapping deltas, every width, one row, a full sink
-  page); the header names each column's narrowest width, and the member
-  is exactly as long as its rows and widths make it;
+  page); the header names each column's narrowest width, plane ``j`` of
+  a ``quad.raw`` page holds byte ``j`` of every delta, and the member is
+  exactly as long as its rows and widths make it;
+* a ``quad.raw`` page in the records layout decodes to its rows;
 * one edit of a real capture (a truncated member, a flipped width code,
-  flipped column bytes re-deflated so that the ZIP CRC holds, an edited
-  ``page_rows``) fails with :class:`CaptureFormatError` when the capture
-  is opened or its pages are read, in memory and path-backed, and the
-  failed sidecar build leaves no file behind (the CLI exits 2); flipped
-  bits inside a member's deflated bytes fail the same way or inflate to
-  the same page;
+  a layout code the page was not written in, flipped column or plane
+  bytes re-deflated so that the ZIP CRC holds, an edited ``page_rows``)
+  fails with :class:`CaptureFormatError` when the capture is opened or
+  its pages are read, in memory and path-backed, and the failed sidecar
+  build leaves no file behind (the CLI exits 2); flipped bits inside a
+  member's deflated bytes fail the same way or inflate to the same
+  page;
 * damage to the sidecar's magic, header or length alone ends in a
   rebuilt sidecar and a byte-identical report.
 
@@ -33,6 +38,7 @@ import re
 import struct
 import tempfile
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +47,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.capture import (CaptureFormatError, CaptureReader, capture_run,
                            record, replay_many, sidecar_path)
-from repro.capture.format import (DELTA_TYPES, LAYOUT_DELTAS, PAGE_HEADER,
-                                  PAGE_TRAILER, STREAM_CALLS, STREAM_LAYOUTS,
-                                  STREAM_QUAD, STREAM_STRIDES,
-                                  STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
-                                  decode_page, encode_page, page_name,
-                                  page_size_range)
+from repro.capture.format import (DELTA_TYPES, LAYOUT_DELTAS,
+                                  LAYOUT_PLANES, LAYOUT_RECORDS,
+                                  PAGE_HEADER, PAGE_TRAILER,
+                                  STREAM_CALLS, STREAM_LAYOUTS, STREAM_QUAD,
+                                  STREAM_STRIDES, STREAM_TQUAD_READ,
+                                  STREAM_TQUAD_WRITE, decode_page,
+                                  encode_page, page_name, page_size_range)
 from repro.core import TQuadOptions
 from repro.core.recording import DEFAULT_CAP
 from repro.minic import build_program
@@ -95,9 +102,10 @@ def _column(rng: np.random.Generator, kind, rows: int) -> np.ndarray:
 
 
 @st.composite
-def pages(draw):
-    """``(stream, rows)``: one page of ``stream`` as an int64 array."""
-    stream = draw(st.sampled_from(sorted(STREAM_STRIDES)))
+def pages(draw, streams=tuple(sorted(STREAM_STRIDES))):
+    """``(stream, rows)``: one page of one of ``streams`` as an int64
+    array."""
+    stream = draw(st.sampled_from(streams))
     n = draw(st.one_of(st.just(1), st.just(2), st.integers(3, 200),
                        st.just(SINK_ROWS[stream])))
     kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS),
@@ -118,6 +126,23 @@ def _narrowest(column: np.ndarray) -> int:
                 if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max)
 
 
+def _planes(values: np.ndarray) -> bytes:
+    """The byte planes of ``values``' deltas (the first against 0), from
+    Python integers: plane ``j`` is byte ``j`` of every delta."""
+    ints = [int(v) for v in values]
+    deltas = [(b - a) % 2**64 for a, b in zip([0, *ints], ints)]
+    return b"".join(bytes((d >> 8 * j) & 0xFF for d in deltas)
+                    for j in range(8))
+
+
+def _records_member(rows: np.ndarray) -> bytes:
+    """A page member in the records layout ``quad.raw`` pages were
+    written in before the planes layout: a zero header, the rows as
+    recorded, the CRC-32 of both."""
+    body = bytes(PAGE_HEADER) + rows.astype("<i8").tobytes()
+    return body + zlib.crc32(body).to_bytes(PAGE_TRAILER, "little")
+
+
 @FUZZ
 @given(page=pages())
 def test_pages_roundtrip_exactly(page):
@@ -130,16 +155,30 @@ def test_pages_roundtrip_exactly(page):
     lo, hi = page_size_range(stream, n)
     assert lo <= len(member) <= hi
     assert member[0] == STREAM_LAYOUTS[stream]
-    if member[0] == LAYOUT_DELTAS:
+    if stream == STREAM_QUAD:
+        assert member[0] == LAYOUT_PLANES
+        assert not any(member[1:PAGE_HEADER])
+        body = 8 * n
+        assert member[PAGE_HEADER:PAGE_HEADER + body] == _planes(rows[:, 0])
+    else:
+        assert member[0] == LAYOUT_DELTAS
         codes = list(member[1:1 + stride])
         assert codes == [_narrowest(rows[:, c]) for c in range(stride)]
         body = 8 * stride + (n - 1) * sum(DELTA_TYPES[c].itemsize
                                           for c in codes)
         assert not any(member[1 + stride:PAGE_HEADER])
-    else:
-        body = 8 * n
-        assert not any(member[1:PAGE_HEADER])
     assert len(member) == PAGE_HEADER + body + PAGE_TRAILER
+
+
+@FUZZ
+@given(page=pages(streams=(STREAM_QUAD,)))
+def test_records_pages_still_decode(page):
+    """A ``quad.raw`` page of a capture written before the planes layout
+    decodes to the rows it recorded."""
+    _, rows = page
+    decoded = decode_page(_records_member(rows), STREAM_QUAD, len(rows))
+    assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, rows)
 
 
 # ------------------------------------------------------ hostile captures
@@ -199,7 +238,8 @@ def _flip_deflated(raw: bytes, name: str, at: int, mask: int) -> bytes:
     return bytes(out)
 
 
-MUTATIONS = ("truncate", "width", "column", "page_rows", "deflate")
+MUTATIONS = ("truncate", "width", "layout", "column", "plane", "page_rows",
+             "deflate")
 
 
 def _mutate(raw: bytes, kind: str, data) -> bytes:
@@ -208,6 +248,8 @@ def _mutate(raw: bytes, kind: str, data) -> bytes:
     names = sorted(streams)
     if kind == "width":
         names = [n for n in names if STREAM_LAYOUTS[n] == LAYOUT_DELTAS]
+    elif kind == "plane":
+        names = [STREAM_QUAD]
     stream = data.draw(st.sampled_from(names), label="stream")
     info = streams[stream]
     index = data.draw(st.integers(0, info["pages"] - 1), label="page")
@@ -222,7 +264,15 @@ def _mutate(raw: bytes, kind: str, data) -> bytes:
         code = data.draw(st.integers(0, 255).filter(
             lambda c: c != member[1 + column]), label="code")
         return _rewrite(raw, {name: _with_byte(member, 1 + column, code)})
-    if kind == "column":
+    if kind == "layout":
+        # the page CRC covers the header, so even a layout the stream
+        # is read in fails
+        code = data.draw(st.one_of(
+            st.sampled_from([LAYOUT_RECORDS, LAYOUT_DELTAS, LAYOUT_PLANES]),
+            st.integers(0, 255)).filter(lambda c: c != member[0]),
+            label="code")
+        return _rewrite(raw, {name: _with_byte(member, 0, code)})
+    if kind in ("column", "plane"):
         at = data.draw(st.integers(PAGE_HEADER,
                                    len(member) - PAGE_TRAILER - 1),
                        label="byte")
@@ -296,13 +346,27 @@ def test_local_header_mismatch_fails_typed(clean, field):
             _every_page(reader)
 
 
+def _high_plane_flip(m: bytes) -> bytes:
+    """``m`` with its last plane's first byte flipped."""
+    at = PAGE_HEADER + 7 * (len(m) - PAGE_HEADER - PAGE_TRAILER) // 8
+    return _with_byte(m, at, m[at] ^ 0x01)
+
+
 #: One representative edit of each kind, drawn by hand: the first page
-#: of ``tquad.read`` (``page_rows``: one row moved to the second page).
+#: of ``tquad.read``, or of ``quad.raw`` for its layout code and planes
+#: (``page_rows``: one ``tquad.read`` row moved to the second page).
 EXAMPLE_EDITS = {
-    "truncate": lambda m: m[:-1],
-    "width": lambda m: _with_byte(m, 1, 9),
-    "column": lambda m: _with_byte(m, PAGE_HEADER + 40,
-                                   m[PAGE_HEADER + 40] ^ 0x10),
+    "truncate": (STREAM_TQUAD_READ, lambda m: m[:-1]),
+    "width": (STREAM_TQUAD_READ, lambda m: _with_byte(m, 1, 9)),
+    "column": (STREAM_TQUAD_READ,
+               lambda m: _with_byte(m, PAGE_HEADER + 40,
+                                    m[PAGE_HEADER + 40] ^ 0x10)),
+    "layout_records": (STREAM_QUAD,
+                       lambda m: _with_byte(m, 0, LAYOUT_RECORDS)),
+    "layout_deltas": (STREAM_QUAD,
+                      lambda m: _with_byte(m, 0, LAYOUT_DELTAS)),
+    "layout_unknown": (STREAM_QUAD, lambda m: _with_byte(m, 0, 3)),
+    "plane": (STREAM_QUAD, _high_plane_flip),
 }
 
 
@@ -310,7 +374,6 @@ EXAMPLE_EDITS = {
 def test_damaged_capture_cli_exits_2(clean, kind, tmp_path, capsys):
     from repro.cli import main
 
-    name = page_name(STREAM_TQUAD_READ, 0)
     if kind == "page_rows":
         manifest = _manifest(clean)
         page_rows = manifest["streams"][STREAM_TQUAD_READ]["page_rows"]
@@ -319,10 +382,16 @@ def test_damaged_capture_cli_exits_2(clean, kind, tmp_path, capsys):
         bad = _rewrite(clean,
                        {"manifest.json": json.dumps(manifest).encode()})
     else:
-        bad = _rewrite(clean, {name: EXAMPLE_EDITS[kind](
-            _member(clean, name))})
+        stream, edit = EXAMPLE_EDITS[kind]
+        name = page_name(stream, 0)
+        bad = _rewrite(clean, {name: edit(_member(clean, name))})
+    with pytest.raises(CaptureFormatError, match="corrupt capture"):
+        with CaptureReader(io.BytesIO(bad)) as reader:
+            _every_page(reader)
     cap = tmp_path / "bad.capture"
     cap.write_bytes(bad)
+    with pytest.raises(CaptureFormatError, match="corrupt capture"):
+        CaptureReader(str(cap))
     assert main(["capture", "info", str(cap), "--stats"]) == 2
     assert "corrupt capture" in capsys.readouterr().err
     assert main(["capture", "info", str(cap), "--stats",

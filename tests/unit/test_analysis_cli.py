@@ -369,6 +369,10 @@ class TestCliErrorPaths:
                      id="negative-budget"),
         pytest.param(["cluster", "app.mc", "--clusters", "0"],
                      id="zero-clusters"),
+        *(pytest.param([*command, "--top", top], id=f"{command[0]}-top{top}")
+          for command in (["profile", "app.mc", "--interval", "200"],
+                          ["wfs"], ["guest", "hashjoin"])
+          for top in ("0", "-1")),
         pytest.param(["wcet", "app.mc", "main", "--bounds", "main:x"],
                      id="bad-bounds"),
         pytest.param(["profile", "app.mc", "--json", "missing/dir/x.json"],
@@ -429,3 +433,21 @@ class TestCliErrorPaths:
             rf"error: {fault}: [^\n]* at pc=0x[0-9a-f]+ icount=\d+\n", err)
         assert ("f.capture" in argv) != (tmp_path / "f.capture").exists()
         assert unraisable == []
+
+    @pytest.mark.parametrize("body, budget, fault", [
+        ("return *p;", [], "MemoryFault"),
+        ("while (1) { p = p + 8; } return 0;", ["--budget", "200"],
+         "InstructionBudgetExceeded"),
+    ], ids=["fault", "budget"])
+    def test_run_keeps_stdout_before_fault(self, tmp_path, capsys, body,
+                                           budget, fault):
+        """``tquad run`` prints what the guest wrote before it faulted or
+        ran out of budget, then the one error line, and exits 1."""
+        src = tmp_path / "pf.mc"
+        src.write_text("int main() { int *p; p = 0; "
+                       f'print_str("before\\n"); {body} }}')
+        assert main(["run", str(src), *budget]) == 1
+        out, err = capsys.readouterr()
+        assert out == "before\n"
+        assert re.fullmatch(
+            rf"error: {fault}: [^\n]* at pc=0x[0-9a-f]+ icount=\d+\n", err)

@@ -14,6 +14,7 @@ import pathlib
 import sys
 import tracemalloc
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from repro.capture import (CaptureFormatError, CaptureMismatchError,
                            make_manifest, program_digest, replay_gprof,
                            replay_many, replay_quad, replay_tquad,
                            sidecar_path)
-from repro.capture.format import (LAYOUT_DELTAS, PAGE_HEADER,
-                                 PAGE_TRAILER, STREAM_STRIDES, decode_page,
-                                 encode_page, page_name)
+from repro.capture.format import (LAYOUT_DELTAS, LAYOUT_PLANES,
+                                 LAYOUT_RECORDS, PAGE_HEADER, PAGE_TRAILER,
+                                 STREAM_STRIDES, decode_page, encode_page,
+                                 page_name)
 from repro.core import (MultiPassResult, TQuadOptions, TQuadTool,
                         profile_passes, run_tquad)
 from repro.core.options import StackPolicy
@@ -115,6 +117,24 @@ class TestWriterReader:
             assert col.shape == (20, 4)
             assert np.array_equal(col[:10].ravel(),
                                   np.arange(40, dtype=np.int64))
+
+    def test_one_page_write_span_per_page(self):
+        """A traced capture spans each page it writes, with the page's
+        stream, index, rows and deflated bytes, never more often."""
+        tele = obs.Telemetry(enabled=True)
+        manifest = capture_run(build_program(APP), io.BytesIO(),
+                               options=TQuadOptions(slice_interval=50),
+                               telemetry=tele)
+        spans = [args for name, cat, _ts, _dur, _tid, args in tele.events
+                 if (name, cat) == ("page.write", "capture")]
+        assert len(spans) == tele.counters["capture/pages_written"] >= 3
+        assert sorted((a["stream"], a["index"], a["rows"])
+                      for a in spans) == sorted(
+            (stream, index, rows)
+            for stream, info in manifest["streams"].items()
+            for index, rows in enumerate(info["page_rows"]))
+        assert sum(a["compressed_bytes"] for a in spans) \
+            == tele.counters["capture/compressed_bytes"]
 
     def test_empty_pages_skipped(self):
         w = CaptureWriter(io.BytesIO())
@@ -947,6 +967,91 @@ class TestFailedCapture:
             capture_run(build_program(APP), writer, max_instructions=10)
         assert not writer.finalized and writer._zf.fp is not None
         writer.close()
+
+
+def _as_records(raw: bytes) -> bytes:
+    """The capture ``raw`` with every ``quad.raw`` member rewritten in the
+    records layout of captures written before the planes layout: a zero
+    header, the records as recorded, the CRC-32 of both."""
+    src = zipfile.ZipFile(io.BytesIO(raw))
+    page_rows = json.loads(src.read("manifest.json"))["streams"][
+        STREAM_QUAD]["page_rows"]
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            folder, _, index = info.filename.rpartition("/")
+            if folder == f"pages/{STREAM_QUAD}":
+                rows = decode_page(data, STREAM_QUAD, page_rows[int(index)])
+                body = bytes(PAGE_HEADER) + rows.tobytes()
+                data = body + zlib.crc32(body).to_bytes(PAGE_TRAILER,
+                                                        "little")
+            dst.writestr(info, data)
+    return out.getvalue()
+
+
+class TestRecordsLayoutCapture:
+    """A format-2 capture whose ``quad.raw`` pages hold the records as
+    recorded, as every capture written before the planes layout does,
+    replays byte for byte like the same capture in planes."""
+
+    @pytest.fixture(scope="class")
+    def planes(self) -> bytes:
+        """A three-tool capture with several ``quad.raw`` pages."""
+        from repro.testing.workloads import WorkloadSpec, generate_workload
+
+        source = generate_workload(WorkloadSpec("pointer", seed=7, size=512,
+                                                kernels=8, steps=2))
+        buf = io.BytesIO()
+        capture_run(build_program(source), buf,
+                    options=TQuadOptions(slice_interval=64))
+        return buf.getvalue()
+
+    @staticmethod
+    def _layouts(raw: bytes) -> set[int]:
+        with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+            return {zf.read(name)[0] for name in zf.namelist()
+                    if name.startswith(f"pages/{STREAM_QUAD}/")}
+
+    @staticmethod
+    def _reports(reader: CaptureReader, **kw) -> list[str]:
+        bundle = replay_many(reader, options=TQuadOptions(slice_interval=64),
+                             **kw)
+        return [tquad_to_json(bundle.tquad), flat_to_json(bundle.gprof),
+                quad_to_json(bundle.quad)]
+
+    def test_replays_like_planes(self, planes, tmp_path):
+        records = _as_records(planes)
+        assert self._layouts(planes) == {LAYOUT_PLANES}
+        assert self._layouts(records) == {LAYOUT_RECORDS}
+        with CaptureReader(io.BytesIO(planes)) as reader:
+            assert reader.streams[STREAM_QUAD]["pages"] >= 2
+            want_quad = quad_to_json(replay_quad(reader))
+            want = self._reports(reader)
+        routes = {
+            "replay_quad": lambda r: [quad_to_json(replay_quad(r))],
+            "replay_many": self._reports,
+            "streaming": lambda r: self._reports(r, mem_limit=64 << 10),
+        }
+        for name, route in routes.items():
+            with CaptureReader(io.BytesIO(records)) as reader:
+                got = route(reader)
+            assert got == ([want_quad] if name == "replay_quad"
+                           else want), name
+        path = tmp_path / "records.capture"
+        path.write_bytes(records)
+        for state in ("built", "warm"):
+            with CaptureReader(str(path)) as reader:
+                assert reader.page_cache_state == state
+                assert self._reports(reader) == want
+
+    def test_capture_info(self, planes, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "records.capture"
+        path.write_bytes(_as_records(planes))
+        assert main(["capture", "info", str(path), "--stats"]) == 0
+        assert capsys.readouterr().out.startswith("capture v2  ")
 
 
 class TestMultipass:

@@ -63,6 +63,15 @@ class TestSpans:
                         "peak_close_kib": 108}
         assert dur == 1_000                 # exactly one clock tick inside
 
+    def test_note_adds_args_known_at_the_end(self):
+        tele = make_tele()
+        with tele.span("page.write", cat="capture", rows=3) as span:
+            span.note(compressed_bytes=17)
+        assert tele.events[0][5]["rows"] == 3
+        assert tele.events[0][5]["compressed_bytes"] == 17
+        with Telemetry(enabled=False).span("page.write") as span:
+            span.note(compressed_bytes=17)
+
     def test_span_records_even_when_body_raises(self):
         tele = make_tele()
         with pytest.raises(ValueError):

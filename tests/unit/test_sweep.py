@@ -339,6 +339,33 @@ class TestStackProjection:
         assert bucketed((StackPolicy.BOTH, StackPolicy.EXCLUDE)) \
             == bucketed((StackPolicy.BOTH,))
 
+    @pytest.mark.parametrize("exclude_libraries", [False, True])
+    def test_exclusive_only_mode_accumulates_exclusive_rows(
+            self, raw, exclude_libraries):
+        """A library mode whose every cell is exclusive-only accumulates
+        only the rows with exclusive bytes: under the same ceiling its
+        pass buckets fewer runs and spills nothing, and it reports what
+        the projection of every row reports."""
+        def excl_cell(stacks, **form):
+            tele = Telemetry()
+            with CaptureReader(io.BytesIO(raw)) as reader:
+                result = sweep_tquad(reader, SweepGrid(
+                    intervals=(50,), stacks=stacks,
+                    library_modes=(exclude_libraries,)),
+                    telemetry=tele, **form)
+            return (tquad_to_json(result.report(50, StackPolicy.EXCLUDE,
+                                                exclude_libraries)),
+                    tele.counters["sweep/rows_bucketed"],
+                    result.stats.get("spilled_bytes"))
+
+        alone, runs, spilled = excl_cell((StackPolicy.EXCLUDE,),
+                                         mem_limit=1024)
+        projected, every_runs, every_spilled = excl_cell(
+            (StackPolicy.BOTH, StackPolicy.EXCLUDE), mem_limit=1024)
+        assert alone == projected == excl_cell((StackPolicy.EXCLUDE,))[0]
+        assert runs < every_runs
+        assert spilled == 0 < every_spilled
+
     @pytest.mark.parametrize("stream", [STREAM_TQUAD_READ,
                                         STREAM_TQUAD_WRITE])
     def test_negative_excl_bytes_fail(self, raw, stream):
