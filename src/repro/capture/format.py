@@ -44,13 +44,13 @@ CRC-32, which covers the same inflated bytes (:func:`read_page`).
   columns take one byte a row where a raw row takes eight.
 * ``LAYOUT_PLANES`` (``quad.raw``): the records' row-to-row deltas (the
   first against 0, int64 wraparound) as eight byte planes, plane ``j``
-  holding byte ``j`` of every delta (least significant first).  A record packs an address, a
-  size, a kind and a kernel id into one word.  Whole deltas look random
-  and deflate worse than the records, but only their low bytes vary
-  much: the high bytes (the top of an address delta, size, kind and
-  kernel) take a few values in long runs, which a plane of their own
-  lets deflate find.  Deflated, the planes take about half the bytes
-  of the records, and the body is exactly as long.
+  holding byte ``j`` of every delta (least significant first).  A record
+  packs an address, a size, a kind and a kernel id into one word.  Whole
+  deltas look random and deflate worse than the records, but only their
+  low bytes vary much: the high bytes (the top of an address delta,
+  size, kind and kernel) take a few values in long runs, which a plane
+  of their own lets deflate find.  Deflated, the planes take about half
+  the bytes of the records, and the body is exactly as long.
 * ``LAYOUT_RECORDS`` (read only, ``quad.raw``): the packed records as
   recorded, the layout of ``quad.raw`` pages written before the planes
   layout.  Format-2 captures holding such pages still replay.
